@@ -38,12 +38,10 @@ from .scaling import (
     FiedlerEstimate,
     PencilSystem,
     ScalingVector,
-    apply_scaling,
     assemble_pencil,
     estimate_fiedler,
     learn_scaling,
     linearization_violation_fraction,
-    linearized_weights,
     scaling_table,
 )
 from .similarity import (
@@ -74,7 +72,6 @@ __all__ = [
     "ScalingVector",
     "SimilarityGraph",
     "SplitSpec",
-    "apply_scaling",
     "assemble_pencil",
     "build_similarity",
     "embed",
@@ -85,7 +82,6 @@ __all__ = [
     "kmeans",
     "learn_scaling",
     "linearization_violation_fraction",
-    "linearized_weights",
     "load_matrix",
     "loocv",
     "ncut_objective",

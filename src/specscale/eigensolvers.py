@@ -3,8 +3,8 @@
 Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for symmetric L
 and positive diagonal D, deflating the near-zero part of the spectrum.
 ``rect_pencil_eig`` enumerates eigenpairs (mu, w) of a possibly rectangular
-pencil F - mu G by a square reduction and certifies every candidate against the
-original rectangular system.
+pencil F - mu G by one square reduction onto the row space of [F; G] and
+certifies every candidate against the original rectangular system.
 """
 
 from __future__ import annotations
@@ -178,13 +178,14 @@ def _realify(z, tol=1e-12):
 def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
     """Certified eigenpairs of the (possibly rectangular) pencil F - mu G.
 
-    Candidates come from three sources and every one is certified against the
+    Candidates come from two sources and every one is certified against the
     original rectangular system; pairs failing the residual test are dropped:
 
-    * QZ eigenpairs of the square reduction (G^T F, G^T G);
-    * for wide pencils (more columns than rows), the same reduction after
-      compressing columns onto the leading right singular vectors of the
-      stacked [F; G] (lifted back, unconstrained nullspace components zeroed);
+    * QZ eigenpairs of the square reduction (G_r^T F_r, G_r^T G_r), where F_r and
+      G_r are F and G restricted to the row space of the stacked [F; G] (its
+      leading right singular vectors); lifted back, these vectors have no
+      component in the joint nullspace, so they are the minimal-norm
+      representatives;
     * directions jointly annihilated by F and G, which are eigenvectors for
       every mu and are reported at mu = 1 by convention.
 
@@ -203,24 +204,16 @@ def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
     if norm_g == 0.0:
         raise DegeneratePencilError("G = 0: the pencil has no finite eigenvalue")
 
-    p, q = F.shape
     stacked = np.vstack([F, G])
-    _, sv, vt = np.linalg.svd(stacked, full_matrices=True)
+    # U is never read; the thin V lacks the joint null basis only when [F; G]
+    # has fewer rows than columns
+    _, sv, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     rank_tol = max(stacked.shape) * np.finfo(float).eps * sv[0]
     rank = int(np.count_nonzero(sv > rank_tol))
+    v_r = vt[:rank].T  # (q, rank); row space of [F; G]
     null_basis = vt[rank:].T  # (q, q - rank); joint nullspace of F and G
 
-    # Column compression for wide pencils. Compressing below the numerical rank
-    # of [F; G] would discard genuine eigendirections, so the reduction keeps
-    # min(rank, q) columns rather than min(p, q).
-    r = min(rank, q)
-    if p < q and r < q:
-        v_r = vt[:r].T
-        f_red, g_red = F @ v_r, G @ v_r
-    else:
-        v_r = None
-        f_red, g_red = F, G
-
+    f_red, g_red = F @ v_r, G @ v_r
     alpha_beta, vecs = scipy.linalg.eig(
         g_red.T @ f_red, g_red.T @ g_red, homogeneous_eigvals=True
     )
@@ -233,16 +226,8 @@ def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
         mu = alphas[j] / betas[j]
         if not np.isfinite(mu):
             continue
-        w = vecs[:, j]
-        if v_r is not None:
-            w = v_r @ w
-        if null_basis.size:
-            # minimal-norm representative: project out the free directions
-            w = w - null_basis @ (null_basis.T @ w)
-        nw = np.linalg.norm(w)
-        if nw < 1e-12:
-            continue
-        w = w / nw
+        w = v_r @ vecs[:, j]
+        w = w / np.linalg.norm(w)
         mu = _realify(complex(mu))
         w = _realify(w)
         res = pencil_residual(F, G, mu, w)

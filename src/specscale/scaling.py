@@ -166,123 +166,60 @@ class ScalingVector:
         return self.factors.shape[0]
 
 
-def _rescaled_candidates(pairs):
-    """Normalize candidate vectors to the inhomogeneous form [s; -1]."""
-    out = []
-    skipped_all = True
-    for rank, pair in enumerate(pairs):
-        w = pair.vector
-        last = w[-1]
-        if abs(last) < _LAST_COMPONENT_TOL:
-            continue
-        skipped_all = False
-        s = -(w[:-1] / last)
-        out.append((pair, s))
-    return out, skipped_all
-
-
 def learn_scaling(ps: PencilSystem, residual_tol=DEFAULT_RESIDUAL_TOL) -> ScalingVector:
     """Solve the assembled pencil for scaling factors.
 
-    Certified eigenpairs are requested first; each candidate vector is rescaled
-    so its last component is -1 and the one with real part of mu closest to one
-    wins (ties by smaller residual, then the solver's deterministic order).
-    Complex selections are repaired by taking real parts and re-certifying.
+    The pencil is solved once, keeping every finite candidate. Each candidate
+    vector is rescaled so its last component is -1, and the candidates are
+    ranked by the distance of the real part of mu to one (ties by smaller
+    residual, then the solver's deterministic order). Complex selections are
+    repaired by taking real parts.
 
-    When no candidate certifies, which is the generic situation for
-    overdetermined systems (more training samples than features), the same
-    selection runs over the uncertified candidate pool and the achieved
-    residual is reported with ``certified=False``.
+    The first ranked candidate whose own residual and whose repaired residual
+    both meet ``residual_tol`` is returned with ``certified=True``. When none
+    does, which is the generic situation for overdetermined systems (more
+    training samples than features), the best-ranked candidate is returned with
+    the residual it achieves, and ``certified`` records whether that meets the
+    tolerance.
     """
     F, G = ps.F(), ps.G()
-
-    def finish(pair, s, certified_pool):
-        mu = float(np.real(pair.value))
-        s_real = np.ascontiguousarray(np.real(s), dtype=float)
-        vec = np.concatenate([s_real, [-1.0]])
-        res = pencil_residual(F, G, mu, vec)
-        violation = abs(float(ps.gamma @ s_real - ps.rho))
-        if certified_pool and res > residual_tol:
-            return None
-        return ScalingVector(
-            factors=s_real,
-            eigenvalue=mu,
-            residual=res,
-            constraint_violation=violation,
-            certified=bool(res <= residual_tol),
-        )
-
-    def attempt(pairs, certified_pool, raise_nonnormalizable):
-        candidates, all_tiny = _rescaled_candidates(pairs)
-        if not candidates:
-            if all_tiny and pairs and raise_nonnormalizable:
-                raise NonNormalizableError(
-                    "every candidate eigenvector has a vanishing last component"
-                )
-            return None
-        order = sorted(
-            range(len(candidates)),
-            key=lambda i: (abs(np.real(candidates[i][0].value) - 1.0),
-                           candidates[i][0].residual, i),
-        )
-        for i in order:
-            pair, s = candidates[i]
-            result = finish(pair, s, certified_pool)
-            if result is not None:
-                return result
-        return None
-
-    try:
-        result = attempt(
-            rect_pencil_eig(F, G, residual_tol),
-            certified_pool=True,
-            raise_nonnormalizable=False,
-        )
-        if result is not None:
-            return result
-    except NoEigenpairError:
-        pass
-
-    # minimal-perturbation fallback: keep every finite candidate and report the
-    # residual that was actually achieved
     try:
         pairs = rect_pencil_eig(F, G, residual_tol=math.inf)
     except NoEigenpairError as exc:
         raise NoScalingError("the pencil produced no usable candidates") from exc
-    result = attempt(pairs, certified_pool=False, raise_nonnormalizable=True)
-    if result is None:
-        raise NoScalingError("the pencil produced no usable candidates")
-    return result
-
-
-def apply_scaling(Y, scaling):
-    """Scale columns by sqrt(|s_j|); return the scaled data and the sign vector.
-
-    For nonnegative factors, Euclidean distances on the result equal the
-    weighted metric exactly; signs are returned so callers can reconstruct the
-    signed metric when some factors are negative.
-    """
-    factors = np.asarray(getattr(scaling, "factors", scaling), dtype=float)
-    values = as_values(Y)
-    if values.shape[1] != factors.shape[0]:
-        raise ValueError(
-            f"data has {values.shape[1]} features but scaling has {factors.shape[0]}"
+    candidates = [
+        (pair, -(pair.vector[:-1] / pair.vector[-1]))
+        for pair in pairs
+        if abs(pair.vector[-1]) >= _LAST_COMPONENT_TOL
+    ]
+    if not candidates:
+        raise NonNormalizableError(
+            "every candidate eigenvector has a vanishing last component"
         )
-    scaled = values * np.sqrt(np.abs(factors))
-    signs = np.sign(factors)
-    if hasattr(Y, "values") and hasattr(Y, "feature_names"):
-        from .data import DataMatrix
+    # stable sort: equal keys keep the solver's order
+    ranked = sorted(
+        candidates, key=lambda c: (abs(np.real(c[0].value) - 1.0), c[0].residual)
+    )
 
-        return (
-            DataMatrix(
-                values=scaled,
-                feature_names=list(Y.feature_names),
-                labels=None if Y.labels is None else Y.labels.copy(),
-                standardized=False,
-            ),
-            signs,
+    def finish(pair, s):
+        mu = float(np.real(pair.value))
+        s_real = np.ascontiguousarray(np.real(s), dtype=float)
+        vec = np.concatenate([s_real, [-1.0]])
+        res = pencil_residual(F, G, mu, vec)
+        return ScalingVector(
+            factors=s_real,
+            eigenvalue=mu,
+            residual=res,
+            constraint_violation=abs(float(ps.gamma @ s_real - ps.rho)),
+            certified=bool(res <= residual_tol),
         )
-    return scaled, signs
+
+    for pair, s in ranked:
+        if pair.residual <= residual_tol:
+            result = finish(pair, s)
+            if result.certified:
+                return result
+    return finish(*ranked[0])
 
 
 def scaling_table(scaling, feature_names) -> str:
@@ -293,14 +230,6 @@ def scaling_table(scaling, feature_names) -> str:
     lines = ["feature\tscaling_factor"]
     lines.extend(f"{name}\t{repr(float(f))}" for name, f in zip(feature_names, factors))
     return "\n".join(lines) + "\n"
-
-
-def linearized_weights(diffs: PairwiseDifferences, factors) -> np.ndarray:
-    """First-order kernel weights 1 - s^T x_ij / (2 sigma^2), zero diagonal."""
-    factors = np.asarray(getattr(factors, "factors", factors), dtype=float)
-    w = 1.0 - (diffs.sqdiff @ factors) * diffs.scale
-    np.fill_diagonal(w, 0.0)
-    return w
 
 
 def linearization_violation_fraction(X, scaling, sigma) -> float:

@@ -59,9 +59,7 @@ class PairwiseDifferences:
     """Per-pair squared feature differences and their kernel-scaled aggregates.
 
     ``sqdiff[i, j, k]`` is (x_ik - x_jk)^2 (unscaled); ``xhat[i]`` is the
-    1/(2 sigma^2)-scaled sum of sqdiff[i, j] over j; ``block(i)`` returns the
-    (m, n) matrix whose columns are the scaled difference vectors against
-    sample i.
+    1/(2 sigma^2)-scaled sum of sqdiff[i, j] over j.
     """
 
     sqdiff: np.ndarray
@@ -76,9 +74,6 @@ class PairwiseDifferences:
     @property
     def n_samples(self):
         return self.sqdiff.shape[0]
-
-    def block(self, i):
-        return self.sqdiff[i].T * self.scale
 
     def rescaled(self, sigma):
         """Same pair tensor under a different kernel width (tensor shared)."""

@@ -212,6 +212,34 @@ class TestRectPencilEig:
             for p in exact
         )
 
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    def test_candidates_are_minimal_norm(self, shape):
+        # every vector lies in the joint nullspace N of F and G (reported at
+        # mu = 1) or has no component in it
+        rng = np.random.default_rng(19)
+        if shape == "tall":
+            F = rng.normal(size=(6, 3))
+            G = rng.normal(size=(6, 3))
+            F = np.column_stack([F, F[:, 0]])
+            G = np.column_stack([G, G[:, 0]])
+        else:
+            F = rng.normal(size=(3, 8))
+            G = rng.normal(size=(3, 8))
+        _, sv, vt = np.linalg.svd(np.vstack([F, G]))
+        rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
+        N = vt[rank:].T
+        assert N.shape[1] == (1 if shape == "tall" else 2)
+        pairs = rect_pencil_eig(F, G, residual_tol=np.inf)
+        in_null = 0
+        for p in pairs:
+            along = np.linalg.norm(N.T @ p.vector)
+            if along > 1e-10:
+                assert along == pytest.approx(1.0, abs=1e-10)
+                assert p.value == 1.0
+                in_null += 1
+        assert in_null == N.shape[1]
+        assert len(pairs) > in_null
+
     def test_deterministic_output(self):
         rng = np.random.default_rng(13)
         F = rng.normal(size=(6, 4))

@@ -4,24 +4,46 @@ import numpy as np
 import pytest
 
 from specscale import (
-    DataMatrix,
-    apply_scaling,
+    EigenPair,
     assemble_pencil,
     estimate_fiedler,
     generate_toy,
     learn_scaling,
     linearization_violation_fraction,
-    linearized_weights,
     pairwise_sqdiff,
-    scaled_sqdist,
+    scaling,
     scaling_table,
     split,
     standardize,
     SplitSpec,
 )
-from specscale.errors import DegenerateSupervisionError
+from specscale.errors import (
+    DegenerateSupervisionError,
+    NoEigenpairError,
+    NonNormalizableError,
+    NoScalingError,
+)
 
 SIGMA_UNIT = np.sqrt(0.5)  # 2 sigma^2 = 1
+
+
+def wide_pencil():
+    """More features than samples: exact eigenpairs exist."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(6, 8))
+    v = np.where(rng.random(6) < 0.5, 1.0, -0.2)
+    v[:2] = [1.0, -0.2]
+    return assemble_pencil(X, v, 1.0)
+
+
+def tall_pencil():
+    """Many more samples than features: no candidate certifies."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(60, 4))
+    labels = np.where(rng.random(60) < 0.3, 1, 2)
+    labels[:2] = [1, 2]
+    fv = estimate_fiedler(labels, negative_value=-0.2)
+    return assemble_pencil(X, fv, 1.0)
 
 
 class TestEstimateFiedler:
@@ -152,11 +174,7 @@ class TestLearnScaling:
         assert sv.constraint_violation <= 1e-6 * (np.linalg.norm(ps.gamma) + abs(ps.rho))
 
     def test_certificate_definitions(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(6, 8))  # wide: exact eigenpairs exist
-        v = np.where(rng.random(6) < 0.5, 1.0, -0.2)
-        v[:2] = [1.0, -0.2]
-        ps = assemble_pencil(X, v, 1.0)
+        ps = wide_pencil()
         sv = learn_scaling(ps)
         F, G = ps.F(), ps.G()
         vec = np.concatenate([sv.factors, [-1.0]])
@@ -168,16 +186,40 @@ class TestLearnScaling:
         )
 
     def test_tall_system_reports_approximate_solution(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(60, 4))
-        labels = np.where(rng.random(60) < 0.3, 1, 2)
-        labels[:2] = [1, 2]
-        fv = estimate_fiedler(labels, negative_value=-0.2)
-        ps = assemble_pencil(X, fv, 1.0)
-        sv = learn_scaling(ps)
+        sv = learn_scaling(tall_pencil())
         assert np.all(np.isfinite(sv.factors))
         assert sv.residual > 1e-6  # overdetermined: only approximate solutions
         assert not sv.certified
+
+    @pytest.mark.parametrize("make_pencil", [tall_pencil, wide_pencil], ids=["tall", "wide"])
+    def test_one_solve_per_fit(self, monkeypatch, make_pencil):
+        # certified or not, a fit solves the pencil once and filters the result
+        solve = scaling.rect_pencil_eig
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("residual_tol"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "rect_pencil_eig", counting)
+        learn_scaling(make_pencil())
+        assert len(calls) == 1
+
+    def test_no_finite_candidate_raises_no_scaling(self, monkeypatch):
+        def no_pairs(F, G, residual_tol):
+            raise NoEigenpairError("no finite candidate")
+
+        monkeypatch.setattr(scaling, "rect_pencil_eig", no_pairs)
+        with pytest.raises(NoScalingError):
+            learn_scaling(wide_pencil())
+
+    def test_vanishing_last_components_raise_non_normalizable(self, monkeypatch):
+        ps = wide_pencil()
+        dims = ps.n_features + 1
+        pairs = [EigenPair(mu, np.eye(dims)[i], 0.0) for i, mu in enumerate([1.0, 0.5])]
+        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, residual_tol: pairs)
+        with pytest.raises(NonNormalizableError):
+            learn_scaling(ps)
 
     def test_duplicate_feature_columns_get_equal_factors(self):
         rng = np.random.default_rng(7)
@@ -199,62 +241,7 @@ class TestLearnScaling:
         assert np.abs(sv.factors[3:]).mean() < 0.5 * np.abs(sv.factors[:3]).mean()
 
 
-class TestApplyScaling:
-    def test_identity(self):
-        rng = np.random.default_rng(8)
-        Y = rng.normal(size=(4, 3))
-        Z, signs = apply_scaling(Y, np.ones(3))
-        np.testing.assert_array_equal(Z, Y)
-        np.testing.assert_array_equal(signs, np.ones(3))
-
-    def test_columnwise(self):
-        Z, signs = apply_scaling(np.array([[1.0, 1.0]]), np.array([4.0, 0.0]))
-        np.testing.assert_array_equal(Z, [[2.0, 0.0]])
-        np.testing.assert_array_equal(signs, [1.0, 0.0])
-
-    def test_moment_transformation(self):
-        rng = np.random.default_rng(9)
-        Y = rng.normal(loc=2.0, scale=1.5, size=(200, 2))
-        s = np.array([3.0, 0.25])
-        Z, _ = apply_scaling(Y, s)
-        np.testing.assert_allclose(Z.mean(axis=0), np.sqrt(s) * Y.mean(axis=0), atol=1e-10)
-        np.testing.assert_allclose(Z.var(axis=0), s * Y.var(axis=0), atol=1e-10)
-
-    def test_data_matrix_roundtrip(self):
-        dm = DataMatrix(
-            values=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            feature_names=["a", "b"],
-            labels=np.array([1, 2]),
-        )
-        Z, signs = apply_scaling(dm, np.array([-4.0, 1.0]))
-        assert isinstance(Z, DataMatrix)
-        np.testing.assert_array_equal(Z.values[:, 0], [2.0, 6.0])
-        np.testing.assert_array_equal(signs, [-1.0, 1.0])
-        assert Z.feature_names == ["a", "b"]
-
-    def test_signed_metric_reconstruction(self):
-        rng = np.random.default_rng(10)
-        Y = rng.normal(size=(6, 3))
-        s = np.array([1.5, -0.7, 0.2])
-        Z, signs = apply_scaling(Y, s)
-        d_signed = scaled_sqdist(Y, s)
-        d_rebuilt = scaled_sqdist(Z, signs)
-        np.testing.assert_allclose(d_rebuilt, d_signed, atol=1e-12)
-
-
 class TestDiagnostics:
-    def test_linearized_weights_match_metric(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(8, 3))
-        s = rng.normal(size=3)
-        diffs = pairwise_sqdiff(X, 1.3)
-        w = linearized_weights(diffs, s)
-        d2 = scaled_sqdist(X, s)
-        expected = 1.0 - d2 / (2 * 1.3**2)
-        np.fill_diagonal(expected, 0.0)
-        np.testing.assert_allclose(w, expected, atol=1e-12)
-        np.testing.assert_array_equal(np.diag(w), np.zeros(8))
-
     def test_violation_fraction_bounds(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(10, 4))

@@ -23,7 +23,6 @@ class TestPairwiseSqdiff:
     def test_two_point_hand_values(self):
         d = pairwise_sqdiff(np.array([[0.0], [1.0]]), SIGMA_UNIT)
         np.testing.assert_array_equal(d.sqdiff[0, 1], [1.0])
-        np.testing.assert_allclose(d.block(0), [[0.0, 1.0]])
         np.testing.assert_allclose(d.xhat[0], [1.0])
 
     def test_identical_rows_give_zero(self):
