@@ -1,7 +1,8 @@
-"""Dense eigensolvers: symmetric-definite generalized pairs and rectangular pencils.
+"""Eigensolvers: graph Laplacian pairs and rectangular pencils.
 
-Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for symmetric L
-and positive diagonal D, deflating the near-zero part of the spectrum.
+Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a graph
+Laplacian L, dense or sparse, and positive diagonal D, deflating exactly one
+trivial eigenvalue per connected component of the graph.
 ``rect_pencil_eig`` enumerates eigenpairs (mu, w) of a possibly rectangular
 pencil F - mu G by one square reduction onto the row space of [F; G] and
 certifies every candidate against the original rectangular system.
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from .errors import (
     DegenerateDegreeError,
@@ -22,7 +24,6 @@ from .errors import (
     NoEigenpairError,
 )
 
-DEFAULT_SKIP_TOL = 1e-9
 DEFAULT_RESIDUAL_TOL = 1e-6
 
 _SYM_RESIDUAL_BOUND = 1e-8
@@ -115,47 +116,58 @@ def _as_degree_vector(D, n):
     return d
 
 
-def sym_gen_eig(L, D, k, skip_tol=DEFAULT_SKIP_TOL):
-    """Smallest eigenpairs of L x = lambda D x above the deflation threshold.
+def sym_gen_eig(L, D, k):
+    """Smallest nontrivial eigenpairs of the graph Laplacian pair L x = lambda D x.
 
     Parameters
     ----------
-    L : (n, n) array, symmetric.
+    L : (n, n) symmetric graph Laplacian, a dense array or a scipy sparse
+        matrix; its nonzero off-diagonal entries are the graph's edges.
     D : (n,) degree vector or (n, n) positive diagonal matrix.
     k : number of eigenpairs to return.
-    skip_tol : eigenvalues <= skip_tol * lambda_max are deflated. For a graph
-        Laplacian pair this removes the constant-vector nullspace, so returned
-        vectors satisfy the zero-mean constraint e^T D x = 0 on connected graphs.
+
+    A graph Laplacian has one zero eigenvalue per connected component, whose
+    eigenvectors are the component indicators. With c components, only pairs
+    c .. c+k-1 of the whitened matrix D^-1/2 L D^-1/2 are computed and mapped
+    back as x = y / sqrt(d), so on a connected graph every returned vector
+    satisfies the zero-mean constraint e^T D x = 0.
 
     Returns
     -------
     list of EigenPair, ascending, vectors D-orthonormal, each residual <= 1e-8.
+
+    Raises
+    ------
+    InsufficientSpectrumError
+        If c + k > n: fewer than k nontrivial pairs exist.
     """
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError("L must be square")
+    L = scipy.sparse.csr_matrix(L, dtype=float)
     n = L.shape[0]
-    scale = max(1.0, float(np.max(np.abs(L)))) if L.size else 1.0
-    if np.max(np.abs(L - L.T)) > 1e-12 * scale:
+    if L.shape != (n, n):
+        raise ValueError("L must be square")
+    if abs(L - L.T).max() > 1e-12 * max(1.0, abs(L).max()):
         raise ValueError("L is not symmetric within 1e-12 relative tolerance")
     d = _as_degree_vector(D, n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-
-    vals, vecs = scipy.linalg.eigh(L, np.diag(d))
-    lam_max = vals[-1]
-    keep = np.flatnonzero(vals > skip_tol * lam_max)
-    if keep.size < k:
+    c = scipy.sparse.csgraph.connected_components(L != 0, directed=False)[0]
+    if c + k > n:
         raise InsufficientSpectrumError(
-            f"only {keep.size} eigenvalues above the deflation threshold, need {k}"
+            f"{c} connected components leave {n - c} nontrivial eigenvalues, need {k}"
         )
 
-    norm_l = np.linalg.norm(L)
+    inv_root = scipy.sparse.diags(1.0 / np.sqrt(d))
+    whitened = (inv_root @ L @ inv_root).toarray()
+    vals, vecs = scipy.linalg.eigh(
+        whitened, subset_by_index=[c, c + k - 1], overwrite_a=True
+    )
+    vecs = inv_root @ vecs
+
+    norm_l = np.linalg.norm(L.data)
     norm_d = np.linalg.norm(d)
     pairs = []
-    for i in keep[:k]:
-        lam = float(vals[i])
-        w = _sign_normalize(vecs[:, i].copy())
+    for lam, w in zip(vals.tolist(), vecs.T):
+        w = _sign_normalize(w.copy())
         unit = w / np.linalg.norm(w)
         num = np.linalg.norm(L @ unit - lam * (d * unit))
         res = float(num / (norm_l + abs(lam) * norm_d))

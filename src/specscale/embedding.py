@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolvers import DEFAULT_SKIP_TOL, sym_gen_eig
+from .eigensolvers import sym_gen_eig
 from .errors import DegenerateVectorError
 from .similarity import SimilarityGraph
 
@@ -17,24 +17,24 @@ class Embedding:
     """Rows are reduced samples; columns are D-orthonormal eigenvectors."""
 
     vectors: np.ndarray  # (n_samples, ell)
-    eigenvalues: np.ndarray  # ascending, all above the deflation threshold
+    eigenvalues: np.ndarray  # ascending, trivial (per-component) pairs deflated
 
     @property
     def ell(self):
         return self.vectors.shape[1]
 
 
-def embed(graph: SimilarityGraph, ell, skip_tol=DEFAULT_SKIP_TOL) -> Embedding:
-    """Embed graph vertices on the eigenvectors of L u = lambda D u.
+def embed(graph: SimilarityGraph, ell) -> Embedding:
+    """Embed graph vertices on the eigenvectors of L u = lambda D u (L sparse).
 
-    Near-zero eigenvalues are deflated before the ``ell`` smallest remaining
-    pairs are taken, so on a connected graph every returned vector satisfies
-    the constraint e^T D u = 0. Eigenvector signs are fixed so that the first
-    significant component of each column is positive.
+    One zero eigenvalue per connected component is deflated before the ``ell``
+    smallest remaining pairs are taken, so on a connected graph every returned
+    vector satisfies the constraint e^T D u = 0. Eigenvector signs are fixed so
+    that the first significant component of each column is positive.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    pairs = sym_gen_eig(graph.dense_laplacian(), graph.degrees, ell, skip_tol)
+    pairs = sym_gen_eig(graph.laplacian, graph.degrees, ell)
     vectors = np.column_stack([p.vector for p in pairs])
     eigenvalues = np.array([p.value for p in pairs], dtype=float)
     return Embedding(vectors=vectors, eigenvalues=eigenvalues)

@@ -3,8 +3,8 @@
 Weights follow w_ij = exp(-delta_s(i, j) / (2 sigma^2)) where delta_s is the
 squared Euclidean distance, per-feature weighted by scaling factors when
 present. Factors may be negative, in which case delta_s is evaluated directly
-(weights can then exceed 1). Each row keeps its k largest off-diagonal weights
-and the result is symmetrized as (W + W^T) / 2.
+(weights can then exceed 1). Each row keeps its k nearest other samples in
+delta_s and the result is symmetrized in CSR as (W + W^T) / 2.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def pairwise_sqdiff(X, sigma) -> PairwiseDifferences:
     if not np.all(np.isfinite(values)):
         raise ValueError("X contains non-finite entries")
     diff = values[:, None, :] - values[None, :, :]
-    return PairwiseDifferences(diff**2, float(sigma))
+    return PairwiseDifferences(np.square(diff, out=diff), float(sigma))
 
 
 def scaled_sqdist(Y, factors=None) -> np.ndarray:
@@ -129,40 +129,27 @@ class SimilarityGraph:
     def n_samples(self):
         return self.weights.shape[0]
 
-    def dense_weights(self):
-        return self.weights.toarray()
 
-    def dense_laplacian(self):
-        return self.laplacian.toarray()
-
-
-def _finish_graph(W, d2=None) -> SimilarityGraph:
-    """Degrees and Laplacian of a symmetric weight matrix, as a graph.
+def _finish_graph(W, nearest=None) -> SimilarityGraph:
+    """Degrees and Laplacian of a symmetric CSR weight matrix, as a graph.
 
     Raises IsolatedSampleError if some degree is zero. The isolated samples are
-    ranked most isolated first: by the squared distance in ``d2`` to their
+    ranked most isolated first: by ``nearest``, each sample's delta_s to its
     nearest other sample (descending, ties to the smaller index), or by index
     when no distances are given. The ranking runs only on this failure path.
     """
-    degrees = W.sum(axis=1)
+    degrees = np.asarray(W.sum(axis=1)).ravel()
     isolated = np.flatnonzero(degrees == 0.0)
     if isolated.size:
-        if d2 is not None:
-            rows = d2[isolated]
-            rows[np.arange(isolated.size), isolated] = np.inf
-            nearest = rows.min(axis=1)
-            isolated = isolated[np.argsort(-nearest, kind="stable")]
+        if nearest is not None:
+            isolated = isolated[np.argsort(-nearest[isolated], kind="stable")]
         raise IsolatedSampleError(
             f"sample {isolated[0]} has zero degree "
             f"({isolated.size} isolated in total)",
             samples=isolated,
         )
-    laplacian = np.diag(degrees) - W
-    return SimilarityGraph(
-        weights=scipy.sparse.csr_matrix(W),
-        degrees=degrees,
-        laplacian=scipy.sparse.csr_matrix(laplacian),
-    )
+    laplacian = (scipy.sparse.diags(degrees) - W).tocsr()
+    return SimilarityGraph(weights=W, degrees=degrees, laplacian=laplacian)
 
 
 def graph_from_weights(W) -> SimilarityGraph:
@@ -174,18 +161,21 @@ def graph_from_weights(W) -> SimilarityGraph:
         raise ValueError("weight matrix must be exactly symmetric")
     if np.any(np.diag(W) != 0.0):
         raise ValueError("weight matrix must have a zero diagonal")
-    return _finish_graph(W)
+    return _finish_graph(scipy.sparse.csr_matrix(W))
 
 
 def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     """k-NN Gaussian similarity graph of the rows of Y.
 
-    Raw weights are exp(-delta_s / 2 sigma^2) with a forced zero diagonal; each
-    row keeps its k largest off-diagonal weights (ties at the cutoff go to the
-    smaller sample index) and the kept matrix is symmetrized as (M + M^T) / 2.
+    Each row keeps its k nearest other samples in delta_s (ties go to the
+    smaller sample index); the weights exp(-delta_s / 2 sigma^2) are evaluated
+    on those n*k pairs only, and the kept matrix is symmetrized as
+    (M + M^T) / 2 in CSR.
 
     Raises
     ------
+    NumericalOverflowError
+        If a kept weight overflows; each row keeps its most negative delta_s.
     IsolatedSampleError
         If some row ends up with zero degree (all kept weights underflowed).
         The message names the most isolated sample, the one whose nearest
@@ -200,27 +190,25 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     n = values.shape[0]
     if n < 2:
         raise InsufficientSamplesError("need at least two samples")
-    if params.k_neighbors >= n:
-        raise ValueError(f"k_neighbors={params.k_neighbors} must be < {n} samples")
+    k = params.k_neighbors
+    if k >= n:
+        raise ValueError(f"k_neighbors={k} must be < {n} samples")
 
     d2 = scaled_sqdist(values, params.scaling)
+    np.fill_diagonal(d2, np.inf)
+    cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    near = np.take_along_axis(d2, cols, axis=1)
     with np.errstate(over="ignore", under="ignore"):
-        raw = np.exp(-d2 / (2.0 * params.sigma**2))
-    if not np.all(np.isfinite(raw)):
+        weights = np.exp(-near / (2.0 * params.sigma**2))
+    if not np.all(np.isfinite(weights)):
         raise NumericalOverflowError(
             "kernel weights overflowed; negative scaled distances are too large "
             f"for sigma={params.sigma}"
         )
-    np.fill_diagonal(raw, 0.0)
-
-    kept = np.zeros_like(raw)
-    k = params.k_neighbors
-    cols = np.arange(n)
-    for i in range(n):
-        row = raw[i].copy()
-        row[i] = -np.inf
-        order = np.lexsort((cols, -row))[:k]
-        kept[i, order] = raw[i, order]
-
+    kept = scipy.sparse.csr_matrix(
+        (weights.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
+    )
     W = (kept + kept.T) / 2.0
-    return _finish_graph(W, d2)
+    W.eliminate_zeros()
+    W.sort_indices()
+    return _finish_graph(W, near[:, 0])

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from specscale import EigenPair, pencil_residual, rect_pencil_eig, sym_gen_eig
 from specscale.errors import (
@@ -60,22 +61,35 @@ class TestSymGenEig:
         with pytest.raises(InsufficientSpectrumError):
             sym_gen_eig(np.zeros((3, 3)), np.ones(3), k=1)
 
-    def test_matches_whitened_oracle(self):
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_matches_whitened_oracle(self, blocks):
+        # Laplacians of random graphs with `blocks` connected components
         rng = np.random.default_rng(7)
+        component = np.arange(6) * blocks // 6
+        same = component[:, None] == component[None, :]
         for _ in range(20):
-            A = rng.normal(size=(6, 6))
-            L = (A + A.T) / 2
             W = rng.uniform(0.1, 1.0, size=(6, 6))
-            d = (W + W.T).sum(axis=1)
+            W = (W + W.T) * same
+            np.fill_diagonal(W, 0.0)
+            d = W.sum(axis=1)
+            L = np.diag(d) - W
             vals_oracle, _ = whitened_spectrum(L, d)
             lam_max = vals_oracle[-1]
             keep = vals_oracle[vals_oracle > 1e-9 * lam_max]
+            assert keep.size == 6 - blocks
             k = min(3, keep.size)
-            if k == 0:
-                continue
             pairs = sym_gen_eig(L, d, k=k)
             got = np.array([p.value for p in pairs])
             np.testing.assert_allclose(got, keep[:k], atol=1e-8)
+            # CSR storing all 36 entries: the zeros between components are explicit
+            stored = scipy.sparse.csr_matrix(np.ones((6, 6)))
+            stored.data = L.ravel().copy()
+            sparse_pairs = sym_gen_eig(stored, d, k=k)
+            for a, b in zip(pairs, sparse_pairs):
+                assert a.value == b.value
+                np.testing.assert_array_equal(a.vector, b.vector)
+            with pytest.raises(InsufficientSpectrumError):
+                sym_gen_eig(L, d, k=7 - blocks)  # one more than 6 - blocks
 
     def test_vectors_are_degree_orthonormal(self):
         rng = np.random.default_rng(3)

@@ -24,8 +24,11 @@ def two_cliques(eps=0.0):
 
 
 class TestEmbed:
-    def test_weakly_bridged_cliques_separate_by_sign(self):
-        g = graph_from_weights(two_cliques(eps=1e-6))
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10])
+    def test_weakly_bridged_cliques_separate_by_sign(self, eps):
+        # at eps=1e-10 the Fiedler value (~6.7e-11) is far below 1e-9 * lambda_max,
+        # yet the graph is connected, so only the constant vector is deflated
+        g = graph_from_weights(two_cliques(eps=eps))
         emb = embed(g, ell=1)
         u = emb.vectors[:, 0]
         assert np.all(np.sign(u[:3]) == np.sign(u[0]))
@@ -39,7 +42,7 @@ class TestEmbed:
         emb = embed(g, ell=1)
         d = g.degrees
         root = np.sqrt(d)
-        M = g.dense_laplacian() / root[:, None] / root[None, :]
+        M = g.laplacian.toarray() / root[:, None] / root[None, :]
         vals = np.linalg.eigh((M + M.T) / 2)[0]
         nonzero = vals[vals > 1e-9 * vals[-1]]
         assert emb.eigenvalues[0] == pytest.approx(nonzero[0], abs=1e-8)

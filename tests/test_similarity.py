@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specscale import (
     KernelParams,
@@ -17,6 +19,45 @@ from specscale.errors import (
 )
 
 SIGMA_UNIT = np.sqrt(0.5)  # 2 sigma^2 = 1
+
+
+@st.composite
+def knn_problems(draw):
+    """Small integer samples (ties are common), a k and optional signed factors."""
+    n = draw(st.integers(3, 12))
+    m = draw(st.integers(1, 3))
+    Y = np.array(
+        draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                      min_size=n, max_size=n)),
+        dtype=float,
+    )
+    k = draw(st.integers(1, n - 1))
+    factors = draw(
+        st.none()
+        | st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                   min_size=m, max_size=m).map(np.array)
+    )
+    sigma = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    return Y, k, factors, sigma
+
+
+def reference_knn_weights(Y, k, factors, sigma):
+    """Dense k-NN rule: each row keeps its k smallest delta_s, ties to the
+    smaller index, then (M + M^T) / 2. None if a weight overflows."""
+    d2 = scaled_sqdist(Y, factors)
+    with np.errstate(over="ignore", under="ignore"):
+        raw = np.exp(-d2 / (2.0 * sigma**2))
+    if not np.all(np.isfinite(raw)):
+        return None
+    n = Y.shape[0]
+    index = np.arange(n)
+    M = np.zeros((n, n))
+    for i in range(n):
+        row = d2[i].copy()
+        row[i] = np.inf
+        order = np.lexsort((index, row))[:k]
+        M[i, order] = raw[i, order]
+    return (M + M.T) / 2.0
 
 
 class TestPairwiseSqdiff:
@@ -59,7 +100,7 @@ class TestBuildSimilarity:
     def test_three_point_knn_hand_values(self):
         Y = np.array([[0.0], [1.0], [10.0]])
         g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
-        W = g.dense_weights()
+        W = g.weights.toarray()
         assert W[0, 1] == np.exp(-0.5)  # kept by both rows, symmetric mean exact
         assert W[0, 2] == 0.0  # dropped by the k-NN rule
         assert W[1, 2] == np.exp(-81.0 / 2.0) / 2.0  # kept by row 3 only
@@ -68,7 +109,7 @@ class TestBuildSimilarity:
     def test_identical_samples_weight_one(self):
         Y = np.array([[0.0], [0.0], [5.0]])
         g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
-        assert g.dense_weights()[0, 1] == 1.0
+        assert g.weights.toarray()[0, 1] == 1.0
 
     def test_negative_factor_weight_above_one(self):
         Y = np.array([[0.0], [1.0]])
@@ -77,7 +118,7 @@ class TestBuildSimilarity:
         )
         # delta_s = -1 and 2 sigma^2 = 1, so w = exp(1); 2 sigma^2 carries one
         # rounding error, hence a relative tolerance far below any kernel mistake
-        w = g.dense_weights()[0, 1]
+        w = g.weights.toarray()[0, 1]
         assert w > 1.0
         assert w == pytest.approx(np.exp(1.0), rel=1e-14)
 
@@ -85,7 +126,7 @@ class TestBuildSimilarity:
         rng = np.random.default_rng(3)
         Y = rng.normal(size=(20, 4))
         g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=5))
-        W = g.dense_weights()
+        W = g.weights.toarray()
         assert np.all(W >= 0.0) and np.all(W <= 1.0)
         assert np.all(np.diag(W) == 0.0)
 
@@ -93,9 +134,9 @@ class TestBuildSimilarity:
         rng = np.random.default_rng(4)
         Y = rng.normal(size=(15, 3))
         g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=4))
-        L = g.dense_laplacian()
+        L = g.laplacian.toarray()
         np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-10)
-        np.testing.assert_allclose(g.degrees, g.dense_weights().sum(axis=1))
+        np.testing.assert_allclose(g.degrees, g.weights.toarray().sum(axis=1))
         for _ in range(10):
             x = rng.normal(size=15)
             assert x @ L @ x >= -1e-10 * (x @ x)
@@ -106,8 +147,8 @@ class TestBuildSimilarity:
         perm = rng.permutation(12)
         g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=4))
         gp = build_similarity(Y[perm], KernelParams(sigma=1.0, k_neighbors=4))
-        W = g.dense_weights()
-        np.testing.assert_allclose(gp.dense_weights(), W[np.ix_(perm, perm)], atol=1e-14)
+        W = g.weights.toarray()
+        np.testing.assert_allclose(gp.weights.toarray(), W[np.ix_(perm, perm)], atol=1e-14)
         np.testing.assert_allclose(gp.degrees, g.degrees[perm], atol=1e-14)
 
     def test_nonnegative_scaling_matches_prescaled_data(self):
@@ -116,7 +157,7 @@ class TestBuildSimilarity:
         s = rng.uniform(0.1, 2.0, 5)
         g1 = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=4, scaling=s))
         g2 = build_similarity(Y * np.sqrt(s), KernelParams(sigma=1.0, k_neighbors=4))
-        np.testing.assert_allclose(g1.dense_weights(), g2.dense_weights(), atol=1e-12)
+        np.testing.assert_allclose(g1.weights.toarray(), g2.weights.toarray(), atol=1e-12)
 
     def test_isolated_vertex_error_names_sample(self):
         Y = np.array([[0.0], [1.0], [1e6]])
@@ -142,10 +183,19 @@ class TestBuildSimilarity:
         # points 1 and 2 are equidistant from point 0; k=1 must keep index 1
         Y = np.array([[0.0], [1.0], [-1.0]])
         g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
-        W = g.dense_weights()
+        W = g.weights.toarray()
         assert W[0, 1] == np.exp(-0.5)  # kept by rows 0 and 1
         assert W[0, 2] == np.exp(-0.5) / 2.0  # kept by row 2 only
         assert W[1, 2] == 0.0  # kept by neither row
+
+    @settings(max_examples=300)
+    @given(knn_problems())
+    def test_knn_matches_dense_reference(self, problem):
+        Y, k, factors, sigma = problem
+        expected = reference_knn_weights(Y, k, factors, sigma)
+        assume(expected is not None and np.all(expected.sum(axis=1) > 0.0))
+        g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
+        np.testing.assert_array_equal(g.weights.toarray(), expected)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
