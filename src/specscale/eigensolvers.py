@@ -3,9 +3,9 @@
 Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a graph
 Laplacian L, dense or sparse, and positive diagonal D, deflating exactly one
 trivial eigenvalue per connected component of the graph.
-``rect_pencil_eig`` enumerates eigenpairs (mu, w) of a possibly rectangular
-pencil F - mu G by one square reduction onto the row space of [F; G] and
-certifies every candidate against the original rectangular system.
+``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
+pencil F - mu G determines: the finite QZ pairs of one square reduction onto
+the row space of [F; G], each with its residual against the original system.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .errors import (
     InternalConsistencyError,
     NoEigenpairError,
 )
-
-DEFAULT_RESIDUAL_TOL = 1e-6
 
 _SYM_RESIDUAL_BOUND = 1e-8
 
@@ -66,50 +64,10 @@ def _sign_normalize(w, tol=1e-12):
     return -w if lead < 0 else w
 
 
-class _VectorKey:
-    """Lexicographic tie-break key over (real, imag)-interleaved entries."""
-
-    __slots__ = ("flat",)
-
-    def __init__(self, vector):
-        v = np.asarray(vector)
-        if np.iscomplexobj(v):
-            self.flat = np.column_stack([v.real, v.imag]).ravel()
-        else:
-            self.flat = np.column_stack([v, np.zeros_like(v)]).ravel()
-
-    def __lt__(self, other):
-        a, b = self.flat, other.flat
-        n = min(a.size, b.size)
-        diff = np.flatnonzero(a[:n] != b[:n])
-        if diff.size == 0:
-            return a.size < b.size
-        i = diff[0]
-        return a[i] < b[i]
-
-
-def _order_pairs(pairs):
-    return sorted(
-        pairs,
-        key=lambda p: (np.real(p.value), np.imag(p.value), _VectorKey(p.vector)),
-    )
-
-
 def _as_degree_vector(D, n):
-    D = np.asarray(D, dtype=float)
-    if D.ndim == 1:
-        d = D
-    elif D.ndim == 2:
-        if D.shape != (n, n):
-            raise ValueError(f"degree matrix shape {D.shape} does not match {n}")
-        off = D - np.diag(np.diag(D))
-        if np.any(off != 0.0):
-            raise ValueError("degree matrix must be diagonal")
-        d = np.diag(D).copy()
-    else:
-        raise ValueError("degree input must be a vector or a diagonal matrix")
+    d = np.asarray(D, dtype=float)
     if d.shape != (n,):
-        raise ValueError(f"degree vector has length {d.shape[0]}, expected {n}")
+        raise ValueError(f"degree input has shape {d.shape}, expected ({n},)")
     if np.any(d <= 0.0):
         bad = int(np.argmin(d))
         raise DegenerateDegreeError(f"non-positive degree {d[bad]} at index {bad}")
@@ -123,7 +81,7 @@ def sym_gen_eig(L, D, k):
     ----------
     L : (n, n) symmetric graph Laplacian, a dense array or a scipy sparse
         matrix; its nonzero off-diagonal entries are the graph's edges.
-    D : (n,) degree vector or (n, n) positive diagonal matrix.
+    D : (n,) positive degree vector, the diagonal of the degree matrix.
     k : number of eigenpairs to return.
 
     A graph Laplacian has one zero eigenvalue per connected component, whose
@@ -176,7 +134,7 @@ def sym_gen_eig(L, D, k):
                 f"eigenpair residual {res:.3e} exceeds {_SYM_RESIDUAL_BOUND}"
             )
         pairs.append(EigenPair(lam, w, res))
-    return _order_pairs(pairs)
+    return pairs
 
 
 def _realify(z, tol=1e-12):
@@ -187,23 +145,27 @@ def _realify(z, tol=1e-12):
     return z
 
 
-def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
-    """Certified eigenpairs of the (possibly rectangular) pencil F - mu G.
+def rect_pencil_eig(F, G):
+    """Eigenpairs that the (possibly rectangular) pencil F - mu G determines.
 
-    Candidates come from two sources and every one is certified against the
-    original rectangular system; pairs failing the residual test are dropped:
+    F and G are restricted to the row space of the stacked [F; G] (its leading
+    right singular vectors), giving F_r and G_r; the finite QZ eigenpairs of
+    the square reduction (G_r^T F_r, G_r^T G_r) are lifted back. A lifted vector
+    has no component in the joint nullspace of F and G, so it is the
+    minimal-norm representative of its class. Directions in that nullspace
+    solve the pencil for every mu and are not reported.
 
-    * QZ eigenpairs of the square reduction (G_r^T F_r, G_r^T G_r), where F_r and
-      G_r are F and G restricted to the row space of the stacked [F; G] (its
-      leading right singular vectors); lifted back, these vectors have no
-      component in the joint nullspace, so they are the minimal-norm
-      representatives;
-    * directions jointly annihilated by F and G, which are eigenvectors for
-      every mu and are reported at mu = 1 by convention.
+    Each pair carries its residual against the original rectangular system;
+    nothing is filtered on it. Complex eigenvalues appear together with their
+    conjugates. Vectors have unit 2-norm and a deterministic sign. Pairs are
+    ordered by (Re mu, Im mu); equal eigenvalues keep QZ's order.
 
-    Complex eigenvalues appear together with their conjugates. Vectors have
-    unit 2-norm and a deterministic sign; ties in the eigenvalue ordering are
-    broken lexicographically on the vector entries.
+    Raises
+    ------
+    DegeneratePencilError
+        If G = 0.
+    NoEigenpairError
+        If the reduction has no finite eigenvalue.
     """
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -217,13 +179,10 @@ def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
         raise DegeneratePencilError("G = 0: the pencil has no finite eigenvalue")
 
     stacked = np.vstack([F, G])
-    # U is never read; the thin V lacks the joint null basis only when [F; G]
-    # has fewer rows than columns
-    _, sv, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
+    _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
     rank_tol = max(stacked.shape) * np.finfo(float).eps * sv[0]
     rank = int(np.count_nonzero(sv > rank_tol))
     v_r = vt[:rank].T  # (q, rank); row space of [F; G]
-    null_basis = vt[rank:].T  # (q, q - rank); joint nullspace of F and G
 
     f_red, g_red = F @ v_r, G @ v_r
     alpha_beta, vecs = scipy.linalg.eig(
@@ -231,7 +190,7 @@ def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
     )
     alphas, betas = alpha_beta
 
-    certified = []
+    pairs = []
     for j in range(vecs.shape[1]):
         if betas[j] == 0:
             continue
@@ -242,18 +201,9 @@ def rect_pencil_eig(F, G, residual_tol=DEFAULT_RESIDUAL_TOL):
         w = w / np.linalg.norm(w)
         mu = _realify(complex(mu))
         w = _realify(w)
-        res = pencil_residual(F, G, mu, w)
-        if res <= residual_tol:
-            certified.append(EigenPair(mu, _sign_normalize(w), res))
+        pairs.append(EigenPair(mu, _sign_normalize(w), pencil_residual(F, G, mu, w)))
 
-    for col in null_basis.T:
-        w = _sign_normalize(col / np.linalg.norm(col))
-        res = pencil_residual(F, G, 1.0, w)
-        if res <= residual_tol:
-            certified.append(EigenPair(1.0, w, res))
-
-    if not certified:
-        raise NoEigenpairError(
-            f"no candidate passed certification at residual_tol={residual_tol:g}"
-        )
-    return _order_pairs(certified)
+    if not pairs:
+        raise NoEigenpairError("the pencil has no finite eigenpair")
+    # stable sort: equal eigenvalues keep QZ's deterministic order
+    return sorted(pairs, key=lambda p: (np.real(p.value), np.imag(p.value)))

@@ -20,7 +20,7 @@ class DegeneratePencilError(SpecScaleError):
 
 
 class NoEigenpairError(SpecScaleError):
-    """No candidate eigenpair passed the residual certification."""
+    """The pencil has no finite eigenpair."""
 
 
 class InsufficientSamplesError(SpecScaleError):

@@ -15,12 +15,11 @@ and selects the candidate with mu closest to one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolvers import DEFAULT_RESIDUAL_TOL, pencil_residual, rect_pencil_eig
+from .eigensolvers import pencil_residual, rect_pencil_eig
 from .errors import (
     DegenerateSupervisionError,
     InternalConsistencyError,
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .similarity import PairwiseDifferences, as_values, pairwise_sqdiff, scaled_sqdist
 
+DEFAULT_RESIDUAL_TOL = 1e-6
 _LAST_COMPONENT_TOL = 1e-12
 
 
@@ -184,7 +184,7 @@ def learn_scaling(ps: PencilSystem, residual_tol=DEFAULT_RESIDUAL_TOL) -> Scalin
     """
     F, G = ps.F(), ps.G()
     try:
-        pairs = rect_pencil_eig(F, G, residual_tol=math.inf)
+        pairs = rect_pencil_eig(F, G)
     except NoEigenpairError as exc:
         raise NoScalingError("the pencil produced no usable candidates") from exc
     candidates = [

@@ -127,10 +127,10 @@ class TestSymGenEig:
         with pytest.raises(ValueError):
             sym_gen_eig(np.eye(2), np.ones(2), k=3)
 
-    def test_accepts_diagonal_matrix_input(self):
+    def test_rejects_degree_matrix(self):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        pairs = sym_gen_eig(L, np.diag([1.0, 1.0]), k=1)
-        np.testing.assert_allclose(pairs[0].value, 2.0, atol=1e-12)
+        with pytest.raises(ValueError):
+            sym_gen_eig(L, np.diag([1.0, 1.0]), k=1)
 
 
 class TestRectPencilEig:
@@ -212,24 +212,22 @@ class TestRectPencilEig:
         assert pairs
         assert all(p.residual <= 1e-6 for p in pairs)
 
-    def test_joint_null_direction_reported_at_one(self):
-        # duplicate a column: e_i - e_j is annihilated by both matrices
+    def test_duplicate_columns_get_equal_components(self):
+        # duplicate a column: e_0 - e_3 is annihilated by both matrices, so a
+        # minimal-norm vector weighs the two copies equally
         rng = np.random.default_rng(9)
         F = rng.normal(size=(4, 3))
         G = rng.normal(size=(4, 3))
         F = np.column_stack([F, F[:, 0]])
         G = np.column_stack([G, G[:, 0]])
         pairs = rect_pencil_eig(F, G)
-        exact = [p for p in pairs if p.residual < 1e-12 and abs(p.value - 1.0) < 1e-12]
-        assert any(
-            np.allclose(np.abs(p.vector), np.abs(np.array([1, 0, 0, -1]) / np.sqrt(2)), atol=1e-8)
-            for p in exact
-        )
+        assert pairs
+        for p in pairs:
+            assert abs(p.vector[0] - p.vector[3]) <= 1e-10
 
     @pytest.mark.parametrize("shape", ["tall", "wide"])
     def test_candidates_are_minimal_norm(self, shape):
-        # every vector lies in the joint nullspace N of F and G (reported at
-        # mu = 1) or has no component in it
+        # no vector has a component in the joint nullspace N of F and G
         rng = np.random.default_rng(19)
         if shape == "tall":
             F = rng.normal(size=(6, 3))
@@ -243,32 +241,23 @@ class TestRectPencilEig:
         rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
         N = vt[rank:].T
         assert N.shape[1] == (1 if shape == "tall" else 2)
-        pairs = rect_pencil_eig(F, G, residual_tol=np.inf)
-        in_null = 0
+        pairs = rect_pencil_eig(F, G)
+        assert pairs
         for p in pairs:
-            along = np.linalg.norm(N.T @ p.vector)
-            if along > 1e-10:
-                assert along == pytest.approx(1.0, abs=1e-10)
-                assert p.value == 1.0
-                in_null += 1
-        assert in_null == N.shape[1]
-        assert len(pairs) > in_null
+            assert np.linalg.norm(N.T @ p.vector) <= 1e-10
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(13)
         F = rng.normal(size=(6, 4))
         G = rng.normal(size=(6, 4))
-        a = rect_pencil_eig(F, G, residual_tol=np.inf)
-        b = rect_pencil_eig(F, G, residual_tol=np.inf)
+        a = rect_pencil_eig(F, G)
+        b = rect_pencil_eig(F, G)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.value == y.value
             np.testing.assert_array_equal(x.vector, y.vector)
 
-    def test_no_candidate_raises(self):
-        # a tall pencil with incompatible structure and a tight tolerance
-        rng = np.random.default_rng(17)
-        F = rng.normal(size=(30, 3))
-        G = rng.normal(size=(30, 3))
+    def test_no_finite_eigenvalue_raises(self):
+        # the reduction of [[1, 0]] - mu [[0, 1]] has beta = 0 for both pairs
         with pytest.raises(NoEigenpairError):
-            rect_pencil_eig(F, G, residual_tol=1e-12)
+            rect_pencil_eig(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))

@@ -27,10 +27,10 @@ from specscale.errors import (
 SIGMA_UNIT = np.sqrt(0.5)  # 2 sigma^2 = 1
 
 
-def wide_pencil():
+def wide_pencil(n_features=8):
     """More features than samples: exact eigenpairs exist."""
     rng = np.random.default_rng(5)
-    X = rng.normal(size=(6, 8))
+    X = rng.normal(size=(6, n_features))
     v = np.where(rng.random(6) < 0.5, 1.0, -0.2)
     v[:2] = [1.0, -0.2]
     return assemble_pencil(X, v, 1.0)
@@ -149,14 +149,15 @@ class TestAssemblePencil:
 
 class TestLearnScaling:
     def test_degenerate_two_sample_system(self):
-        # here G = -F, so every vector is an eigenvector at mu = -1 and the
-        # joint-null direction [1, -1]/sqrt(2) is one for every mu; selection
-        # by |mu - 1| settles on mu = 1 with unit scaling
+        # here G = -F, so the only pair the pencil determines is mu = -1 on the
+        # row space [1, 1]/sqrt(2), giving s = -1; mu = -1 = 1 - lambda_2 since
+        # lambda_2 = 2 on every two-vertex graph (mu = 1 would be the trivial
+        # lambda = 0, reached only by the joint-null direction [1, -1])
         fv = estimate_fiedler([1, 2], negative_value=-1.0)
         ps = assemble_pencil(np.array([[0.0], [1.0]]), fv, SIGMA_UNIT)
         sv = learn_scaling(ps)
-        assert sv.eigenvalue == pytest.approx(1.0)
-        np.testing.assert_allclose(sv.factors, [1.0], atol=1e-10)
+        assert sv.eigenvalue == pytest.approx(-1.0)
+        np.testing.assert_allclose(sv.factors, [-1.0], atol=1e-10)
         assert sv.residual <= 1e-6
         assert sv.certified
 
@@ -185,6 +186,20 @@ class TestLearnScaling:
             sv.constraint_violation, abs=1e-12
         )
 
+    def test_wide_factors_avoid_joint_nullspace(self):
+        # s is defined only up to the joint nullspace N of F and G; the
+        # selected [s; -1] must be its minimal-norm representative
+        ps = wide_pencil(n_features=20)
+        F, G = ps.F(), ps.G()
+        _, singular, vt = np.linalg.svd(np.vstack([F, G]))
+        rank = int(np.count_nonzero(singular > 1e-10 * singular[0]))
+        N = vt[rank:].T
+        assert N.shape[1] == 11
+        sv = learn_scaling(ps)
+        vec = np.concatenate([sv.factors, [-1.0]])
+        assert np.linalg.norm(N.T @ vec) <= 1e-10 * np.linalg.norm(vec)
+        assert sv.certified
+
     def test_tall_system_reports_approximate_solution(self):
         sv = learn_scaling(tall_pencil())
         assert np.all(np.isfinite(sv.factors))
@@ -197,16 +212,16 @@ class TestLearnScaling:
         solve = scaling.rect_pencil_eig
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("residual_tol"))
-            return solve(*args, **kwargs)
+        def counting(F, G):
+            calls.append(F.shape)
+            return solve(F, G)
 
         monkeypatch.setattr(scaling, "rect_pencil_eig", counting)
         learn_scaling(make_pencil())
         assert len(calls) == 1
 
     def test_no_finite_candidate_raises_no_scaling(self, monkeypatch):
-        def no_pairs(F, G, residual_tol):
+        def no_pairs(F, G):
             raise NoEigenpairError("no finite candidate")
 
         monkeypatch.setattr(scaling, "rect_pencil_eig", no_pairs)
@@ -217,7 +232,7 @@ class TestLearnScaling:
         ps = wide_pencil()
         dims = ps.n_features + 1
         pairs = [EigenPair(mu, np.eye(dims)[i], 0.0) for i, mu in enumerate([1.0, 0.5])]
-        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, residual_tol: pairs)
+        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G: pairs)
         with pytest.raises(NonNormalizableError):
             learn_scaling(ps)
 
