@@ -187,6 +187,14 @@ def load_matrix(path, delimiter=None) -> DataMatrix:
 
 
 def _parse_row(cells, lineno, path):
+    """One row of floats; a bad row is parsed again cell by cell to name the cell."""
+    try:
+        out = np.array(cells, dtype=float)
+    except ValueError:
+        pass
+    else:
+        if np.all(np.isfinite(out)):
+            return out
     out = np.empty(len(cells))
     for i, cell in enumerate(cells):
         cell = cell.strip()

@@ -2,7 +2,10 @@
 
 Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a graph
 Laplacian L, dense or sparse, and positive diagonal D, deflating exactly one
-trivial eigenvalue per connected component of the graph.
+trivial eigenvalue per connected component of the graph. Graphs of at most
+``_DENSE_MAX_N`` vertices take a dense subset ``eigh``; larger ones take
+implicitly restarted Lanczos (ARPACK ``eigsh``) on the sparse normalized
+adjacency, with the trivial eigenvectors shifted out of the way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
 pencil F - mu G determines: the finite QZ pairs of one square reduction onto
 the row space of [F; G], each with its residual against the original system.
@@ -15,16 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.csgraph
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     DegenerateDegreeError,
     DegeneratePencilError,
+    EigenConvergenceError,
     InsufficientSpectrumError,
     InternalConsistencyError,
     NoEigenpairError,
 )
 
 _SYM_RESIDUAL_BOUND = 1e-8
+# Largest graph solved by dense subset eigh. On k-NN graphs of the toy data the
+# two solvers break even between n = 300 and 400 for one pair, and between 400
+# and 600 for three.
+_DENSE_MAX_N = 400
+# Fixed Lanczos start vector seed, so that repeated solves are bit-identical.
+_LANCZOS_SEED = 1805
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,30 @@ def _as_degree_vector(D, n):
     return d
 
 
+def _deflated_lanczos(whitened, root, component, c, k):
+    """Pairs c .. c+k-1 of the sparse whitened matrix N by Lanczos on
+    M = I - N - 3 Y Y^T, as lambda = 1 - mu (see ``sym_gen_eig``)."""
+    n = root.size
+    Y = np.zeros((n, c))
+    Y[np.arange(n), component] = root
+    Y /= np.linalg.norm(Y, axis=0)
+
+    def matvec(x):
+        return x - whitened @ x - 3.0 * (Y @ (Y.T @ x))
+
+    operator = LinearOperator((n, n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(np.random.SeedSequence(_LANCZOS_SEED)).uniform(-1.0, 1.0, n)
+    try:
+        mu, y = eigsh(operator, k=k, which="LA", tol=0, v0=v0)
+    except ArpackNoConvergence as exc:
+        raise EigenConvergenceError(
+            f"Lanczos converged on {len(exc.eigenvalues)} of {k} eigenpairs "
+            f"of a {n}-vertex graph"
+        ) from exc
+    order = np.argsort(-mu, kind="stable")
+    return 1.0 - mu[order], y[:, order]
+
+
 def sym_gen_eig(L, D, k):
     """Smallest nontrivial eigenpairs of the graph Laplacian pair L x = lambda D x.
 
@@ -90,6 +125,18 @@ def sym_gen_eig(L, D, k):
     back as x = y / sqrt(d), so on a connected graph every returned vector
     satisfies the zero-mean constraint e^T D x = 0.
 
+    Up to ``_DENSE_MAX_N`` vertices the whitened matrix N is densified and
+    solved by subset ``eigh``. Above it, Lanczos (``eigsh``, regular mode, from
+    a fixed start vector) finds the k largest eigenvalues mu of
+    M = I - N - 3 Y Y^T. For L = D - W, I - N is the normalized adjacency
+    D^-1/2 W D^-1/2, with spectrum in [-1, 1]. The columns of Y are the c
+    component indicators times sqrt(d), normalized; they are orthonormal and
+    N Y = 0, so M Y = -2 Y exactly while M acts as I - N on the complement of Y.
+    The shift thus sends the c trivial eigenvalues from 1 to -2, below the
+    spectrum, and leaves the rest in place: lambda = 1 - mu are the same pairs
+    c .. c+k-1. Both paths are deterministic and pass the same residual
+    certificate.
+
     Returns
     -------
     list of EigenPair, ascending, vectors D-orthonormal, each residual <= 1e-8.
@@ -98,6 +145,8 @@ def sym_gen_eig(L, D, k):
     ------
     InsufficientSpectrumError
         If c + k > n: fewer than k nontrivial pairs exist.
+    EigenConvergenceError
+        If Lanczos does not converge (sparse path only).
     """
     L = scipy.sparse.csr_matrix(L, dtype=float)
     n = L.shape[0]
@@ -108,17 +157,21 @@ def sym_gen_eig(L, D, k):
     d = _as_degree_vector(D, n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    c = scipy.sparse.csgraph.connected_components(L != 0, directed=False)[0]
+    c, component = scipy.sparse.csgraph.connected_components(L != 0, directed=False)
     if c + k > n:
         raise InsufficientSpectrumError(
             f"{c} connected components leave {n - c} nontrivial eigenvalues, need {k}"
         )
 
-    inv_root = scipy.sparse.diags(1.0 / np.sqrt(d))
-    whitened = (inv_root @ L @ inv_root).toarray()
-    vals, vecs = scipy.linalg.eigh(
-        whitened, subset_by_index=[c, c + k - 1], overwrite_a=True
-    )
+    root = np.sqrt(d)
+    inv_root = scipy.sparse.diags(1.0 / root)
+    whitened = inv_root @ L @ inv_root
+    if n <= _DENSE_MAX_N:
+        vals, vecs = scipy.linalg.eigh(
+            whitened.toarray(), subset_by_index=[c, c + k - 1], overwrite_a=True
+        )
+    else:
+        vals, vecs = _deflated_lanczos(whitened, root, component, c, k)
     vecs = inv_root @ vecs
 
     norm_l = np.linalg.norm(L.data)

@@ -31,6 +31,13 @@ def embed(graph: SimilarityGraph, ell) -> Embedding:
     smallest remaining pairs are taken, so on a connected graph every returned
     vector satisfies the constraint e^T D u = 0. Eigenvector signs are fixed so
     that the first significant component of each column is positive.
+
+    ``sym_gen_eig`` does the solve: a dense subset ``eigh`` for graphs of up to
+    ``eigensolvers._DENSE_MAX_N`` vertices, Lanczos on the sparse normalized
+    adjacency above that. There the trivial eigenvectors sqrt(d) * indicator
+    are exact eigenvectors of the adjacency, so subtracting 3 Y Y^T moves them
+    to -2, below the rest of the spectrum, and the largest remaining pairs
+    are the ``ell`` wanted ones. L stays sparse on that path.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")

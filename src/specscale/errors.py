@@ -15,6 +15,10 @@ class InsufficientSpectrumError(SpecScaleError):
     """Fewer eigenvalues survive deflation than were requested."""
 
 
+class EigenConvergenceError(SpecScaleError):
+    """An iterative eigensolver stopped before every requested pair converged."""
+
+
 class DegeneratePencilError(SpecScaleError):
     """The right-hand pencil matrix is zero; no finite eigenvalue exists."""
 

@@ -180,3 +180,32 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # missing --data
     assert exc.value.code == 2
+
+
+def test_lanczos_failure_is_a_recorded_row(tmp_path, monkeypatch, capsys):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from specscale import eigensolvers
+
+    def stalled(A, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+    monkeypatch.setattr(eigensolvers, "eigsh", stalled)
+    data = tmp_path / "toy.csv"
+    assert main(["generate", "--samples", "420", "--seed", "0", "--out", str(data)]) == 0
+    outdir = tmp_path / "run"
+    code = main(
+        [
+            "classify",
+            "--data", str(data),
+            "--output-dir", str(outdir),
+            "--sigma-grid", "1",
+            "--repetitions", "1",
+        ]
+    )
+    assert code == 1
+    assert "every run failed" in capsys.readouterr().err
+    rows = (outdir / "report.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows[1].endswith(",EigenConvergenceError: Lanczos converged on 0 of 1 eigenpairs "
+                            "of a 420-vertex graph")

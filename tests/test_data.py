@@ -119,6 +119,19 @@ class TestLoadSave:
         with pytest.raises(MatrixParseError, match=":2"):
             load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "cell, problem", [("oops", "non-numeric"), ("inf", "non-finite"), ("", "missing")]
+    )
+    def test_bad_last_cell_of_wide_row_cites_line_and_column(self, tmp_path, cell, problem):
+        width = 500
+        good = ",".join(["0.5"] * width)
+        path = tmp_path / "wide_bad.csv"
+        path.write_text(
+            ",".join(f"g{j}" for j in range(width)) + f"\n{good}\n{good[:-3]}{cell}\n"
+        )
+        with pytest.raises(MatrixParseError, match=f":3: {problem}.* column {width}$"):
+            load_matrix(path)
+
     def test_wide_matrix_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         labels = np.array([1] * 12 + [2] * 12)

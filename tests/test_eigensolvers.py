@@ -1,15 +1,31 @@
 """Eigensolver tests against independent dense oracles."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from specscale import EigenPair, pencil_residual, rect_pencil_eig, sym_gen_eig
+from specscale import (
+    EigenPair,
+    KernelParams,
+    build_similarity,
+    eigensolvers,
+    generate_toy,
+    pencil_residual,
+    rect_pencil_eig,
+    standardize,
+    sym_gen_eig,
+)
 from specscale.errors import (
     DegenerateDegreeError,
     DegeneratePencilError,
+    EigenConvergenceError,
+    InternalConsistencyError,
     InsufficientSpectrumError,
     NoEigenpairError,
 )
@@ -131,6 +147,55 @@ class TestSymGenEig:
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(ValueError):
             sym_gen_eig(L, np.diag([1.0, 1.0]), k=1)
+
+
+@functools.lru_cache(maxsize=None)
+def knn_blocks(c):
+    """Laplacian and degrees of c disjoint toy k-NN graphs, 420 vertices in all,
+    with the full-spectrum dense oracle of the whitened matrix."""
+    graphs = [
+        build_similarity(standardize(generate_toy(420 // c, seed=s)), KernelParams(1.0))
+        for s in range(c)
+    ]
+    L = scipy.sparse.block_diag([g.laplacian for g in graphs], format="csr")
+    d = np.concatenate([g.degrees for g in graphs])
+    vals, vecs = whitened_spectrum(L.toarray(), d)
+    return L, d, vals, vecs
+
+
+class TestLanczosPath:
+    """Graphs above the dense size limit go to Lanczos; dense eigh is the oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_agrees_with_dense_oracle(self, c, k):
+        L, d, vals, vecs = knn_blocks(c)
+        n = L.shape[0]
+        assert n > eigensolvers._DENSE_MAX_N
+        assert scipy.sparse.csgraph.connected_components(L, directed=False)[0] == c
+        pairs = sym_gen_eig(L, d, k)
+        got = np.array([p.value for p in pairs])
+        np.testing.assert_allclose(got, vals[c : c + k], rtol=0, atol=1e-12)
+        V = np.column_stack([p.vector for p in pairs])
+        root = np.sqrt(d)[:, None]
+        angles = scipy.linalg.subspace_angles(root * V, root * vecs[:, c : c + k])
+        assert np.max(angles) <= 1e-8
+        assert max(p.residual for p in pairs) <= 1e-8
+        np.testing.assert_allclose(V.T @ (d[:, None] * V), np.eye(k), atol=1e-10)
+        again = sym_gen_eig(L, d, k)
+        for a, b in zip(pairs, again):
+            assert a.value == b.value and a.residual == b.residual
+            np.testing.assert_array_equal(a.vector, b.vector)
+
+    def test_no_convergence_is_typed(self, monkeypatch):
+        def stalled(A, k, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(eigensolvers, "eigsh", stalled)
+        L, d, _, _ = knn_blocks(1)
+        with pytest.raises(EigenConvergenceError, match="0 of 2 eigenpairs") as info:
+            sym_gen_eig(L, d, 2)
+        assert not isinstance(info.value, InternalConsistencyError)
 
 
 class TestRectPencilEig:
