@@ -8,7 +8,8 @@ implicitly restarted Lanczos (ARPACK ``eigsh``) on the sparse normalized
 adjacency, with the trivial eigenvectors shifted out of the way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
 pencil F - mu G determines: the finite QZ pairs of one square reduction onto
-the row space of [F; G], each with its residual against the original system.
+the row space of [F; G], lifted back in one product and each certified by its
+residual against the original system in real arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ class EigenPair:
     """One eigenpair with its relative residual certificate.
 
     ``residual`` is ||(F - mu G) w||_2 / (||F||_F + |mu| ||G||_F) evaluated at a
-    unit 2-norm copy of ``vector``.
+    unit 2-norm copy of ``vector`` (for ``sym_gen_eig``, L and D take the place
+    of F and G). ``value`` and ``vector`` are real unless the pair is genuinely
+    complex; a complex pencil pair then comes with its conjugate pair.
     """
 
     value: complex
@@ -52,9 +55,23 @@ class EigenPair:
 
 
 def pencil_residual(F, G, value, vector):
-    """Relative residual of (value, vector) for the pencil F - value*G."""
+    """Relative residual of (value, vector) for the real pencil F - value*G.
+
+    ||(F - mu G) w||_2 / (||F||_F + |mu| ||G||_F), with mu and w real or
+    complex. Neither F - mu G nor a complex copy of F or G is formed: with
+    mu = a + ib and w = x + iy, the residual's real part is Fx - aGx + bGy and
+    its imaginary part Fy - aGy - bGx, from one real product of F and one of G
+    with the two columns [x, y].
+    """
+    F = np.asarray(F, dtype=float)
+    G = np.asarray(G, dtype=float)
     vector = np.asarray(vector)
-    num = np.linalg.norm((F - value * G) @ vector)
+    a, b = value.real, value.imag
+    parts = np.column_stack([vector.real, vector.imag])
+    fw, gw = F @ parts, G @ parts
+    real = fw[:, 0] - a * gw[:, 0] + b * gw[:, 1]
+    imag = fw[:, 1] - a * gw[:, 1] - b * gw[:, 0]
+    num = np.hypot(np.linalg.norm(real), np.linalg.norm(imag))
     den = np.linalg.norm(F) + abs(value) * np.linalg.norm(G)
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
@@ -203,12 +220,15 @@ def rect_pencil_eig(F, G):
 
     F and G are restricted to the row space of the stacked [F; G] (its leading
     right singular vectors), giving F_r and G_r; the finite QZ eigenpairs of
-    the square reduction (G_r^T F_r, G_r^T G_r) are lifted back. A lifted vector
-    has no component in the joint nullspace of F and G, so it is the
-    minimal-norm representative of its class. Directions in that nullspace
-    solve the pencil for every mu and are not reported.
+    the square reduction (G_r^T F_r, G_r^T G_r) are lifted back, all of them in
+    one product of the real basis with the real and the imaginary parts of the
+    QZ eigenvectors. A lifted vector has no component in the joint nullspace
+    of F and G, so it is the minimal-norm representative of its class.
+    Directions in that nullspace solve the pencil for every mu and are not
+    reported.
 
-    Each pair carries its residual against the original rectangular system;
+    Each pair carries its residual against the original rectangular system,
+    from one ``pencil_residual`` call per returned pair in real arithmetic;
     nothing is filtered on it. Complex eigenvalues appear together with their
     conjugates. Vectors have unit 2-norm and a deterministic sign. Pairs are
     ordered by (Re mu, Im mu); equal eigenvalues keep QZ's order.
@@ -243,16 +263,17 @@ def rect_pencil_eig(F, G):
     )
     alphas, betas = alpha_beta
 
+    nonzero = np.flatnonzero(betas != 0)
+    mus = alphas[nonzero] / betas[nonzero]
+    finite = np.isfinite(mus)
+    mus, coeffs = mus[finite], vecs[:, nonzero[finite]]
+    # one lift for every pair; v_r stays real, so no complex copy of it is made
+    lifted = v_r @ coeffs.real + 1j * (v_r @ coeffs.imag)
+
     pairs = []
-    for j in range(vecs.shape[1]):
-        if betas[j] == 0:
-            continue
-        mu = alphas[j] / betas[j]
-        if not np.isfinite(mu):
-            continue
-        w = v_r @ vecs[:, j]
+    for mu, w in zip(mus.tolist(), lifted.T):
         w = w / np.linalg.norm(w)
-        mu = _realify(complex(mu))
+        mu = _realify(mu)
         w = _realify(w)
         pairs.append(EigenPair(mu, _sign_normalize(w), pencil_residual(F, G, mu, w)))
 

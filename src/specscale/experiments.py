@@ -24,7 +24,12 @@ from . import __version__
 from .clustering import kmeans, nn1_classify
 from .data import DataMatrix, SplitSpec, split
 from .embedding import embed
-from .errors import NonNormalizableError, NoScalingError, SpecScaleError
+from .errors import (
+    NonNormalizableError,
+    NoScalingError,
+    NumericalOverflowError,
+    SpecScaleError,
+)
 from .metrics import nmi as nmi_score
 from .metrics import rand_index
 from .scaling import (
@@ -269,10 +274,15 @@ def _single_run(config, data, train, test, sigma, sigma_index, repetition, diffs
             record.linearization_violations = linearization_violation_fraction(
                 data.values[train], scaling, sigma
             )
-    record.scaled = scaled
 
-    params = KernelParams(sigma, config.k_neighbors, scaling)
-    graph = build_similarity(data.values, params)
+    try:
+        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, scaling))
+    except NumericalOverflowError:
+        # only negative learned factors can overflow the kernel: fall back to
+        # the unscaled graph, flagged, and keep the pencil diagnostics
+        scaled = False
+        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors))
+    record.scaled = scaled
     embedding = embed(graph, config.ell)
 
     if config.task == "cluster":
@@ -322,7 +332,10 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     assemble and solve the scaling pencil, build the similarity graph over all
     samples with the learned factors, embed, then cluster (k-means, RI/NMI over
     all samples) or classify (transductive 1-NN, RI over the test rows). A
-    failed run is recorded, not fatal.
+    failed run is recorded, not fatal. When the pencil yields no usable factors,
+    or when the learned factors overflow the kernel weights, the run falls back
+    to the unscaled graph with ``scaled=False``; in the overflow case the
+    pencil diagnostics stay in the record.
     """
     if data.labels is None:
         raise ValueError("run_pipeline requires labeled data")

@@ -113,7 +113,8 @@ def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None)
     """Assemble the pencil blocks from training data and the target vector.
 
     ``diffs`` may carry precomputed pairwise squared differences for the same
-    X (any kernel width); they are rescaled to ``sigma``.
+    X (any kernel width); they are rescaled to ``sigma`` without summing the
+    tensor again.
     """
     values = as_values(X)
     v = fiedler.values if isinstance(fiedler, FiedlerEstimate) else np.asarray(fiedler, float)
@@ -127,11 +128,12 @@ def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None)
     if diffs.n_samples != n:
         raise ValueError("precomputed differences do not match X")
 
+    xhat = diffs.xhat
     A = np.einsum("ijk,j->ik", diffs.sqdiff, v) * diffs.scale
-    B = v[:, None] * diffs.xhat
+    B = v[:, None] * xhat
     alpha = v.sum() - v
     beta = (n - 1) * v
-    gamma = diffs.xhat.T @ v
+    gamma = xhat.T @ v
     rho = (n - 1) * v.sum()
 
     # column sums of A and B agree by the symmetry of the pair tensor; a

@@ -9,7 +9,7 @@ delta_s and the result is symmetrized in CSR as (W + W^T) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -58,26 +58,30 @@ class KernelParams:
 class PairwiseDifferences:
     """Per-pair squared feature differences and their kernel-scaled aggregates.
 
-    ``sqdiff[i, j, k]`` is (x_ik - x_jk)^2 (unscaled); ``xhat[i]`` is the
-    1/(2 sigma^2)-scaled sum of sqdiff[i, j] over j.
+    ``sqdiff[i, j, k]`` is (x_ik - x_jk)^2 (unscaled) and ``rowsums[i]`` its
+    sum over j, formed once per tensor; ``xhat[i]`` is rowsums[i] scaled by
+    1/(2 sigma^2).
     """
 
     sqdiff: np.ndarray
     sigma: float
-    scale: float = field(init=False)
-    xhat: np.ndarray = field(init=False)
+    rowsums: np.ndarray
 
-    def __post_init__(self):
-        self.scale = 1.0 / (2.0 * self.sigma**2)
-        self.xhat = self.sqdiff.sum(axis=1) * self.scale
+    @property
+    def scale(self):
+        return 1.0 / (2.0 * self.sigma**2)
+
+    @property
+    def xhat(self):
+        return self.rowsums * self.scale
 
     @property
     def n_samples(self):
         return self.sqdiff.shape[0]
 
     def rescaled(self, sigma):
-        """Same pair tensor under a different kernel width (tensor shared)."""
-        return PairwiseDifferences(self.sqdiff, sigma)
+        """Same pair tensor and row sums under a different kernel width."""
+        return replace(self, sigma=float(sigma))
 
 
 def pairwise_sqdiff(X, sigma) -> PairwiseDifferences:
@@ -92,7 +96,8 @@ def pairwise_sqdiff(X, sigma) -> PairwiseDifferences:
     if not np.all(np.isfinite(values)):
         raise ValueError("X contains non-finite entries")
     diff = values[:, None, :] - values[None, :, :]
-    return PairwiseDifferences(np.square(diff, out=diff), float(sigma))
+    sqdiff = np.square(diff, out=diff)
+    return PairwiseDifferences(sqdiff, float(sigma), sqdiff.sum(axis=1))
 
 
 def scaled_sqdist(Y, factors=None) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Command-line interface tests (invoked in-process via main())."""
 
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from specscale import load_matrix
+from specscale import DataMatrix, load_matrix, save_matrix
 from specscale.cli import main
 
 
@@ -209,3 +210,33 @@ def test_lanczos_failure_is_a_recorded_row(tmp_path, monkeypatch, capsys):
     assert len(rows) == 2
     assert rows[1].endswith(",EigenConvergenceError: Lanczos converged on 0 of 1 eigenpairs "
                             "of a 420-vertex graph")
+
+
+def test_overflowing_factors_fall_back_to_unscaled_graph(tmp_path):
+    # 24 x 100, three planted features among N(0, 1) noise: at sigma = 1 the
+    # learned signed factors overflow exp(-s^T x / 2 sigma^2) on this split
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((24, 100))
+    values[:10, :3] += 1.5
+    labels = np.repeat([1, 2], [10, 14])
+    data = tmp_path / "wide.csv"
+    save_matrix(DataMatrix(values, [f"g{j:03d}" for j in range(100)], labels), str(data))
+    outdir = tmp_path / "run"
+    code = main(
+        [
+            "classify",
+            "--data", str(data),
+            "--output-dir", str(outdir),
+            "--sigma-grid", "1",
+            "--repetitions", "1",
+            "--seed", "0",
+        ]
+    )
+    assert code == 0
+    with open(outdir / "report.csv", newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    assert row["error"] == ""
+    assert row["scaled"] == "false"
+    assert row["mu"] != ""
+    assert row["residual"] != "" and row["certified"] != ""
+    assert 0.0 <= float(row["ri"]) <= 1.0

@@ -326,3 +326,68 @@ class TestRectPencilEig:
         # the reduction of [[1, 0]] - mu [[0, 1]] has beta = 0 for both pairs
         with pytest.raises(NoEigenpairError):
             rect_pencil_eig(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+
+
+def dense_residual(F, G, mu, w):
+    """||(F - mu G) w|| / (||F||_F + |mu| ||G||_F) in complex arithmetic."""
+    M = F.astype(complex) - mu * G.astype(complex)
+    unit = np.asarray(w, dtype=complex) / np.linalg.norm(w)
+    return np.linalg.norm(M @ unit) / (np.linalg.norm(F) + abs(mu) * np.linalg.norm(G))
+
+
+class TestPencilCertificates:
+    """One lift and a real-arithmetic residual, checked against dense complex algebra."""
+
+    @pytest.mark.parametrize("shape", [(6, 15), (15, 6)], ids=["wide", "tall"])
+    def test_residuals_match_dense_complex_evaluation(self, shape):
+        rng = np.random.default_rng(23)
+        F = rng.normal(size=shape)
+        G = rng.normal(size=shape)
+        pairs = rect_pencil_eig(F, G)
+        complex_pairs = [p for p in pairs if np.iscomplexobj(p.value)]
+        assert complex_pairs and len(complex_pairs) < len(pairs)
+        for p in pairs:
+            assert p.residual == pytest.approx(
+                dense_residual(F, G, p.value, p.vector), rel=1e-12, abs=1e-15
+            )
+            assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-14)
+            assert np.iscomplexobj(p.vector) == np.iscomplexobj(p.value)
+        for p in complex_pairs:
+            twin = min(complex_pairs, key=lambda q: abs(q.value - np.conj(p.value)))
+            assert twin is not p
+            assert abs(twin.value - np.conj(p.value)) <= 1e-12 * abs(p.value)
+            np.testing.assert_allclose(twin.vector, np.conj(p.vector), rtol=0, atol=1e-15)
+
+    def test_pencil_residual_with_complex_value_and_vector(self):
+        rng = np.random.default_rng(29)
+        F = rng.normal(size=(7, 11))
+        G = rng.normal(size=(7, 11))
+        for _ in range(5):
+            mu = complex(*rng.normal(size=2))
+            w = rng.normal(size=11) + 1j * rng.normal(size=11)
+            w /= np.linalg.norm(w)
+            assert pencil_residual(F, G, mu, w) == pytest.approx(
+                dense_residual(F, G, mu, w), rel=1e-12, abs=1e-15
+            )
+        w = rng.normal(size=11)
+        w /= np.linalg.norm(w)
+        assert pencil_residual(F, G, 0.3, w) == pytest.approx(
+            dense_residual(F, G, 0.3, w), rel=1e-12, abs=1e-15
+        )
+
+    def test_one_certificate_per_returned_pair(self, monkeypatch):
+        calls = []
+
+        def counted(F, G, value, vector):
+            calls.append(value)
+            return pencil_residual(F, G, value, vector)
+
+        monkeypatch.setattr(eigensolvers, "pencil_residual", counted)
+        rng = np.random.default_rng(31)
+        for shape in [(6, 15), (15, 6), (5, 5)]:
+            calls.clear()
+            pairs = rect_pencil_eig(rng.normal(size=shape), rng.normal(size=shape))
+            assert len(calls) == len(pairs)
+            assert sorted(map(complex, calls), key=lambda z: (z.real, z.imag)) == [
+                complex(p.value) for p in pairs
+            ]

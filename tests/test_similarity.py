@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from specscale import (
     KernelParams,
     build_similarity,
+    generate_toy,
     graph_from_weights,
     pairwise_sqdiff,
     scaled_sqdist,
+    standardize,
 )
 from specscale.errors import (
     InsufficientSamplesError,
@@ -94,6 +96,15 @@ class TestPairwiseSqdiff:
         d2 = d1.rescaled(2.0)
         assert d2.sqdiff is d1.sqdiff
         np.testing.assert_allclose(d2.xhat, d1.xhat / 4.0)
+
+    def test_rescaled_reuses_row_sums_bit_identically(self):
+        # the toy at one width, rescaled to each grid width, against a fresh tensor
+        X = standardize(generate_toy(60, seed=0)).values
+        base = pairwise_sqdiff(X, 1.0)
+        for sigma in (0.01, 0.1, 10.0, 100.0):
+            moved = base.rescaled(sigma)
+            assert moved.rowsums is base.rowsums
+            np.testing.assert_array_equal(moved.xhat, pairwise_sqdiff(X, sigma).xhat)
 
 
 class TestBuildSimilarity:
