@@ -191,13 +191,17 @@ def sym_gen_eig(L, D, k):
         vals, vecs = _deflated_lanczos(whitened, root, component, c, k)
     vecs = inv_root @ vecs
 
-    norm_l = np.linalg.norm(L.data)
-    norm_d = np.linalg.norm(d)
+    # the certificate is homogeneous in (L, d): evaluate it on L and d divided
+    # by the largest |L| entry, so that its norms cannot overflow
+    scale = np.max(np.abs(L.data))
+    L_unit, d_unit = L / scale, d / scale
+    norm_l = np.linalg.norm(L_unit.data)
+    norm_d = np.linalg.norm(d_unit)
     pairs = []
     for lam, w in zip(vals.tolist(), vecs.T):
         w = _sign_normalize(w.copy())
         unit = w / np.linalg.norm(w)
-        num = np.linalg.norm(L @ unit - lam * (d * unit))
+        num = np.linalg.norm(L_unit @ unit - lam * (d_unit * unit))
         res = float(num / (norm_l + abs(lam) * norm_d))
         if res > _SYM_RESIDUAL_BOUND:
             raise InternalConsistencyError(
@@ -213,6 +217,16 @@ def _realify(z, tol=1e-12):
         if np.max(np.abs(np.imag(z))) <= tol * max(1.0, scale):
             return np.real(z) if np.ndim(z) else float(np.real(z))
     return z
+
+
+def numerical_rank(singular_values, shape):
+    """Rank of a matrix of the given shape from its singular values, descending.
+
+    Counts the singular values above max(shape) * eps * the largest one. This
+    is the rule by which ``rect_pencil_eig`` takes the row space of [F; G].
+    """
+    tol = max(shape) * np.finfo(float).eps * singular_values[0]
+    return int(np.count_nonzero(singular_values > tol))
 
 
 def rect_pencil_eig(F, G):
@@ -253,9 +267,7 @@ def rect_pencil_eig(F, G):
 
     stacked = np.vstack([F, G])
     _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
-    rank_tol = max(stacked.shape) * np.finfo(float).eps * sv[0]
-    rank = int(np.count_nonzero(sv > rank_tol))
-    v_r = vt[:rank].T  # (q, rank); row space of [F; G]
+    v_r = vt[: numerical_rank(sv, stacked.shape)].T  # (q, rank); row space of [F; G]
 
     f_red, g_red = F @ v_r, G @ v_r
     alpha_beta, vecs = scipy.linalg.eig(

@@ -1,10 +1,12 @@
 """Experiment harness: kernel-width grids, repeated splits, result tables.
 
 ``run_pipeline`` executes the full supervised-scaling pipeline for every
-(repetition, sigma) pair and aggregates per-sigma statistics; ``sweep`` varies
-the training fraction and ``loocv`` runs leave-one-out classification. Reports
-serialize to a tidy CSV plus a JSON manifest and are byte-identical across
-reruns with the same configuration and data.
+(repetition, sigma) pair, sharing the sigma-invariant solve, graph and
+embedding of a split where the pencil allows it, and aggregates per-sigma
+statistics; ``sweep`` varies the training fraction and ``loocv`` runs
+leave-one-out classification. Reports serialize to a tidy CSV plus a JSON
+manifest and are byte-identical across reruns with the same configuration and
+data.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import scipy
 from . import __version__
 from .clustering import kmeans, nn1_classify
 from .data import DataMatrix, SplitSpec, split
-from .embedding import embed
+from .embedding import Embedding, embed
 from .errors import (
     NonNormalizableError,
     NoScalingError,
@@ -33,8 +35,10 @@ from .errors import (
 from .metrics import nmi as nmi_score
 from .metrics import rand_index
 from .scaling import (
+    ScalingVector,
     assemble_pencil,
     estimate_fiedler,
+    has_full_column_rank,
     learn_scaling,
     linearization_violation_fraction,
 )
@@ -246,11 +250,42 @@ def _kmeans_seed(config_seed, repetition, sigma_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _scaling_fields(scaling, linearization_violations, factors):
+    """The pencil diagnostics a scaled row records."""
+    return dict(
+        mu=float(scaling.eigenvalue),
+        residual=float(scaling.residual),
+        constraint_violation=float(scaling.constraint_violation),
+        certified=bool(scaling.certified),
+        linearization_violations=linearization_violations,
+        factors=factors,
+    )
+
+
+def _cluster_scores(config, data, embedding, repetition, sigma_index):
+    assignment = kmeans(
+        embedding.vectors,
+        k=2,
+        restarts=config.kmeans_restarts,
+        seed=_kmeans_seed(config.seed, repetition, sigma_index),
+    )
+    return (
+        rand_index(data.labels, assignment.labels, align=True),
+        nmi_score(data.labels, assignment.labels),
+    )
+
+
+def _classify_ri(data, embedding, train, test):
+    if test.size == 0:
+        raise SpecScaleError("classification needs a nonempty test set")
+    predicted = nn1_classify(embedding, train, data.labels[train], test)
+    return rand_index(data.labels[test], predicted, align=False)
+
+
 def _single_run(config, data, train, test, sigma, sigma_index, repetition, diffs):
     labels_train = data.labels[train]
     scaling = None
-    scaled = False
-    record = RunRecord(sigma=float(sigma), repetition=repetition)
+    fields = {}
     if config.feature_scaling:
         if config.fiedler_negative == "auto":
             train_graph = build_similarity(
@@ -262,19 +297,16 @@ def _single_run(config, data, train, test, sigma, sigma_index, repetition, diffs
         pencil = assemble_pencil(data.values[train], fiedler, sigma, diffs=diffs)
         try:
             scaling = learn_scaling(pencil, config.residual_tol)
-            scaled = True
         except (NoScalingError, NonNormalizableError):
-            scaling = None  # fall back to the unscaled pipeline, flagged
+            pass  # fall back to the unscaled pipeline, flagged
         if scaling is not None:
-            record.mu = float(scaling.eigenvalue)
-            record.residual = float(scaling.residual)
-            record.constraint_violation = float(scaling.constraint_violation)
-            record.certified = bool(scaling.certified)
-            record.factors = scaling.factors
-            record.linearization_violations = linearization_violation_fraction(
-                data.values[train], scaling, sigma
+            fields = _scaling_fields(
+                scaling,
+                linearization_violation_fraction(data.values[train], scaling, sigma),
+                scaling.factors,
             )
 
+    scaled = scaling is not None
     try:
         graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, scaling))
     except NumericalOverflowError:
@@ -282,45 +314,115 @@ def _single_run(config, data, train, test, sigma, sigma_index, repetition, diffs
         # the unscaled graph, flagged, and keep the pencil diagnostics
         scaled = False
         graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors))
-    record.scaled = scaled
+    record = RunRecord(sigma=float(sigma), repetition=repetition, scaled=scaled, **fields)
     embedding = embed(graph, config.ell)
 
     if config.task == "cluster":
-        assignment = kmeans(
-            embedding.vectors,
-            k=2,
-            restarts=config.kmeans_restarts,
-            seed=_kmeans_seed(config.seed, repetition, sigma_index),
+        record.ri, record.nmi = _cluster_scores(
+            config, data, embedding, repetition, sigma_index
         )
-        record.ri = rand_index(data.labels, assignment.labels, align=True)
-        record.nmi = nmi_score(data.labels, assignment.labels)
     else:
-        if test.size == 0:
-            raise SpecScaleError("classification needs a nonempty test set")
-        predicted = nn1_classify(embedding, train, labels_train, test)
-        record.ri = rand_index(data.labels[test], predicted, align=False)
+        record.ri = _classify_ri(data, embedding, train, test)
     return record
+
+
+# 2 sigma^2 = 1 (to rounding): the width at which a shared split is solved
+_UNIT_SIGMA = np.sqrt(0.5)
+
+
+@dataclass(frozen=True)
+class _SharedSplit:
+    """The sigma-invariant part of one split's scaled pipeline, at unit width."""
+
+    scaling: ScalingVector
+    linearization_violations: float
+    embedding: Embedding
+    ri: Optional[float]  # classify: one 1-NN result serves every sigma
+
+
+def _shared_split(config, data, train, test, diffs):
+    """Solve, build and embed a split once for every sigma, or return None.
+
+    With a fixed target and a full-column-rank pencil, the factors are
+    s = 2 sigma^2 t for the unit-width factors t, so neither the k-NN ranking
+    on delta_s nor the kernel exp(-t^T x) depends on sigma. None means the
+    split takes the per-sigma runs: no feature scaling, the "auto" target
+    (its degrees come from a sigma-dependent training graph), a rank-deficient
+    pencil (always when 2 n_train + 1 < m + 1, which needs no SVD to tell),
+    and the unscaled-graph fallbacks of the per-sigma runs.
+    """
+    X = data.values[train]
+    n_train, m = X.shape
+    if (
+        not config.feature_scaling
+        or config.fiedler_negative == "auto"
+        or 2 * n_train + 1 < m + 1
+    ):
+        return None
+    fiedler = estimate_fiedler(data.labels[train], config.fiedler_negative)
+    pencil = assemble_pencil(X, fiedler, _UNIT_SIGMA, diffs=diffs)
+    if not has_full_column_rank(pencil):
+        return None
+    try:
+        scaling = learn_scaling(pencil, config.residual_tol)
+        graph = build_similarity(
+            data.values, KernelParams(_UNIT_SIGMA, config.k_neighbors, scaling)
+        )
+    except (NoScalingError, NonNormalizableError, NumericalOverflowError):
+        return None  # the per-sigma runs record these unscaled fallbacks
+    embedding = embed(graph, config.ell)
+    return _SharedSplit(
+        scaling=scaling,
+        linearization_violations=linearization_violation_fraction(X, scaling, _UNIT_SIGMA),
+        embedding=embedding,
+        ri=_classify_ri(data, embedding, train, test) if config.task == "classify" else None,
+    )
+
+
+def _shared_run(config, data, shared, sigma, sigma_index, repetition):
+    scaling = shared.scaling
+    record = RunRecord(
+        sigma=float(sigma),
+        repetition=repetition,
+        ri=shared.ri,
+        scaled=True,
+        **_scaling_fields(
+            scaling, shared.linearization_violations, 2.0 * sigma**2 * scaling.factors
+        ),
+    )
+    if config.task == "cluster":
+        record.ri, record.nmi = _cluster_scores(
+            config, data, shared.embedding, repetition, sigma_index
+        )
+    return record
+
+
+def _failed_run(sigma, repetition, exc):
+    return RunRecord(
+        sigma=float(sigma), repetition=repetition, error=f"{type(exc).__name__}: {exc}"
+    )
 
 
 def _run_over_splits(config, data, index_pairs):
     records = []
     for repetition, (train, test) in enumerate(index_pairs):
         diffs = pairwise_sqdiff(data.values[train], 1.0)
+        try:
+            shared = _shared_split(config, data, train, test, diffs)
+        except SpecScaleError as exc:
+            records.extend(_failed_run(s, repetition, exc) for s in config.sigma_grid)
+            continue
         for sigma_index, sigma in enumerate(config.sigma_grid):
             try:
-                records.append(
-                    _single_run(
+                if shared is None:
+                    record = _single_run(
                         config, data, train, test, sigma, sigma_index, repetition, diffs
                     )
-                )
+                else:
+                    record = _shared_run(config, data, shared, sigma, sigma_index, repetition)
             except SpecScaleError as exc:
-                records.append(
-                    RunRecord(
-                        sigma=float(sigma),
-                        repetition=repetition,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                record = _failed_run(sigma, repetition, exc)
+            records.append(record)
     return records
 
 
@@ -336,6 +438,18 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     or when the learned factors overflow the kernel weights, the run falls back
     to the unscaled graph with ``scaled=False``; in the overflow case the
     pencil diagnostics stay in the record.
+
+    The sigma rows of one split share one solve, graph and embedding when
+    feature scaling is on, the target is fixed (not ``"auto"``) and the pencil
+    has full column rank, rank([F; G]) = m + 1. The pencil is then solved at
+    unit width (2 sigma^2 = 1) for factors t, and each row records
+    s = 2 sigma^2 t; mu, ``residual``, ``certified``, ``constraint_violation``
+    and the linearization share are the unit-width values on every row, and
+    the scaled kernel exp(-t^T x) is sigma-free. Each cluster row still runs
+    k-means with its own seed; classify rows share one 1-NN result. A typed
+    error in the shared stage is recorded on every row of the split. Splits
+    that do not qualify, or whose unit-width fit would take one of the
+    unscaled fallbacks, run per sigma as above.
     """
     if data.labels is None:
         raise ValueError("run_pipeline requires labeled data")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolvers import pencil_residual, rect_pencil_eig
+from .eigensolvers import numerical_rank, pencil_residual, rect_pencil_eig
 from .errors import (
     DegenerateSupervisionError,
     InternalConsistencyError,
@@ -145,6 +145,23 @@ def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None)
         )
     return PencilSystem(A=A, B=B, alpha=alpha, beta=beta, gamma=gamma,
                         rho=float(rho), sigma=float(sigma))
+
+
+def has_full_column_rank(ps: PencilSystem) -> bool:
+    """Whether rank([F; G]) = m + 1 under ``rect_pencil_eig``'s rank rule.
+
+    A, B and gamma carry c = 1/(2 sigma^2) and alpha, beta and rho do not, so
+    the pencil at width sigma is the unit-width (2 sigma^2 = 1) pencil times
+    diag(c I, 1) on the right. With full column rank the row-space reduction
+    spans every column, its pairs are those of the normal equations, and a
+    column scaling maps them onto each other: mu is the same at every width
+    and s = 2 sigma^2 t, with t the unit-width factors. A rank-deficient
+    pencil's minimal-norm representatives depend on that scaling, and so on
+    sigma.
+    """
+    stacked = np.vstack([ps.F(), ps.G()])
+    singular_values = np.linalg.svd(stacked, compute_uv=False)
+    return numerical_rank(singular_values, stacked.shape) == ps.n_features + 1
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,18 @@ import scipy.sparse.csgraph
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from specscale import (
+    DataMatrix,
     EigenPair,
+    ExperimentConfig,
     KernelParams,
+    SplitSpec,
     build_similarity,
     eigensolvers,
+    embedding,
     generate_toy,
     pencil_residual,
     rect_pencil_eig,
+    run_pipeline,
     standardize,
     sym_gen_eig,
 )
@@ -196,6 +202,58 @@ class TestLanczosPath:
         with pytest.raises(EigenConvergenceError, match="0 of 2 eigenpairs") as info:
             sym_gen_eig(L, d, 2)
         assert not isinstance(info.value, InternalConsistencyError)
+
+
+class TestSymCertificateScale:
+    """The residual certificate is homogeneous in (L, d) and must not overflow."""
+
+    @pytest.mark.parametrize("n", [60, 500])  # dense eigh and Lanczos
+    def test_scaled_pair_gives_same_pairs(self, n):
+        graph = build_similarity(standardize(generate_toy(n, seed=0)), KernelParams(1.0))
+        L, d = graph.laplacian, graph.degrees
+        ref = sym_gen_eig(L, d, k=2)
+        # powers of two scale every entry exactly, so the whole solve repeats
+        # bit for bit; decimal factors perturb the whitened matrix by rounding,
+        # which moves residuals of ~1e-16 by O(1) relative
+        for c in (2.0**-664, 2.0**664, 1e-200, 1e200):  # 2^+-664 ~ 1e+-200
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pairs = sym_gen_eig(c * L, c * d, k=2)
+            for a, b in zip(ref, pairs):
+                assert b.value == pytest.approx(a.value, rel=1e-12)
+                if c in (2.0**-664, 2.0**664):
+                    assert b.residual == pytest.approx(a.residual, rel=1e-12)
+                else:
+                    assert 0.0 < b.residual <= 1e-13
+
+    def test_huge_weights_run_without_overflow(self, monkeypatch):
+        # 16 x 40, three features shifted for class 1: the learned factors are
+        # negative enough that the kept kernel weights reach ~1e210, where the
+        # sum of squares of L's entries overflows
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((16, 40))
+        values[:8, :3] += 1.5
+        labels = np.array([1] * 8 + [2] * 8)
+        data = standardize(
+            DataMatrix(values=values, feature_names=[f"f{j}" for j in range(40)], labels=labels)
+        )
+        seen = []
+        solve = embedding.sym_gen_eig
+
+        def recording(L, D, k):
+            seen.append(np.max(np.abs(L.data)))
+            return solve(L, D, k)
+
+        monkeypatch.setattr(embedding, "sym_gen_eig", recording)
+        cfg = ExperimentConfig(
+            task="classify", sigma_grid=(1.0,), split=SplitSpec(0.5, repetitions=1, seed=0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_pipeline(cfg, data)
+        assert max(seen) > 1e200
+        (record,) = report.records
+        assert record.ok and record.scaled
 
 
 class TestRectPencilEig:

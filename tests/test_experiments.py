@@ -1,6 +1,7 @@
 """Harness tests: pipeline mechanics, determinism, reporting."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from specscale import (
     standardize,
     sweep,
 )
+from specscale import experiments
+from specscale.errors import InsufficientSpectrumError
 
 
 def separated_clusters(n_per=6, gap=3.0, seed=0):
@@ -139,6 +142,120 @@ class TestRunPipeline:
         dm = DataMatrix(values=np.zeros((10, 2)), feature_names=["a", "b"])
         with pytest.raises(ValueError):
             run_pipeline(toy_config("cluster"), dm)
+
+
+COUNTED = (
+    "assemble_pencil",
+    "has_full_column_rank",
+    "learn_scaling",
+    "build_similarity",
+    "embed",
+    "kmeans",
+    "nn1_classify",
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls from the harness into each layer it orchestrates."""
+    counts = Counter()
+    for name in COUNTED:
+        fn = getattr(experiments, name)
+
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting)
+    return counts
+
+
+def wide_data(n_per=12, n_features=100, seed=0):
+    """More features than training rows: the pencil is rank-deficient."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2 * n_per, n_features))
+    values[:n_per, :3] += 1.5
+    labels = np.array([1] * n_per + [2] * n_per)
+    names = [f"g{j}" for j in range(n_features)]
+    return standardize(DataMatrix(values=values, feature_names=names, labels=labels))
+
+
+class TestSharedSplit:
+    """With a fixed target and a full-column-rank pencil, every sigma row of a
+    split comes from one unit-width solve, graph and embedding."""
+
+    def config(self, task="cluster", grid=(0.01, 0.1, 1.0), **kw):
+        return toy_config(task, sigma_grid=grid, **kw)
+
+    def test_one_solve_graph_and_embedding_per_split(self, calls):
+        report = run_pipeline(self.config(), standardize(generate_toy(200, seed=0)))
+        assert len(report.records) == 6 and all(r.ok and r.scaled for r in report.records)
+        assert calls["assemble_pencil"] == 2
+        assert calls["has_full_column_rank"] == 2
+        assert calls["learn_scaling"] == 2
+        assert calls["build_similarity"] == 2
+        assert calls["embed"] == 2
+        assert calls["kmeans"] == 6  # each row keeps its own k-means seed
+
+    def test_classify_runs_one_nn1_per_split(self, calls):
+        report = run_pipeline(self.config("classify"), standardize(generate_toy(200, seed=0)))
+        assert calls["nn1_classify"] == 2 and calls["embed"] == 2
+        for rep in (0, 1):
+            ris = {r.ri for r in report.records if r.repetition == rep}
+            assert len(ris) == 1
+
+    def test_rows_share_mu_and_residual_and_scale_factors(self):
+        report = run_pipeline(self.config(), standardize(generate_toy(200, seed=0)))
+        rows = {r.sigma: r for r in report.records if r.repetition == 0}
+        small, unit = rows[0.01], rows[1.0]
+        assert small.mu == unit.mu and small.residual == unit.residual
+        assert small.certified == unit.certified
+        assert small.linearization_violations == unit.linearization_violations
+        ratio = (2 * 0.01**2) / (2 * 1.0**2)
+        np.testing.assert_allclose(small.factors, ratio * unit.factors, rtol=1e-12, atol=0)
+
+    def test_wide_pencil_runs_per_sigma_without_rank_test(self, calls):
+        report = run_pipeline(self.config("classify", grid=(1.0, 10.0, 100.0)), wide_data())
+        assert len(report.records) == 6 and all(r.ok for r in report.records)
+        assert calls["has_full_column_rank"] == 0  # 2 n_train + 1 < m + 1
+        assert calls["assemble_pencil"] == 6
+        assert calls["learn_scaling"] == 6
+        assert calls["embed"] == 6
+
+    def test_auto_target_runs_per_sigma(self, calls):
+        report = run_pipeline(
+            self.config("classify", grid=(1.0, 10.0, 100.0), fiedler_negative="auto"),
+            standardize(generate_toy(200, seed=0)),
+        )
+        assert len(report.records) == 6 and all(r.ok for r in report.records)
+        assert calls["has_full_column_rank"] == 0
+        assert calls["learn_scaling"] == 6
+        assert calls["build_similarity"] == 12  # training graph and full graph
+        assert calls["embed"] == 6
+
+    def test_rank_deficient_tall_pencil_runs_per_sigma(self, calls):
+        toy = standardize(generate_toy(200, seed=0))
+        values = np.column_stack([toy.values, toy.values[:, 0]])
+        data = dataclasses.replace(
+            toy, values=values, feature_names=[*toy.feature_names, "copy"]
+        )
+        report = run_pipeline(self.config(grid=(1.0, 10.0, 100.0)), data)
+        assert len(report.records) == 6 and all(r.ok for r in report.records)
+        assert calls["has_full_column_rank"] == 2
+        assert calls["assemble_pencil"] == 2 + 6  # the unit-width test, then per sigma
+        assert calls["learn_scaling"] == 6
+        assert calls["build_similarity"] == 6
+        assert calls["embed"] == 6
+        assert calls["kmeans"] == 6
+
+    def test_shared_failure_recorded_on_every_row(self, monkeypatch):
+        def failing(graph, ell):
+            raise InsufficientSpectrumError("no spectrum")
+
+        monkeypatch.setattr(experiments, "embed", failing)
+        report = run_pipeline(self.config(), standardize(generate_toy(200, seed=0)))
+        assert len(report.records) == 6
+        assert all("InsufficientSpectrumError" in r.error for r in report.records)
 
 
 class TestSweep:

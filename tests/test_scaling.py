@@ -17,6 +17,7 @@ from specscale import (
     standardize,
     SplitSpec,
 )
+from specscale.scaling import has_full_column_rank
 from specscale.errors import (
     DegenerateSupervisionError,
     NoEigenpairError,
@@ -254,6 +255,39 @@ class TestLearnScaling:
         fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
         sv = learn_scaling(assemble_pencil(data.values[train], fv, 1.0))
         assert np.abs(sv.factors[3:]).mean() < 0.5 * np.abs(sv.factors[:3]).mean()
+
+
+class TestWidthInvariance:
+    """A, B and gamma carry 1/(2 sigma^2) and alpha, beta and rho do not, so on
+    a full-column-rank pencil mu does not depend on sigma and s = 2 sigma^2 t."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("repetition", [0, 1])
+    def test_factors_scale_with_width(self, seed, repetition):
+        # n = 200, not 60: on generate_toy(60) every split selects a
+        # degenerate mu = -1/(n_train - 1) with |t| ~ 1e-14, rounding noise
+        data = standardize(generate_toy(200, seed=seed))
+        train, _ = split(data, SplitSpec(0.5, seed=seed), repetition)
+        fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
+        unit = assemble_pencil(data.values[train], fv, SIGMA_UNIT)
+        assert has_full_column_rank(unit)
+        t = learn_scaling(unit)
+        for sigma in (0.1, 1.0, 10.0, 100.0):
+            sv = learn_scaling(assemble_pencil(data.values[train], fv, sigma))
+            drift = np.linalg.norm(sv.factors / (2 * sigma**2) - t.factors)
+            assert drift <= 1e-8 * np.linalg.norm(t.factors)
+            assert sv.eigenvalue == pytest.approx(t.eigenvalue, abs=1e-8)
+
+    def test_rank_of_stacked_pencil(self):
+        data = standardize(generate_toy(200, seed=0))
+        train, _ = split(data, SplitSpec(0.5, seed=0), 0)
+        X = data.values[train]
+        fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
+        assert has_full_column_rank(assemble_pencil(X, fv, 1.0))
+        duplicated = np.column_stack([X, X[:, 0]])
+        assert not has_full_column_rank(assemble_pencil(duplicated, fv, 1.0))
+        # 2 n + 1 = 13 nonzero rows of [F; G] for m + 1 = 21 columns
+        assert not has_full_column_rank(wide_pencil(n_features=20))
 
 
 class TestDiagnostics:

@@ -1,7 +1,13 @@
-"""The benchmark tracer wraps names that the package must keep importable."""
+"""The benchmark tracer wraps names that the package must keep importable and
+that the pipeline must keep calling."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from specscale import cli, generate_toy, save_matrix
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -15,3 +21,35 @@ def test_every_traced_name_exists_and_is_callable(monkeypatch):
         assert module_name.split(".")[0] == "specscale"
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("command", ["cluster", "classify"])
+def test_every_required_span_is_called(monkeypatch, tmp_path, command):
+    # a traced benchmark run fails when a span records no call; a code path
+    # that bypasses a traced name must fail here too
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    from tracing import TARGETS
+
+    calls = Counter()
+    for module_name, attr, span in TARGETS:
+        module = importlib.import_module(module_name)
+
+        def counting(*args, _span=span, _fn=getattr(module, attr), **kwargs):
+            calls[_span] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    data = tmp_path / "toy.csv"
+    save_matrix(generate_toy(120, seed=0), str(data))
+    argv = [
+        command,
+        "--data", str(data),
+        "--output-dir", str(tmp_path),
+        "--repetitions", "2",
+        "--sigma-grid", "0.1,1",
+    ]
+    assert cli.main(argv) == 0
+    skipped = "clustering.nn1" if command == "cluster" else "clustering.kmeans"
+    required = {span for _, _, span in TARGETS} - {skipped}
+    assert sorted(required - set(calls)) == []
