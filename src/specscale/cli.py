@@ -26,8 +26,9 @@ from .experiments import (
     reports_to_manifest,
     run_pipeline,
     sweep,
+    training_target,
 )
-from .scaling import assemble_pencil, estimate_fiedler, learn_scaling, scaling_table
+from .scaling import assemble_pencil, learn_scaling, scaling_table
 
 
 def _parse_float_list(text):
@@ -195,7 +196,9 @@ def _cmd_inspect_scaling(args):
         SplitSpec(train_fraction=args.fraction, seed=args.seed, repetitions=1),
         repetition=0,
     )
-    fiedler = estimate_fiedler(data.labels[train], args.fiedler_negative)
+    fiedler = training_target(
+        data.values[train], data.labels[train], args.fiedler_negative, args.sigma
+    )
     pencil = assemble_pencil(data.values[train], fiedler, args.sigma)
     scaling = learn_scaling(pencil)
     table = scaling_table(scaling, data.feature_names)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .embedding import Embedding
+from .similarity import row_blocks
 
 
 @dataclass
@@ -79,7 +80,9 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
 
     The embedding covers training and test samples together (it was computed
     once over all rows), so classification is transductive. Ties go to the
-    smaller training index.
+    smaller training index. Test rows are handled in blocks of about 4 MB of
+    squared distances, accumulated one embedding dimension at a time, so no
+    n_test x n_train (or n_test x n_train x ell) array is held.
     """
     points = embedded.vectors if isinstance(embedded, Embedding) else np.asarray(embedded, float)
     if points.ndim == 1:
@@ -98,9 +101,16 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
         raise ValueError("train and test indices must partition the embedding rows")
 
     order = np.argsort(train_indices, kind="stable")
-    train_sorted = train_indices[order]
-    labels_sorted = train_labels[order]
-    d2 = (
-        (points[test_indices][:, None, :] - points[train_sorted][None, :, :]) ** 2
-    ).sum(axis=2)
-    return labels_sorted[d2.argmin(axis=1)]
+    train_points = points[train_indices[order]]
+    test_points = points[test_indices]
+    nearest = np.empty(test_indices.size, dtype=np.intp)
+    for rows in row_blocks(test_indices.size, train_indices.size):
+        block = test_points[rows]
+        # (t_j - r_j)^2 summed one dimension at a time: for ell <= 3 the same
+        # order, and so the same bits, as .sum(axis=2) over the dimensions
+        d2 = np.zeros((block.shape[0], train_indices.size))
+        for t, r in zip(block.T, train_points.T):
+            sq = np.subtract.outer(t, r)
+            d2 += np.square(sq, out=sq)
+        nearest[rows] = d2.argmin(axis=1)
+    return train_labels[order][nearest]

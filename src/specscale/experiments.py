@@ -282,18 +282,26 @@ def _classify_ri(data, embedding, train, test):
     return rand_index(data.labels[test], predicted, align=False)
 
 
+def training_target(X_train, labels_train, negative_value, sigma, k_neighbors=7):
+    """The label target of the training rows, as ``estimate_fiedler`` builds it.
+
+    ``negative_value="auto"`` takes its degrees from the unscaled k-NN graph
+    of the training rows at width ``sigma``.
+    """
+    degrees = None
+    if negative_value == "auto":
+        degrees = build_similarity(X_train, KernelParams(sigma, k_neighbors)).degrees
+    return estimate_fiedler(labels_train, negative_value, degrees)
+
+
 def _single_run(config, data, train, test, sigma, sigma_index, repetition, diffs):
-    labels_train = data.labels[train]
     scaling = None
     fields = {}
     if config.feature_scaling:
-        if config.fiedler_negative == "auto":
-            train_graph = build_similarity(
-                data.values[train], KernelParams(sigma, config.k_neighbors)
-            )
-            fiedler = estimate_fiedler(labels_train, "auto", train_graph.degrees)
-        else:
-            fiedler = estimate_fiedler(labels_train, config.fiedler_negative)
+        fiedler = training_target(
+            data.values[train], data.labels[train], config.fiedler_negative, sigma,
+            config.k_neighbors,
+        )
         pencil = assemble_pencil(data.values[train], fiedler, sigma, diffs=diffs)
         try:
             scaling = learn_scaling(pencil, config.residual_tol)

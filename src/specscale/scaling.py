@@ -27,7 +27,13 @@ from .errors import (
     NonNormalizableError,
     NoScalingError,
 )
-from .similarity import PairwiseDifferences, as_values, pairwise_sqdiff, scaled_sqdist
+from .similarity import (
+    PairwiseDifferences,
+    as_values,
+    pairwise_sqdiff,
+    row_blocks,
+    scaled_sqdist,
+)
 
 DEFAULT_RESIDUAL_TOL = 1e-6
 _LAST_COMPONENT_TOL = 1e-12
@@ -256,11 +262,15 @@ def linearization_violation_fraction(X, scaling, sigma) -> float:
 
     The first-order form of the kernel assumes 0 < s^T x_ij / (2 sigma^2) < 1
     for each pair; this reports how often that fails (over unordered pairs).
+    The violations are counted over the upper triangle of delta_s in row
+    blocks, so no n x n array is held.
     """
     factors = np.asarray(getattr(scaling, "factors", scaling), dtype=float)
     values = as_values(X)
-    d2 = scaled_sqdist(values, factors)
     n = values.shape[0]
-    iu = np.triu_indices(n, k=1)
-    t = d2[iu] / (2.0 * sigma**2)
-    return float(np.mean((t <= 0.0) | (t >= 1.0)))
+    violations = 0
+    for rows in row_blocks(n, n):
+        t = scaled_sqdist(values, factors, rows) / (2.0 * sigma**2)
+        outside = (t <= 0.0) | (t >= 1.0)
+        violations += np.count_nonzero(np.triu(outside, k=rows.start + 1))
+    return float(violations / (n * (n - 1) // 2))

@@ -152,6 +152,20 @@ def test_inspect_scaling_table(toy_file, capsys):
     assert "mu=" in captured.err
 
 
+def test_inspect_scaling_auto_target(toy_file, capsys):
+    # "auto" takes its degrees from the training graph at --sigma
+    code = main(
+        ["inspect-scaling", "--data", str(toy_file), "--sigma", "1",
+         "--fiedler-negative", "auto"]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert lines[0] == "feature\tscaling_factor"
+    assert len(lines) == 11
+    assert "mu=" in captured.err
+
+
 def test_inspect_scaling_to_file(toy_file, tmp_path):
     out = tmp_path / "factors.tsv"
     code = main(

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from specscale import kmeans, nn1_classify
+from specscale import kmeans, nn1_classify, similarity
 
 
 def exhaustive_two_means(points):
@@ -114,6 +114,23 @@ class TestNN1Classify:
         emb = np.array([[0.0], [10.0], [0.2]])
         pred = nn1_classify(emb, [1, 0], np.array([99, 11]), [2])
         assert pred[0] == 11  # label travels with the index, not the position
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3])
+    def test_blocks_keep_ties_and_match_dense_formula(self, n_rows):
+        rng = np.random.default_rng(6)
+        # integer points make ties common; the training indices come unsorted
+        # and the test rows reversed, and the smaller training index must win
+        emb = rng.integers(-4, 5, size=(30, 2)).astype(float)
+        train = rng.permutation(30)[:18]
+        test = np.setdiff1d(np.arange(30), train)[::-1]
+        labels = rng.integers(0, 3, size=18)
+        order = np.argsort(train, kind="stable")
+        d2 = ((emb[test][:, None, :] - emb[train[order]][None, :, :]) ** 2).sum(axis=2)
+        expected = labels[order][d2.argmin(axis=1)]
+        assert np.any((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "_BLOCK_ENTRIES", n_rows * train.size)
+            np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
 
     def test_partition_validation(self):
         emb = np.zeros((4, 1))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specscale import (
     EigenPair,
@@ -11,8 +13,10 @@ from specscale import (
     learn_scaling,
     linearization_violation_fraction,
     pairwise_sqdiff,
+    scaled_sqdist,
     scaling,
     scaling_table,
+    similarity,
     split,
     standardize,
     SplitSpec,
@@ -301,6 +305,27 @@ class TestDiagnostics:
         # huge sigma puts every pair inside the validity region
         assert frac_small == 0.0
 
+    @settings(max_examples=100)
+    @given(
+        st.integers(2, 12),
+        st.integers(1, 4),
+        st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=4, max_size=4),
+        st.sampled_from([0.5, 1.0, 3.0]),
+        st.integers(0, 1000),
+        st.integers(1, 3),
+    )
+    def test_violation_fraction_matches_dense_formula_across_blocks(
+        self, n, m, factors, sigma, seed, n_rows
+    ):
+        # small integer samples put pairs exactly on the boundaries t = 0 and 1
+        X = np.random.default_rng(seed).integers(-3, 4, size=(n, m)).astype(float)
+        s = np.array(factors[:m])
+        t = scaled_sqdist(X, s)[np.triu_indices(n, k=1)] / (2.0 * sigma**2)
+        expected = float(np.mean((t <= 0.0) | (t >= 1.0)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "_BLOCK_ENTRIES", n_rows * n)
+            assert linearization_violation_fraction(X, s, sigma) == expected
+
     def test_scaling_table_format(self):
         from specscale import ScalingVector
 
@@ -315,3 +340,59 @@ class TestDiagnostics:
         assert lines[0] == "feature\tscaling_factor"
         assert lines[1] == "height\t0.5"
         assert lines[2] == "width\t-0.25"
+
+
+@st.composite
+def toy_pencils(draw):
+    """A standardized toy training split, its target and its unit-width pencil.
+
+    n is 200 or 320. When 12 divides n, generate_toy's classes are n/6 and
+    5n/6, the stratified half split keeps 1:5, the target sums to zero and
+    s = 0 is an exact pair whose factors are rounding noise (the n = 60 note
+    above), so n avoids multiples of 12.
+    """
+    seed = draw(st.integers(0, 39))
+    data = standardize(generate_toy(draw(st.sampled_from([200, 320])), seed=seed))
+    train, _ = split(data, SplitSpec(0.5, seed=seed), draw(st.integers(0, 1)))
+    X = data.values[train]
+    fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
+    return X, fv.values, assemble_pencil(X, fv, SIGMA_UNIT)
+
+
+def assert_relative(actual, expected, tol):
+    """Norm-wise relative agreement, the same at every scale of the inputs."""
+    actual, expected = np.atleast_1d(actual), np.atleast_1d(expected)
+    assert np.linalg.norm(actual - expected) <= tol * np.linalg.norm(expected)
+
+
+class TestPencilInvariances:
+    """Pencil entries depend on the data only through pair differences and on
+    the sample order only through the row order of A, B, alpha and beta.
+    Tolerances are relative: the blocks agree to a few ulps (measured
+    <= 7e-15 on seeds 0-39), and mu and t to <= 4e-13."""
+
+    @settings(max_examples=25)
+    @given(toy_pencils(), st.lists(st.floats(-10.0, 10.0), min_size=10, max_size=10))
+    def test_translation_invariance(self, problem, shift):
+        X, v, ps = problem
+        moved = assemble_pencil(X + np.array(shift), v, SIGMA_UNIT)
+        for name in ("A", "B", "alpha", "beta", "gamma"):
+            assert_relative(getattr(moved, name), getattr(ps, name), 1e-12)
+        assert abs(moved.rho - ps.rho) <= 1e-12 * (ps.n_samples - 1) * np.abs(v).sum()
+        a, b = learn_scaling(ps), learn_scaling(moved)
+        assert_relative(b.eigenvalue, a.eigenvalue, 1e-10)
+        assert_relative(b.factors, a.factors, 1e-10)
+
+    @settings(max_examples=25)
+    @given(toy_pencils(), st.integers(0, 2**32 - 1))
+    def test_row_permutation_equivariance(self, problem, perm_seed):
+        X, v, ps = problem
+        perm = np.random.default_rng(perm_seed).permutation(ps.n_samples)
+        permuted = assemble_pencil(X[perm], v[perm], SIGMA_UNIT)
+        for name in ("A", "B", "alpha", "beta"):
+            assert_relative(getattr(permuted, name), getattr(ps, name)[perm], 1e-12)
+        assert_relative(permuted.gamma, ps.gamma, 1e-12)
+        assert abs(permuted.rho - ps.rho) <= 1e-12 * (ps.n_samples - 1) * np.abs(v).sum()
+        a, b = learn_scaling(ps), learn_scaling(permuted)
+        assert_relative(b.eigenvalue, a.eigenvalue, 1e-10)
+        assert_relative(b.factors, a.factors, 1e-10)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specscale import (
     KernelParams,
+    similarity,
     build_similarity,
     generate_toy,
     graph_from_weights,
@@ -200,12 +201,16 @@ class TestBuildSimilarity:
         assert W[1, 2] == 0.0  # kept by neither row
 
     @settings(max_examples=300)
-    @given(knn_problems())
-    def test_knn_matches_dense_reference(self, problem):
+    @given(knn_problems(), st.integers(1, 12))
+    def test_knn_matches_dense_reference(self, problem, block_rows):
+        # rows are evaluated in blocks of block_rows (one block when >= n), so
+        # the result must not depend on where the block edges fall
         Y, k, factors, sigma = problem
         expected = reference_knn_weights(Y, k, factors, sigma)
         assume(expected is not None and np.all(expected.sum(axis=1) > 0.0))
-        g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "_BLOCK_ENTRIES", block_rows * Y.shape[0])
+            g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
     def test_k_too_large_rejected(self):
@@ -214,6 +219,23 @@ class TestBuildSimilarity:
 
 
 class TestScaledSqdist:
+    @given(knn_problems())
+    def test_row_block_matches_full_matrix(self, problem):
+        Y, _, factors, _ = problem
+        full = scaled_sqdist(Y, factors)
+        for start in range(Y.shape[0]):
+            for stop in range(start + 1, Y.shape[0] + 1):
+                block = scaled_sqdist(Y, factors, slice(start, stop))
+                np.testing.assert_array_equal(block, full[start:stop])
+
+    def test_blocks_cover_rows_in_order(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "_BLOCK_ENTRIES", 20)
+            blocks = list(similarity.row_blocks(7, 10))
+            assert blocks == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
+            # a row wider than a block still makes a block of one row
+            assert list(similarity.row_blocks(2, 50)) == [slice(0, 1), slice(1, 2)]
+
     def test_matches_pair_tensor(self):
         rng = np.random.default_rng(7)
         Y = rng.normal(size=(9, 4))
