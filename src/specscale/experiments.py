@@ -1,9 +1,12 @@
 """Experiment harness: kernel-width grids, repeated splits, result tables.
 
-``run_pipeline`` executes the full supervised-scaling pipeline for every
-(repetition, sigma) pair, sharing the sigma-invariant solve, graph and
-embedding of a split where the pencil allows it, and aggregates per-sigma
-statistics; ``sweep`` varies the training fraction and ``loocv`` runs
+``run_pipeline`` runs the supervised-scaling pipeline over repeated splits and
+a kernel-width grid. A kernel is one fit, one graph, one embedding and one
+assignment (k-means or 1-NN). Each split builds one kernel at unit width when
+its scaled pipeline does not depend on sigma, and one kernel per sigma
+otherwise; every (repetition, sigma) row copies the scores and pencil
+diagnostics of the kernel that serves it, and the report aggregates per-sigma
+statistics. ``sweep`` varies the training fraction and ``loocv`` runs
 leave-one-out classification. Reports serialize to a tidy CSV plus a JSON
 manifest and are byte-identical across reruns with the same configuration and
 data.
@@ -25,7 +28,7 @@ import scipy
 from . import __version__
 from .clustering import kmeans, nn1_classify
 from .data import DataMatrix, SplitSpec, split
-from .embedding import Embedding, embed
+from .embedding import embed
 from .errors import (
     NonNormalizableError,
     NoScalingError,
@@ -35,7 +38,6 @@ from .errors import (
 from .metrics import nmi as nmi_score
 from .metrics import rand_index
 from .scaling import (
-    ScalingVector,
     assemble_pencil,
     estimate_fiedler,
     has_full_column_rank,
@@ -60,7 +62,6 @@ class ExperimentConfig:
     kmeans_restarts: int = 20
     seed: int = 0
     feature_scaling: bool = True  # False runs the unsupervised baseline (s = e)
-    residual_tol: float = 1e-6
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -250,38 +251,6 @@ def _kmeans_seed(config_seed, repetition, sigma_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _scaling_fields(scaling, linearization_violations, factors):
-    """The pencil diagnostics a scaled row records."""
-    return dict(
-        mu=float(scaling.eigenvalue),
-        residual=float(scaling.residual),
-        constraint_violation=float(scaling.constraint_violation),
-        certified=bool(scaling.certified),
-        linearization_violations=linearization_violations,
-        factors=factors,
-    )
-
-
-def _cluster_scores(config, data, embedding, repetition, sigma_index):
-    assignment = kmeans(
-        embedding.vectors,
-        k=2,
-        restarts=config.kmeans_restarts,
-        seed=_kmeans_seed(config.seed, repetition, sigma_index),
-    )
-    return (
-        rand_index(data.labels, assignment.labels, align=True),
-        nmi_score(data.labels, assignment.labels),
-    )
-
-
-def _classify_ri(data, embedding, train, test):
-    if test.size == 0:
-        raise SpecScaleError("classification needs a nonempty test set")
-    predicted = nn1_classify(embedding, train, data.labels[train], test)
-    return rand_index(data.labels[test], predicted, align=False)
-
-
 def training_target(X_train, labels_train, negative_value, sigma, k_neighbors=7):
     """The label target of the training rows, as ``estimate_fiedler`` builds it.
 
@@ -294,115 +263,92 @@ def training_target(X_train, labels_train, negative_value, sigma, k_neighbors=7)
     return estimate_fiedler(labels_train, negative_value, degrees)
 
 
-def _single_run(config, data, train, test, sigma, sigma_index, repetition, diffs):
-    scaling = None
-    fields = {}
-    if config.feature_scaling:
-        fiedler = training_target(
-            data.values[train], data.labels[train], config.fiedler_negative, sigma,
-            config.k_neighbors,
-        )
-        pencil = assemble_pencil(data.values[train], fiedler, sigma, diffs=diffs)
-        try:
-            scaling = learn_scaling(pencil, config.residual_tol)
-        except (NoScalingError, NonNormalizableError):
-            pass  # fall back to the unscaled pipeline, flagged
-        if scaling is not None:
-            fields = _scaling_fields(
-                scaling,
-                linearization_violation_fraction(data.values[train], scaling, sigma),
-                scaling.factors,
-            )
-
-    scaled = scaling is not None
-    try:
-        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, scaling))
-    except NumericalOverflowError:
-        # only negative learned factors can overflow the kernel: fall back to
-        # the unscaled graph, flagged, and keep the pencil diagnostics
-        scaled = False
-        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors))
-    record = RunRecord(sigma=float(sigma), repetition=repetition, scaled=scaled, **fields)
-    embedding = embed(graph, config.ell)
-
+def _scores(config, data, embedding, train, test, repetition, sigma_index):
+    """(RI, NMI) of k-means over all samples, or (RI, None) of 1-NN on the test rows."""
     if config.task == "cluster":
-        record.ri, record.nmi = _cluster_scores(
-            config, data, embedding, repetition, sigma_index
-        )
-    else:
-        record.ri = _classify_ri(data, embedding, train, test)
-    return record
+        labels = kmeans(
+            embedding.vectors,
+            k=2,
+            restarts=config.kmeans_restarts,
+            seed=_kmeans_seed(config.seed, repetition, sigma_index),
+        ).labels
+        return rand_index(data.labels, labels, align=True), nmi_score(data.labels, labels)
+    if test.size == 0:
+        raise SpecScaleError("classification needs a nonempty test set")
+    predicted = nn1_classify(embedding, train, data.labels[train], test)
+    return rand_index(data.labels[test], predicted, align=False), None
 
 
-# 2 sigma^2 = 1 (to rounding): the width at which a shared split is solved
+# 2 sigma^2 = 1 (to rounding): the width of a split's one shared kernel
 _UNIT_SIGMA = np.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class _SharedSplit:
-    """The sigma-invariant part of one split's scaled pipeline, at unit width."""
+def _kernel(config, data, train, test, repetition, diffs, sigma, sigma_index, shared=False):
+    """Fit, build, embed and assign one kernel at width ``sigma``.
 
-    scaling: ScalingVector
-    linearization_violations: float
-    embedding: Embedding
-    ri: Optional[float]  # classify: one 1-NN result serves every sigma
+    Returns the kernel as the RunRecord of that width; ``sigma_index`` is the
+    first grid row it serves and seeds its k-means. A failed fit, or learned
+    factors that overflow the kernel weights, fall back to the unscaled graph
+    with ``scaled=False``; after an overflow the pencil diagnostics stay.
 
-
-def _shared_split(config, data, train, test, diffs):
-    """Solve, build and embed a split once for every sigma, or return None.
-
-    With a fixed target and a full-column-rank pencil, the factors are
-    s = 2 sigma^2 t for the unit-width factors t, so neither the k-NN ranking
-    on delta_s nor the kernel exp(-t^T x) depends on sigma. None means the
-    split takes the per-sigma runs: no feature scaling, the "auto" target
-    (its degrees come from a sigma-dependent training graph), a rank-deficient
-    pencil (always when 2 n_train + 1 < m + 1, which needs no SVD to tell),
-    and the unscaled-graph fallbacks of the per-sigma runs.
+    ``shared=True`` asks for the one kernel of every sigma row of the split,
+    and returns None before any unscaled graph is built when the split has
+    none: no feature scaling, the "auto" target (its degrees come from a
+    sigma-dependent training graph), a rank-deficient pencil (always when
+    2 n_train + 1 < m + 1, which needs no SVD to tell), or a fit that would
+    take one of the unscaled fallbacks.
     """
     X = data.values[train]
-    n_train, m = X.shape
-    if (
+    if shared and (
         not config.feature_scaling
         or config.fiedler_negative == "auto"
-        or 2 * n_train + 1 < m + 1
+        or 2 * X.shape[0] < X.shape[1]
     ):
         return None
-    fiedler = estimate_fiedler(data.labels[train], config.fiedler_negative)
-    pencil = assemble_pencil(X, fiedler, _UNIT_SIGMA, diffs=diffs)
-    if not has_full_column_rank(pencil):
-        return None
+    scaling = None
+    if config.feature_scaling:
+        fiedler = training_target(
+            X, data.labels[train], config.fiedler_negative, sigma, config.k_neighbors
+        )
+        pencil = assemble_pencil(X, fiedler, sigma, diffs=diffs)
+        if shared and not has_full_column_rank(pencil):
+            return None
+        try:
+            scaling = learn_scaling(pencil)
+        except (NoScalingError, NonNormalizableError):
+            if shared:
+                return None
+    record = RunRecord(sigma=float(sigma), repetition=repetition)
+    if scaling is not None:
+        record.scaled = True
+        record.mu = float(scaling.eigenvalue)
+        record.residual = float(scaling.residual)
+        record.constraint_violation = float(scaling.constraint_violation)
+        record.certified = bool(scaling.certified)
+        record.factors = scaling.factors
+        record.linearization_violations = linearization_violation_fraction(X, scaling, sigma)
     try:
-        scaling = learn_scaling(pencil, config.residual_tol)
-        graph = build_similarity(
-            data.values, KernelParams(_UNIT_SIGMA, config.k_neighbors, scaling)
-        )
-    except (NoScalingError, NonNormalizableError, NumericalOverflowError):
-        return None  # the per-sigma runs record these unscaled fallbacks
+        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, scaling))
+    except NumericalOverflowError:
+        # only negative learned factors can overflow the kernel
+        if shared:
+            return None
+        record.scaled = False
+        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors))
     embedding = embed(graph, config.ell)
-    return _SharedSplit(
-        scaling=scaling,
-        linearization_violations=linearization_violation_fraction(X, scaling, _UNIT_SIGMA),
-        embedding=embedding,
-        ri=_classify_ri(data, embedding, train, test) if config.task == "classify" else None,
+    record.ri, record.nmi = _scores(
+        config, data, embedding, train, test, repetition, sigma_index
     )
-
-
-def _shared_run(config, data, shared, sigma, sigma_index, repetition):
-    scaling = shared.scaling
-    record = RunRecord(
-        sigma=float(sigma),
-        repetition=repetition,
-        ri=shared.ri,
-        scaled=True,
-        **_scaling_fields(
-            scaling, shared.linearization_violations, 2.0 * sigma**2 * scaling.factors
-        ),
-    )
-    if config.task == "cluster":
-        record.ri, record.nmi = _cluster_scores(
-            config, data, shared.embedding, repetition, sigma_index
-        )
     return record
+
+
+def _row(kernel, sigma):
+    """The row of width ``sigma`` that ``kernel`` serves: its scores and pencil
+    diagnostics, with factors s = (sigma / sigma_kernel)^2 t."""
+    factors = kernel.factors
+    if factors is not None:
+        factors = (sigma / kernel.sigma) ** 2 * factors
+    return dataclasses.replace(kernel, sigma=float(sigma), factors=factors)
 
 
 def _failed_run(sigma, repetition, exc):
@@ -415,22 +361,19 @@ def _run_over_splits(config, data, index_pairs):
     records = []
     for repetition, (train, test) in enumerate(index_pairs):
         diffs = pairwise_sqdiff(data.values[train], 1.0)
+        split_args = (config, data, train, test, repetition, diffs)
         try:
-            shared = _shared_split(config, data, train, test, diffs)
+            shared = _kernel(*split_args, _UNIT_SIGMA, 0, shared=True)
         except SpecScaleError as exc:
             records.extend(_failed_run(s, repetition, exc) for s in config.sigma_grid)
             continue
         for sigma_index, sigma in enumerate(config.sigma_grid):
             try:
-                if shared is None:
-                    record = _single_run(
-                        config, data, train, test, sigma, sigma_index, repetition, diffs
-                    )
-                else:
-                    record = _shared_run(config, data, shared, sigma, sigma_index, repetition)
+                kernel = shared or _kernel(*split_args, sigma, sigma_index)
             except SpecScaleError as exc:
-                record = _failed_run(sigma, repetition, exc)
-            records.append(record)
+                records.append(_failed_run(sigma, repetition, exc))
+                continue
+            records.append(_row(kernel, sigma))
     return records
 
 
@@ -438,26 +381,24 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     """Execute the supervised-scaling pipeline over repeated splits and a
     kernel-width grid.
 
-    Per repetition and sigma: estimate the target vector on the training rows,
-    assemble and solve the scaling pencil, build the similarity graph over all
-    samples with the learned factors, embed, then cluster (k-means, RI/NMI over
-    all samples) or classify (transductive 1-NN, RI over the test rows). A
-    failed run is recorded, not fatal. When the pencil yields no usable factors,
-    or when the learned factors overflow the kernel weights, the run falls back
-    to the unscaled graph with ``scaled=False``; in the overflow case the
-    pencil diagnostics stay in the record.
+    A kernel at width sigma estimates the target vector on the training rows,
+    assembles and solves the scaling pencil, builds the similarity graph over
+    all samples with the learned factors and embeds it. It then assigns once:
+    k-means (RI/NMI over all samples, seeded by the first grid row the kernel
+    serves) or transductive 1-NN (RI over the test rows). When the pencil
+    yields no usable factors, or when the learned factors overflow the kernel
+    weights, the kernel falls back to the unscaled graph with
+    ``scaled=False``; in the overflow case the pencil diagnostics stay.
 
-    The sigma rows of one split share one solve, graph and embedding when
-    feature scaling is on, the target is fixed (not ``"auto"``) and the pencil
-    has full column rank, rank([F; G]) = m + 1. The pencil is then solved at
-    unit width (2 sigma^2 = 1) for factors t, and each row records
-    s = 2 sigma^2 t; mu, ``residual``, ``certified``, ``constraint_violation``
-    and the linearization share are the unit-width values on every row, and
-    the scaled kernel exp(-t^T x) is sigma-free. Each cluster row still runs
-    k-means with its own seed; classify rows share one 1-NN result. A typed
-    error in the shared stage is recorded on every row of the split. Splits
-    that do not qualify, or whose unit-width fit would take one of the
-    unscaled fallbacks, run per sigma as above.
+    A split has one kernel when feature scaling is on, the target is fixed
+    (not ``"auto"``), the pencil has full column rank, rank([F; G]) = m + 1,
+    and the unit-width fit takes neither unscaled fallback. That kernel is
+    built at unit width (2 sigma^2 = 1) for factors t, and its scaled kernel
+    exp(-t^T x) is sigma-free. Every other split has one kernel per sigma.
+    Each row copies its kernel's RI, NMI, mu, ``residual``, ``certified``,
+    ``constraint_violation`` and linearization share, and records the factors
+    s = (sigma / sigma_kernel)^2 t. A typed error while a kernel is built is
+    recorded, not fatal, on every row that kernel would serve.
     """
     if data.labels is None:
         raise ValueError("run_pipeline requires labeled data")

@@ -7,6 +7,7 @@ maximizes over the two possible cluster-to-class identifications.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -77,7 +78,9 @@ def nmi(truth, predicted) -> float:
     """Mutual information normalized by the geometric mean of the entropies.
 
     Evaluated from the 2x2 contingency with the 0 * log(.) = 0 convention.
-    Returns 0 (with a DegenerateEntropyWarning) when either labeling is
+    The entropy and mutual-information terms are summed with ``math.fsum``,
+    whose correctly rounded sum does not depend on the order of the terms, so
+    swapping the two cluster ids gives the same bits. Returns 0 (with a DegenerateEntropyWarning) when either labeling is
     constant.
     """
     c = Contingency.from_labels(truth, predicted)
@@ -85,7 +88,7 @@ def nmi(truth, predicted) -> float:
 
     def neg_entropy(margins):
         # sum of n_i * log(n_i / n); zero counts contribute nothing
-        return sum(m * np.log(m / n) for m in margins if m > 0)
+        return math.fsum(m * np.log(m / n) for m in margins if m > 0)
 
     h_truth = neg_entropy(c.row_sums)
     h_pred = neg_entropy(c.col_sums)
@@ -94,11 +97,10 @@ def nmi(truth, predicted) -> float:
             "a labeling is constant; NMI reported as 0", DegenerateEntropyWarning
         )
         return 0.0
-    numer = 0.0
-    for i in range(2):
-        for j in range(2):
-            nij = c.counts[i, j]
-            if nij > 0:
-                numer += nij * np.log(n * nij / (c.row_sums[i] * c.col_sums[j]))
+    numer = math.fsum(
+        nij * np.log(n * nij / (c.row_sums[i] * c.col_sums[j]))
+        for (i, j), nij in np.ndenumerate(c.counts)
+        if nij > 0
+    )
     value = numer / np.sqrt(h_truth * h_pred)
     return float(min(max(value, 0.0), 1.0))

@@ -80,7 +80,11 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> FiedlerEstima
 
 @dataclass(frozen=True)
 class PencilSystem:
-    """Assembled pencil blocks together with the kernel width that scaled them."""
+    """The blocks of F = [A alpha; gamma^T rho] and G = [B beta; 0^T 0].
+
+    A, B and gamma carry the kernel scale 1/(2 sigma^2); alpha, beta and rho
+    do not depend on the width.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -88,7 +92,6 @@ class PencilSystem:
     beta: np.ndarray
     gamma: np.ndarray
     rho: float
-    sigma: float
 
     @property
     def n_samples(self):
@@ -149,8 +152,7 @@ def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None)
         raise InternalConsistencyError(
             f"(A - B)^T e = {drift:.3e} exceeds the assembly tolerance"
         )
-    return PencilSystem(A=A, B=B, alpha=alpha, beta=beta, gamma=gamma,
-                        rho=float(rho), sigma=float(sigma))
+    return PencilSystem(A=A, B=B, alpha=alpha, beta=beta, gamma=gamma, rho=float(rho))
 
 
 def has_full_column_rank(ps: PencilSystem) -> bool:

@@ -19,7 +19,11 @@ from specscale import (
     sweep,
 )
 from specscale import experiments
-from specscale.errors import InsufficientSpectrumError
+from specscale.errors import (
+    InsufficientSpectrumError,
+    NoScalingError,
+    NumericalOverflowError,
+)
 
 
 def separated_clusters(n_per=6, gap=3.0, seed=0):
@@ -182,7 +186,7 @@ def wide_data(n_per=12, n_features=100, seed=0):
 
 class TestSharedSplit:
     """With a fixed target and a full-column-rank pencil, every sigma row of a
-    split comes from one unit-width solve, graph and embedding."""
+    split copies one unit-width kernel: solve, graph, embedding and assignment."""
 
     def config(self, task="cluster", grid=(0.01, 0.1, 1.0), **kw):
         return toy_config(task, sigma_grid=grid, **kw)
@@ -195,7 +199,10 @@ class TestSharedSplit:
         assert calls["learn_scaling"] == 2
         assert calls["build_similarity"] == 2
         assert calls["embed"] == 2
-        assert calls["kmeans"] == 6  # each row keeps its own k-means seed
+        assert calls["kmeans"] == 2  # one assignment per kernel, copied by every row
+        for rep in (0, 1):
+            rows = [r for r in report.records if r.repetition == rep]
+            assert len({r.ri for r in rows}) == 1 and len({r.nmi for r in rows}) == 1
 
     def test_classify_runs_one_nn1_per_split(self, calls):
         report = run_pipeline(self.config("classify"), standardize(generate_toy(200, seed=0)))
@@ -247,6 +254,59 @@ class TestSharedSplit:
         assert calls["build_similarity"] == 6
         assert calls["embed"] == 6
         assert calls["kmeans"] == 6
+
+    def run_one_split(self, monkeypatch):
+        """One toy split, recording the (sigma, scaled) of every graph built."""
+        graphs = []
+        build = experiments.build_similarity
+
+        def recording(X, params):
+            graphs.append((params.sigma, params.scaling is not None))
+            return build(X, params)
+
+        monkeypatch.setattr(experiments, "build_similarity", recording)
+        cfg = self.config(split=SplitSpec(0.5, seed=0, repetitions=1))
+        return run_pipeline(cfg, standardize(generate_toy(200, seed=0))), graphs
+
+    def assert_per_sigma_fallback(self, calls, report, graphs):
+        assert len(report.records) == 3 and all(r.ok and r.scaled for r in report.records)
+        assert calls["assemble_pencil"] == 1 + 3  # the unit-width attempt, then per sigma
+        assert calls["has_full_column_rank"] == 1
+        assert calls["embed"] == 3
+        assert calls["kmeans"] == 3
+        assert (np.sqrt(0.5), False) not in graphs  # no unscaled graph at unit width
+        assert graphs[-3:] == [(0.01, True), (0.1, True), (1.0, True)]
+
+    def test_unit_width_fit_failure_runs_per_sigma(self, calls, monkeypatch):
+        learn = experiments.learn_scaling
+        seen = []
+
+        def failing_first(pencil, *args):
+            seen.append(pencil)
+            if len(seen) == 1:
+                raise NoScalingError("no candidates at unit width")
+            return learn(pencil, *args)
+
+        monkeypatch.setattr(experiments, "learn_scaling", failing_first)
+        report, graphs = self.run_one_split(monkeypatch)
+        self.assert_per_sigma_fallback(calls, report, graphs)
+        assert len(seen) == 1 + 3 and calls["learn_scaling"] == 3  # the stub raised once
+        assert calls["build_similarity"] == 3
+
+    def test_unit_width_overflow_runs_per_sigma(self, calls, monkeypatch):
+        build = experiments.build_similarity
+
+        def overflowing(X, params):
+            if params.sigma == np.sqrt(0.5) and params.scaling is not None:
+                raise NumericalOverflowError("scaled weights overflow")
+            return build(X, params)
+
+        monkeypatch.setattr(experiments, "build_similarity", overflowing)
+        report, graphs = self.run_one_split(monkeypatch)
+        self.assert_per_sigma_fallback(calls, report, graphs)
+        assert graphs == [(np.sqrt(0.5), True), (0.01, True), (0.1, True), (1.0, True)]
+        assert calls["learn_scaling"] == 1 + 3
+        assert calls["build_similarity"] == 3  # the stub raised for the unit-width graph
 
     def test_shared_failure_recorded_on_every_row(self, monkeypatch):
         def failing(graph, ell):
