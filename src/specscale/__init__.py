@@ -49,7 +49,6 @@ from .similarity import (
     PairwiseDifferences,
     SimilarityGraph,
     build_similarity,
-    graph_from_weights,
     pairwise_sqdiff,
     scaled_sqdist,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "errors",
     "estimate_fiedler",
     "generate_toy",
-    "graph_from_weights",
     "kmeans",
     "learn_scaling",
     "linearization_violation_fraction",

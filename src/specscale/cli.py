@@ -50,6 +50,15 @@ def _parse_fiedler(text):
         raise argparse.ArgumentTypeError("fiedler-negative must be a number or 'auto'")
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text):
+    if text.lower() not in _BOOLEANS:
+        raise argparse.ArgumentTypeError(f"expected true/false/1/0/yes/no, got '{text}'")
+    return _BOOLEANS[text.lower()]
+
+
 def _add_common(parser, classification):
     parser.add_argument("--data", required=True, help="delimited text file with a 'label' column")
     parser.add_argument("--output-dir", default=".", help="where report.csv and manifest.json go")
@@ -88,8 +97,8 @@ _CONFIG_TYPES = {
     "out": str,
     "delimiter": str,
     "fractions": _parse_float_list,
-    "no_standardize": lambda s: s.lower() in ("1", "true", "yes"),
-    "no_feature_scaling": lambda s: s.lower() in ("1", "true", "yes"),
+    "no_standardize": _parse_bool,
+    "no_feature_scaling": _parse_bool,
     "sigma": float,
 }
 
@@ -112,7 +121,10 @@ def _apply_config_file(args):
                 raise SpecScaleError(
                     f"{args.config}:{lineno}: key '{key}' does not apply to this command"
                 )
-            setattr(args, key, _CONFIG_TYPES[key](value.strip()))
+            try:
+                setattr(args, key, _CONFIG_TYPES[key](value.strip()))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise argparse.ArgumentTypeError(f"{args.config}:{lineno}: {key}: {exc}") from exc
     return args
 
 
@@ -126,19 +138,22 @@ def _load_data(args):
 
 
 def _build_config(args, task):
-    return ExperimentConfig(
-        task=task,
-        ell=getattr(args, "ell", 1),
-        sigma_grid=tuple(args.sigma_grid),
-        k_neighbors=args.k_neighbors,
-        fiedler_negative=args.fiedler_negative,
-        split=SplitSpec(
-            train_fraction=args.fraction, seed=args.seed, repetitions=args.repetitions
-        ),
-        kmeans_restarts=args.kmeans_restarts,
-        seed=args.seed,
-        feature_scaling=not args.no_feature_scaling,
-    )
+    try:
+        return ExperimentConfig(
+            task=task,
+            ell=getattr(args, "ell", 1),
+            sigma_grid=tuple(args.sigma_grid),
+            k_neighbors=args.k_neighbors,
+            fiedler_negative=args.fiedler_negative,
+            split=SplitSpec(
+                train_fraction=args.fraction, seed=args.seed, repetitions=args.repetitions
+            ),
+            kmeans_restarts=args.kmeans_restarts,
+            seed=args.seed,
+            feature_scaling=not args.no_feature_scaling,
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _emit(reports, output_dir):
@@ -161,30 +176,29 @@ def _cmd_generate(args):
 
 
 def _cmd_cluster(args):
-    data = _load_data(args)
-    report = run_pipeline(_build_config(args, "cluster"), data)
+    config = _build_config(args, "cluster")
+    report = run_pipeline(config, _load_data(args))
     _emit([report], args.output_dir)
     return 0
 
 
 def _cmd_classify(args):
-    data = _load_data(args)
-    report = run_pipeline(_build_config(args, "classify"), data)
+    config = _build_config(args, "classify")
+    report = run_pipeline(config, _load_data(args))
     _emit([report], args.output_dir)
     return 0
 
 
 def _cmd_sweep(args):
-    data = _load_data(args)
     config = _build_config(args, args.task)
-    reports = sweep(config, args.fractions, data)
+    reports = sweep(config, args.fractions, _load_data(args))
     _emit(reports, args.output_dir)
     return 0
 
 
 def _cmd_loocv(args):
-    data = _load_data(args)
-    report = loocv(_build_config(args, "classify"), data)
+    config = _build_config(args, "classify")
+    report = loocv(config, _load_data(args))
     _emit([report], args.output_dir)
     return 0
 
@@ -269,6 +283,8 @@ def main(argv=None):
     try:
         args = _apply_config_file(args)
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # a bad option value: exit code 2
+        parser.error(str(exc))
     except SpecScaleError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

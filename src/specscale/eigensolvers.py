@@ -8,8 +8,9 @@ implicitly restarted Lanczos (ARPACK ``eigsh``) on the sparse normalized
 adjacency, with the trivial eigenvectors shifted out of the way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
 pencil F - mu G determines: the finite QZ pairs of one square reduction onto
-the row space of [F; G], lifted back in one product and each certified by its
-residual against the original system in real arithmetic.
+the row space of [F; G], lifted back in one product; with full column rank
+these are the pairs of the least-squares (Galerkin) pencil (G^T F, G^T G).
+The caller certifies the pair it keeps with ``pencil_residual``.
 """
 
 from __future__ import annotations
@@ -41,37 +42,26 @@ _LANCZOS_SEED = 1805
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One eigenpair with its relative residual certificate.
+    """One eigenpair, with the relative residual certificate of ``sym_gen_eig``.
 
-    ``residual`` is ||(F - mu G) w||_2 / (||F||_F + |mu| ||G||_F) evaluated at a
-    unit 2-norm copy of ``vector`` (for ``sym_gen_eig``, L and D take the place
-    of F and G). ``value`` and ``vector`` are real unless the pair is genuinely
-    complex; a complex pencil pair then comes with its conjugate pair.
+    ``residual`` is ||(L - lambda D) x||_2 / (||L||_F + |lambda| ||D||_F) at a
+    unit 2-norm copy of ``vector``; ``rect_pencil_eig`` leaves it None. ``value``
+    and ``vector`` are real unless the pair is genuinely complex; a complex
+    pencil pair then comes with its conjugate pair.
     """
 
     value: complex
     vector: np.ndarray
-    residual: float
+    residual: float | None = None
 
 
 def pencil_residual(F, G, value, vector):
-    """Relative residual of (value, vector) for the real pencil F - value*G.
-
-    ||(F - mu G) w||_2 / (||F||_F + |mu| ||G||_F), with mu and w real or
-    complex. Neither F - mu G nor a complex copy of F or G is formed: with
-    mu = a + ib and w = x + iy, the residual's real part is Fx - aGx + bGy and
-    its imaginary part Fy - aGy - bGx, from one real product of F and one of G
-    with the two columns [x, y].
-    """
+    """Relative residual ||F w - mu G w||_2 / (||F||_F + |mu| ||G||_F) of a real
+    pair (mu, w) of the real pencil F - mu G, at w as given (not normalized)."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    vector = np.asarray(vector)
-    a, b = value.real, value.imag
-    parts = np.column_stack([vector.real, vector.imag])
-    fw, gw = F @ parts, G @ parts
-    real = fw[:, 0] - a * gw[:, 0] + b * gw[:, 1]
-    imag = fw[:, 1] - a * gw[:, 1] - b * gw[:, 0]
-    num = np.hypot(np.linalg.norm(real), np.linalg.norm(imag))
+    w = np.asarray(vector, dtype=float)
+    num = np.linalg.norm(F @ w - value * (G @ w))
     den = np.linalg.norm(F) + abs(value) * np.linalg.norm(G)
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
@@ -241,11 +231,14 @@ def rect_pencil_eig(F, G):
     Directions in that nullspace solve the pencil for every mu and are not
     reported.
 
-    Each pair carries its residual against the original rectangular system,
-    from one ``pencil_residual`` call per returned pair in real arithmetic;
-    nothing is filtered on it. Complex eigenvalues appear together with their
-    conjugates. Vectors have unit 2-norm and a deterministic sign. Pairs are
-    ordered by (Re mu, Im mu); equal eigenvalues keep QZ's order.
+    With full column rank the pairs are those of the least-squares (Galerkin)
+    pencil (G^T F, G^T G): a tall pencil's pairs solve G^T (F - mu G) w = 0,
+    not F w = mu G w. A wide pencil's pairs are exact pairs of F - mu G.
+
+    No pair is certified here (``residual`` is None) and nothing is filtered.
+    Complex eigenvalues appear together with their conjugates. Vectors have
+    unit 2-norm and a deterministic sign. Pairs are ordered by (Re mu, Im mu);
+    equal eigenvalues keep QZ's order.
 
     Raises
     ------
@@ -258,11 +251,9 @@ def rect_pencil_eig(F, G):
     G = np.asarray(G, dtype=float)
     if F.shape != G.shape or F.ndim != 2:
         raise ValueError("F and G must be 2-D arrays of the same shape")
-    norm_f = np.linalg.norm(F)
-    norm_g = np.linalg.norm(G)
-    if norm_f == 0.0 and norm_g == 0.0:
+    if not F.any() and not G.any():
         raise ValueError("at least one of F, G must be nonzero")
-    if norm_g == 0.0:
+    if not G.any():
         raise DegeneratePencilError("G = 0: the pencil has no finite eigenvalue")
 
     stacked = np.vstack([F, G])
@@ -282,12 +273,10 @@ def rect_pencil_eig(F, G):
     # one lift for every pair; v_r stays real, so no complex copy of it is made
     lifted = v_r @ coeffs.real + 1j * (v_r @ coeffs.imag)
 
-    pairs = []
-    for mu, w in zip(mus.tolist(), lifted.T):
-        w = w / np.linalg.norm(w)
-        mu = _realify(mu)
-        w = _realify(w)
-        pairs.append(EigenPair(mu, _sign_normalize(w), pencil_residual(F, G, mu, w)))
+    pairs = [
+        EigenPair(_realify(mu), _sign_normalize(_realify(w / np.linalg.norm(w))))
+        for mu, w in zip(mus.tolist(), lifted.T)
+    ]
 
     if not pairs:
         raise NoEigenpairError("the pencil has no finite eigenpair")

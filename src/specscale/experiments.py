@@ -70,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("ell must be between 1 and 3")
         if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
             raise ValueError("sigma_grid must hold positive values")
+        if self.k_neighbors < 1:
+            raise ValueError("k_neighbors must be at least 1")
         if self.fiedler_negative != "auto":
             self.fiedler_negative = float(self.fiedler_negative)
         if self.kmeans_restarts < 1:
@@ -156,10 +158,6 @@ class EvalReport:
             if best is None or key < best[0]:
                 best = (key, s.sigma)
         return None if best is None else best[1]
-
-    def selected_records(self):
-        chosen = self.selected_sigma
-        return [r for r in self.records if r.sigma == chosen and r.ok]
 
     def format_table(self):
         lines = [f"task={self.task} ell={self.ell} train_fraction={self.train_fraction:g}"]
@@ -360,7 +358,8 @@ def _failed_run(sigma, repetition, exc):
 def _run_over_splits(config, data, index_pairs):
     records = []
     for repetition, (train, test) in enumerate(index_pairs):
-        diffs = pairwise_sqdiff(data.values[train], 1.0)
+        # only a fit reads the pair tensor
+        diffs = pairwise_sqdiff(data.values[train], 1.0) if config.feature_scaling else None
         split_args = (config, data, train, test, repetition, diffs)
         try:
             shared = _kernel(*split_args, _UNIT_SIGMA, 0, shared=True)

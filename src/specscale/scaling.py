@@ -6,11 +6,19 @@ of the Gaussian kernel the unknown factors appear linearly, which turns the
 constrained Laplacian eigenproblem into an eigenproblem of a rectangular
 matrix pencil
 
-    [A alpha; gamma^T rho] [s; -1]  =  mu [B beta; 0^T 0] [s; -1],
+    F w = [A alpha; gamma^T rho] [s; -1]  =  mu [B beta; 0^T 0] [s; -1] = mu G w,
 
 whose eigenvector carries the factors s and whose eigenvalue mu equals one
 minus the targeted Laplacian eigenvalue. ``learn_scaling`` solves that pencil
 and selects the candidate with mu closest to one.
+
+F and G have n_train + 1 rows and m + 1 columns. A wide pencil (more features
+than training samples) has exact pairs, a whole family of them. A pencil with
+full column rank, rank([F; G]) = m + 1, such as the tall toy pencils, has no
+exact pair in general; it is solved as its least-squares (Galerkin) reduction
+eig(G^T F, G^T G) (Das & Neumaier, SISC 2013). G's last row is zero, so the
+constraint row (gamma^T, rho) does not enter G^T F: it is reported as
+``constraint_violation`` and not enforced.
 """
 
 from __future__ import annotations
@@ -35,7 +43,9 @@ from .similarity import (
     scaled_sqdist,
 )
 
-DEFAULT_RESIDUAL_TOL = 1e-6
+# Certifies a residual, and tells factors from s = 0 (see ``learn_scaling``):
+# on toy splits at widths 0.01 to 100, s = 0 reads <= 2.6e-9, other pairs >= 0.029.
+_RESIDUAL_TOL = 1e-6
 _LAST_COMPONENT_TOL = 1e-12
 
 
@@ -176,10 +186,9 @@ def has_full_column_rank(ps: PencilSystem) -> bool:
 class ScalingVector:
     """Learned factors with the selected eigenvalue and its certificates.
 
-    ``residual`` is the relative pencil residual evaluated at [factors; -1];
-    ``certified`` records whether it met the requested tolerance (for tall
-    systems with many more samples than features the pencil is overdetermined
-    and only an approximate, minimal-perturbation style solution exists).
+    ``residual`` is ||(F - mu G) [s; -1]|| / (||F||_F + |mu| ||G||_F), and
+    ``certified`` whether it meets 1e-6: whether (mu, [s; -1]) is an exact pair
+    of F - mu G, which only wide pencils have (see the module docstring).
     """
 
     factors: np.ndarray
@@ -193,21 +202,22 @@ class ScalingVector:
         return self.factors.shape[0]
 
 
-def learn_scaling(ps: PencilSystem, residual_tol=DEFAULT_RESIDUAL_TOL) -> ScalingVector:
+def learn_scaling(ps: PencilSystem) -> ScalingVector:
     """Solve the assembled pencil for scaling factors.
 
-    The pencil is solved once, keeping every finite candidate. Each candidate
-    vector is rescaled so its last component is -1, and the candidates are
-    ranked by the distance of the real part of mu to one (ties by smaller
-    residual, then the solver's deterministic order). Complex selections are
-    repaired by taking real parts.
+    The pencil is solved once (as the Galerkin pencil when [F; G] has full
+    column rank). Each candidate vector is rescaled so its last component is
+    -1, and complex candidates are repaired by taking real parts. Dropped are
+    candidates whose last component vanishes (NonNormalizableError if all do)
+    and those whose factors do nothing, ||[A; B] s|| <= 1e-6 ||[alpha; beta]||
+    (NoScalingError if all do). That test is sigma-free, as A and B carry
+    1/(2 sigma^2) and s carries 2 sigma^2; it drops the exact pair s = 0 at
+    mu = -1/(n_train - 1) of a target that sums to zero.
 
-    The first ranked candidate whose own residual and whose repaired residual
-    both meet ``residual_tol`` is returned with ``certified=True``. When none
-    does, which is the generic situation for overdetermined systems (more
-    training samples than features), the best-ranked candidate is returned with
-    the residual it achieves, and ``certified`` records whether that meets the
-    tolerance.
+    The rest are ranked by |Re mu - 1| (ties keep the solver's order) and
+    certified in that order: the first whose residual meets 1e-6 is returned
+    with ``certified=True``, else the first one with ``certified=False`` (the
+    generic case for tall pencils).
     """
     F, G = ps.F(), ps.G()
     try:
@@ -215,7 +225,7 @@ def learn_scaling(ps: PencilSystem, residual_tol=DEFAULT_RESIDUAL_TOL) -> Scalin
     except NoEigenpairError as exc:
         raise NoScalingError("the pencil produced no usable candidates") from exc
     candidates = [
-        (pair, -(pair.vector[:-1] / pair.vector[-1]))
+        (float(np.real(pair.value)), np.real(-(pair.vector[:-1] / pair.vector[-1])))
         for pair in pairs
         if abs(pair.vector[-1]) >= _LAST_COMPONENT_TOL
     ]
@@ -223,30 +233,30 @@ def learn_scaling(ps: PencilSystem, residual_tol=DEFAULT_RESIDUAL_TOL) -> Scalin
         raise NonNormalizableError(
             "every candidate eigenvector has a vanishing last component"
         )
+    AB = np.vstack([ps.A, ps.B])
+    effect = np.linalg.norm(AB @ np.column_stack([s for _, s in candidates]), axis=0)
+    floor = _RESIDUAL_TOL * np.hypot(np.linalg.norm(ps.alpha), np.linalg.norm(ps.beta))
+    candidates = [c for c, e in zip(candidates, effect) if e > floor]
+    if not candidates:
+        raise NoScalingError("every normalizable candidate has factors that do nothing")
     # stable sort: equal keys keep the solver's order
-    ranked = sorted(
-        candidates, key=lambda c: (abs(np.real(c[0].value) - 1.0), c[0].residual)
-    )
+    candidates.sort(key=lambda c: abs(c[0] - 1.0))
 
-    def finish(pair, s):
-        mu = float(np.real(pair.value))
-        s_real = np.ascontiguousarray(np.real(s), dtype=float)
-        vec = np.concatenate([s_real, [-1.0]])
-        res = pencil_residual(F, G, mu, vec)
-        return ScalingVector(
-            factors=s_real,
+    inspected = []
+    for mu, s in candidates:
+        s = np.ascontiguousarray(s)
+        res = pencil_residual(F, G, mu, np.concatenate([s, [-1.0]]))
+        result = ScalingVector(
+            factors=s,
             eigenvalue=mu,
             residual=res,
-            constraint_violation=abs(float(ps.gamma @ s_real - ps.rho)),
-            certified=bool(res <= residual_tol),
+            constraint_violation=abs(float(ps.gamma @ s - ps.rho)),
+            certified=bool(res <= _RESIDUAL_TOL),
         )
-
-    for pair, s in ranked:
-        if pair.residual <= residual_tol:
-            result = finish(pair, s)
-            if result.certified:
-                return result
-    return finish(*ranked[0])
+        if result.certified:
+            return result
+        inspected.append(result)
+    return inspected[0]
 
 
 def scaling_table(scaling, feature_names) -> str:

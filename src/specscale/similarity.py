@@ -167,40 +167,6 @@ class SimilarityGraph:
         return self.weights.shape[0]
 
 
-def _finish_graph(W, nearest=None) -> SimilarityGraph:
-    """Degrees and Laplacian of a symmetric CSR weight matrix, as a graph.
-
-    Raises IsolatedSampleError if some degree is zero. The isolated samples are
-    ranked most isolated first: by ``nearest``, each sample's delta_s to its
-    nearest other sample (descending, ties to the smaller index), or by index
-    when no distances are given. The ranking runs only on this failure path.
-    """
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    isolated = np.flatnonzero(degrees == 0.0)
-    if isolated.size:
-        if nearest is not None:
-            isolated = isolated[np.argsort(-nearest[isolated], kind="stable")]
-        raise IsolatedSampleError(
-            f"sample {isolated[0]} has zero degree "
-            f"({isolated.size} isolated in total)",
-            samples=isolated,
-        )
-    laplacian = (scipy.sparse.diags(degrees) - W).tocsr()
-    return SimilarityGraph(weights=W, degrees=degrees, laplacian=laplacian)
-
-
-def graph_from_weights(W) -> SimilarityGraph:
-    """Wrap an explicit symmetric weight matrix (zero diagonal) as a graph."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("weight matrix must be square")
-    if not np.array_equal(W, W.T):
-        raise ValueError("weight matrix must be exactly symmetric")
-    if np.any(np.diag(W) != 0.0):
-        raise ValueError("weight matrix must have a zero diagonal")
-    return _finish_graph(scipy.sparse.csr_matrix(W))
-
-
 def _nearest(d2, k):
     """Each row's k smallest entries of a row block d2, ties to the smaller column.
 
@@ -269,4 +235,15 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     W = (kept + kept.T) / 2.0
     W.eliminate_zeros()
     W.sort_indices()
-    return _finish_graph(W, near[:, 0])
+    degrees = np.asarray(W.sum(axis=1)).ravel()
+    isolated = np.flatnonzero(degrees == 0.0)
+    if isolated.size:
+        # most isolated first: farthest from its nearest other sample (stable)
+        isolated = isolated[np.argsort(-near[isolated, 0], kind="stable")]
+        raise IsolatedSampleError(
+            f"sample {isolated[0]} has zero degree "
+            f"({isolated.size} isolated in total)",
+            samples=isolated,
+        )
+    laplacian = (scipy.sparse.diags(degrees) - W).tocsr()
+    return SimilarityGraph(weights=W, degrees=degrees, laplacian=laplacian)

@@ -197,6 +197,40 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--repetitions", "0"], None),
+        (["--fraction", "0"], None),
+        (["--k-neighbors", "0"], None),
+        (["--kmeans-restarts", "0"], None),
+        (["--sigma-grid", "0"], None),
+        ([], "ell=4"),
+        ([], "k_neighbors=x"),
+        ([], "no_standardize=maybe"),
+    ],
+    ids=[
+        "repetitions", "fraction", "k-neighbors", "kmeans-restarts", "sigma-grid",
+        "config-ell", "config-k-neighbors", "config-bool",
+    ],
+)
+def test_bad_option_value_is_a_usage_error(toy_file, tmp_path, capsys, flags, config):
+    argv = ["classify", "--data", str(toy_file), "--output-dir", str(tmp_path), *flags]
+    if config is not None:
+        conf = tmp_path / "bad.conf"
+        conf.write_text(config + "\n")
+        argv += ["--config", str(conf)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        line for line in err.splitlines() if line.startswith("specscale: error:")
+    ]
+    assert err.count("error:") == 1
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_lanczos_failure_is_a_recorded_row(tmp_path, monkeypatch, capsys):
     from scipy.sparse.linalg import ArpackNoConvergence
 

@@ -17,13 +17,16 @@ from specscale import (
     ExperimentConfig,
     KernelParams,
     SplitSpec,
+    assemble_pencil,
     build_similarity,
     eigensolvers,
     embedding,
     generate_toy,
+    learn_scaling,
     pencil_residual,
     rect_pencil_eig,
     run_pipeline,
+    scaling,
     standardize,
     sym_gen_eig,
 )
@@ -320,10 +323,8 @@ class TestRectPencilEig:
         pairs = rect_pencil_eig(F, G)
         assert pairs
         for p in pairs:
-            assert p.residual <= 1e-6
-            assert pencil_residual(F, G, p.value, p.vector) == pytest.approx(
-                p.residual, abs=1e-12
-            )
+            assert p.residual is None
+            assert dense_residual(F, G, p.value, p.vector) <= 1e-6
             np.testing.assert_allclose(np.linalg.norm(p.vector), 1.0, atol=1e-12)
 
     def test_mildly_wide_pencil_certificates(self):
@@ -333,7 +334,7 @@ class TestRectPencilEig:
         G = rng.normal(size=(5, 7))
         pairs = rect_pencil_eig(F, G)
         assert pairs
-        assert all(p.residual <= 1e-6 for p in pairs)
+        assert all(dense_residual(F, G, p.value, p.vector) <= 1e-6 for p in pairs)
 
     def test_duplicate_columns_get_equal_components(self):
         # duplicate a column: e_0 - e_3 is annihilated by both matrices, so a
@@ -394,7 +395,7 @@ def dense_residual(F, G, mu, w):
 
 
 class TestPencilCertificates:
-    """One lift and a real-arithmetic residual, checked against dense complex algebra."""
+    """One lift, and a real-arithmetic residual checked against dense complex algebra."""
 
     @pytest.mark.parametrize("shape", [(6, 15), (15, 6)], ids=["wide", "tall"])
     def test_residuals_match_dense_complex_evaluation(self, shape):
@@ -405,47 +406,53 @@ class TestPencilCertificates:
         complex_pairs = [p for p in pairs if np.iscomplexobj(p.value)]
         assert complex_pairs and len(complex_pairs) < len(pairs)
         for p in pairs:
-            assert p.residual == pytest.approx(
-                dense_residual(F, G, p.value, p.vector), rel=1e-12, abs=1e-15
-            )
             assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-14)
             assert np.iscomplexobj(p.vector) == np.iscomplexobj(p.value)
+            if not np.iscomplexobj(p.value):
+                assert pencil_residual(F, G, p.value, p.vector) == pytest.approx(
+                    dense_residual(F, G, p.value, p.vector), rel=1e-12, abs=1e-15
+                )
         for p in complex_pairs:
             twin = min(complex_pairs, key=lambda q: abs(q.value - np.conj(p.value)))
             assert twin is not p
             assert abs(twin.value - np.conj(p.value)) <= 1e-12 * abs(p.value)
             np.testing.assert_allclose(twin.vector, np.conj(p.vector), rtol=0, atol=1e-15)
-
-    def test_pencil_residual_with_complex_value_and_vector(self):
-        rng = np.random.default_rng(29)
-        F = rng.normal(size=(7, 11))
-        G = rng.normal(size=(7, 11))
+        # the residual is taken at w as given, not at a unit copy
         for _ in range(5):
-            mu = complex(*rng.normal(size=2))
-            w = rng.normal(size=11) + 1j * rng.normal(size=11)
-            w /= np.linalg.norm(w)
+            mu = float(rng.normal())
+            w = rng.normal(size=shape[1]) * 3.0
             assert pencil_residual(F, G, mu, w) == pytest.approx(
-                dense_residual(F, G, mu, w), rel=1e-12, abs=1e-15
+                dense_residual(F, G, mu, w) * np.linalg.norm(w), rel=1e-12, abs=1e-15
             )
-        w = rng.normal(size=11)
-        w /= np.linalg.norm(w)
-        assert pencil_residual(F, G, 0.3, w) == pytest.approx(
-            dense_residual(F, G, 0.3, w), rel=1e-12, abs=1e-15
-        )
 
-    def test_one_certificate_per_returned_pair(self, monkeypatch):
-        calls = []
+    def test_one_certificate_per_inspected_candidate(self, monkeypatch):
+        # rect_pencil_eig certifies nothing; learn_scaling certifies candidates
+        # in order of |Re mu - 1| and stops at the first that meets 1e-6
+        seen = []
 
         def counted(F, G, value, vector):
-            calls.append(value)
-            return pencil_residual(F, G, value, vector)
+            seen.append((value, pencil_residual(F, G, value, vector)))
+            return seen[-1][1]
 
         monkeypatch.setattr(eigensolvers, "pencil_residual", counted)
+        monkeypatch.setattr(scaling, "pencil_residual", counted)
         rng = np.random.default_rng(31)
-        for shape in [(6, 15), (15, 6), (5, 5)]:
-            calls.clear()
-            pairs = rect_pencil_eig(rng.normal(size=shape), rng.normal(size=shape))
-            assert len(calls) == len(pairs)
-            assert sorted(map(complex, calls), key=lambda z: (z.real, z.imag)) == [
-                complex(p.value) for p in pairs
-            ]
+        for n_samples, n_features, wide in [(60, 4, False), (6, 8, True)]:
+            X = rng.normal(size=(n_samples, n_features))
+            v = np.where(rng.random(n_samples) < 0.3, 1.0, -0.2)
+            v[:2] = [1.0, -0.2]
+            ps = assemble_pencil(X, v, 1.0)
+            seen.clear()
+            pairs = rect_pencil_eig(ps.F(), ps.G())
+            assert seen == []
+            sv = learn_scaling(ps)
+            assert sv.certified == wide
+            distances = [abs(mu - 1.0) for mu, _ in seen]
+            assert distances == sorted(distances)
+            if wide:
+                assert all(res > 1e-6 for _, res in seen[:-1])
+                assert seen[-1] == (sv.eigenvalue, sv.residual)
+            else:
+                assert all(abs(p.vector[-1]) >= 1e-12 for p in pairs)
+                assert len(seen) == len(pairs)
+                assert seen[0] == (sv.eigenvalue, sv.residual)

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
-
 import scipy.linalg
+import scipy.sparse
 
-from specscale import embed, graph_from_weights, ncut_objective
+from specscale import SimilarityGraph, embed, ncut_objective
 from specscale.errors import DegenerateVectorError, InsufficientSpectrumError
+
+
+def graph_from_weights(W):
+    """A hand graph: CSR weights W, degrees d and Laplacian diags(d) - W."""
+    W = scipy.sparse.csr_matrix(W)
+    degrees = np.asarray(W.sum(axis=1)).ravel()
+    laplacian = (scipy.sparse.diags(degrees) - W).tocsr()
+    return SimilarityGraph(weights=W, degrees=degrees, laplacian=laplacian)
 
 
 def two_cliques(eps=0.0):

@@ -147,6 +147,33 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(toy_config("cluster"), dm)
 
+    def test_zero_sum_target_learns_nontrivial_factors(self):
+        # 240 = 12 * 20: the classes are 40 and 200, each training half keeps
+        # 1:5, so the -0.2 target sums to zero and s = 0 is an exact pencil
+        # pair; selecting it would leave the unscaled graph at every width
+        data = standardize(generate_toy(240, seed=0))
+        cfg = toy_config("cluster", sigma_grid=(1.0,), split=SplitSpec(0.5, seed=0, repetitions=4))
+        report = run_pipeline(cfg, data)
+        assert len(report.records) == 4
+        for r in report.records:
+            assert r.scaled and np.linalg.norm(r.factors) > 1e-3
+            assert r.ri >= 0.95
+
+    @pytest.mark.parametrize("feature_scaling, expected", [(True, 2), (False, 0)])
+    def test_pair_tensor_built_only_for_a_fit(self, monkeypatch, feature_scaling, expected):
+        calls = []
+        build = experiments.pairwise_sqdiff
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "pairwise_sqdiff", counting)
+        data = standardize(generate_toy(120, seed=0))
+        report = run_pipeline(toy_config("cluster", feature_scaling=feature_scaling), data)
+        assert all(r.ok for r in report.records)
+        assert len(calls) == expected
+
 
 COUNTED = (
     "assemble_pencil",
@@ -366,6 +393,10 @@ class TestConfigValidation:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             ExperimentConfig(task="cluster", sigma_grid=(0.0, 1.0))
+
+    def test_bad_k_neighbors(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(task="cluster", k_neighbors=0)
 
     def test_config_dict_roundtrip(self):
         cfg = toy_config("cluster")

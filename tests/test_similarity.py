@@ -10,7 +10,6 @@ from specscale import (
     similarity,
     build_similarity,
     generate_toy,
-    graph_from_weights,
     pairwise_sqdiff,
     scaled_sqdist,
     standardize,
@@ -249,21 +248,3 @@ class TestScaledSqdist:
             KernelParams(sigma=0.0)
         with pytest.raises(ValueError):
             KernelParams(sigma=1.0, k_neighbors=0)
-
-
-class TestGraphFromWeights:
-    def test_wraps_explicit_graph(self):
-        W = np.array([[0.0, 1.0], [1.0, 0.0]])
-        g = graph_from_weights(W)
-        np.testing.assert_array_equal(g.degrees, [1.0, 1.0])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            graph_from_weights(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_rejects_isolated(self):
-        W = np.zeros((3, 3))
-        W[0, 1] = W[1, 0] = 1.0
-        with pytest.raises(IsolatedSampleError, match="sample 2") as info:
-            graph_from_weights(W)
-        np.testing.assert_array_equal(info.value.samples, [2])
