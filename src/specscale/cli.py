@@ -29,6 +29,7 @@ from .experiments import (
     training_target,
 )
 from .scaling import assemble_pencil, learn_scaling, scaling_table
+from .similarity import KernelParams
 
 
 def _parse_float_list(text):
@@ -137,9 +138,17 @@ def _load_data(args):
     return data
 
 
-def _build_config(args, task):
+def _usage_errors(build):
+    """``build()``, with its ValueError raised as a usage error (exit code 2)."""
     try:
-        return ExperimentConfig(
+        return build()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _build_config(args, task):
+    return _usage_errors(
+        lambda: ExperimentConfig(
             task=task,
             ell=getattr(args, "ell", 1),
             sigma_grid=tuple(args.sigma_grid),
@@ -152,8 +161,7 @@ def _build_config(args, task):
             seed=args.seed,
             feature_scaling=not args.no_feature_scaling,
         )
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    )
 
 
 def _emit(reports, output_dir):
@@ -191,6 +199,7 @@ def _cmd_classify(args):
 
 def _cmd_sweep(args):
     config = _build_config(args, args.task)
+    _usage_errors(lambda: [SplitSpec(fraction) for fraction in args.fractions])
     reports = sweep(config, args.fractions, _load_data(args))
     _emit(reports, args.output_dir)
     return 0
@@ -204,12 +213,10 @@ def _cmd_loocv(args):
 
 
 def _cmd_inspect_scaling(args):
+    spec = _usage_errors(lambda: SplitSpec(args.fraction, args.seed, repetitions=1))
+    _usage_errors(lambda: KernelParams(args.sigma))
     data = _load_data(args)
-    train, _ = split(
-        data,
-        SplitSpec(train_fraction=args.fraction, seed=args.seed, repetitions=1),
-        repetition=0,
-    )
+    train, _ = split(data, spec, repetition=0)
     fiedler = training_target(
         data.values[train], data.labels[train], args.fiedler_negative, args.sigma
     )

@@ -358,8 +358,8 @@ def _failed_run(sigma, repetition, exc):
 def _run_over_splits(config, data, index_pairs):
     records = []
     for repetition, (train, test) in enumerate(index_pairs):
-        # only a fit reads the pair tensor
-        diffs = pairwise_sqdiff(data.values[train], 1.0) if config.feature_scaling else None
+        # only a fit reads the pair moments; they hold no width, so one serves every sigma
+        diffs = pairwise_sqdiff(data.values[train]) if config.feature_scaling else None
         split_args = (config, data, train, test, repetition, diffs)
         try:
             shared = _kernel(*split_args, _UNIT_SIGMA, 0, shared=True)

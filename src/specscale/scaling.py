@@ -131,32 +131,36 @@ class PencilSystem:
 def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None) -> PencilSystem:
     """Assemble the pencil blocks from training data and the target vector.
 
-    ``diffs`` may carry precomputed pairwise squared differences for the same
-    X (any kernel width); they are rescaled to ``sigma`` without summing the
-    tensor again.
+    A_ik = c sum_j v_j (x_ik - x_jk)^2 and x^_ik = c sum_j (x_ik - x_jk)^2, with
+    c = 1/(2 sigma^2). Expanding the square on the column-centered x~ gives
+    A = c (x~^2 (e^T v) - 2 x~ o (v^T x~) + v^T x~^2) and x^ = c ``diffs.sqdiff``,
+    in O(n m) memory. ``diffs`` may carry ``pairwise_sqdiff(X)``; it holds no
+    kernel width, so one serves every sigma.
     """
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     values = as_values(X)
     v = fiedler.values if isinstance(fiedler, FiedlerEstimate) else np.asarray(fiedler, float)
     n, m = values.shape
     if v.shape != (n,):
         raise ValueError(f"target vector length {v.shape} does not match {n} samples")
     if diffs is None:
-        diffs = pairwise_sqdiff(values, sigma)
-    elif diffs.sigma != sigma:
-        diffs = diffs.rescaled(sigma)
-    if diffs.n_samples != n:
+        diffs = pairwise_sqdiff(values)
+    if diffs.sqdiff.shape != (n, m):
         raise ValueError("precomputed differences do not match X")
 
-    xhat = diffs.xhat
-    A = np.einsum("ijk,j->ik", diffs.sqdiff, v) * diffs.scale
+    c = 1.0 / (2.0 * sigma**2)
+    centered, squares = diffs.centered, np.square(diffs.centered)
+    A = c * (squares * v.sum() - 2.0 * centered * (v @ centered) + v @ squares)
+    xhat = c * diffs.sqdiff
     B = v[:, None] * xhat
     alpha = v.sum() - v
     beta = (n - 1) * v
     gamma = xhat.T @ v
     rho = (n - 1) * v.sum()
 
-    # column sums of A and B agree by the symmetry of the pair tensor; a
-    # violation can only come from a bug upstream
+    # column sums of A and B agree by the symmetry of the pairs (x~ sums to
+    # zero); a violation can only come from a bug upstream
     drift = np.max(np.abs((A - B).sum(axis=0)))
     if drift > 1e-10 * max(np.linalg.norm(A), 1e-300):
         raise InternalConsistencyError(

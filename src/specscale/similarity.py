@@ -9,7 +9,7 @@ delta_s and the result is symmetrized in CSR as (W + W^T) / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -56,38 +56,20 @@ class KernelParams:
 
 @dataclass
 class PairwiseDifferences:
-    """Per-pair squared feature differences and their kernel-scaled aggregates.
+    """Per-sample moments of the squared feature differences over all pairs.
 
-    ``sqdiff[i, j, k]`` is (x_ik - x_jk)^2 (unscaled) and ``rowsums[i]`` its
-    sum over j, formed once per tensor; ``xhat[i]`` is rowsums[i] scaled by
-    1/(2 sigma^2).
+    Pair differences do not see the column means, so X is centered once:
+    ``centered`` is x~ = X minus its column means, and ``sqdiff[i, k]`` is
+    sum_j (x_ik - x_jk)^2 = n x~_ik^2 + sum_j x~_jk^2. Both are n x m and free
+    of the kernel width; the n x n x m tensor of the pairs is never formed.
     """
 
+    centered: np.ndarray
     sqdiff: np.ndarray
-    sigma: float
-    rowsums: np.ndarray
-
-    @property
-    def scale(self):
-        return 1.0 / (2.0 * self.sigma**2)
-
-    @property
-    def xhat(self):
-        return self.rowsums * self.scale
-
-    @property
-    def n_samples(self):
-        return self.sqdiff.shape[0]
-
-    def rescaled(self, sigma):
-        """Same pair tensor and row sums under a different kernel width."""
-        return replace(self, sigma=float(sigma))
 
 
-def pairwise_sqdiff(X, sigma) -> PairwiseDifferences:
-    """All pairwise squared feature differences of the rows of X."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+def pairwise_sqdiff(X) -> PairwiseDifferences:
+    """Sums over all pairs of the squared feature differences of the rows of X."""
     values = as_values(X)
     if values.ndim != 2:
         raise ValueError("X must be 2-D")
@@ -95,16 +77,17 @@ def pairwise_sqdiff(X, sigma) -> PairwiseDifferences:
         raise InsufficientSamplesError("need at least two samples")
     if not np.all(np.isfinite(values)):
         raise ValueError("X contains non-finite entries")
-    diff = values[:, None, :] - values[None, :, :]
-    sqdiff = np.square(diff, out=diff)
-    return PairwiseDifferences(sqdiff, float(sigma), sqdiff.sum(axis=1))
+    centered = values - values.mean(axis=0)
+    squares = np.square(centered)
+    sqdiff = values.shape[0] * squares + squares.sum(axis=0)
+    return PairwiseDifferences(centered, sqdiff)
 
 
 # float64 entries (4 MB) per row block of an n x n pairwise array, so that no
-# layer outside the pair tensor holds O(n^2) memory. Measured at n = 3200 with
-# one BLAS thread: 1 to 4 MB blocks build the k-NN graph fastest (0.13 to
-# 0.15 s, against 0.20 s at 128 kB and 0.17 to 0.19 s at 8 MB and up), and of
-# those the largest keeps the most rows per block as n grows.
+# layer holds O(n^2) memory. Measured at n = 3200 with one BLAS thread: 1 to
+# 4 MB blocks build the k-NN graph fastest (0.13 to 0.15 s, against 0.20 s at
+# 128 kB and 0.17 to 0.19 s at 8 MB and up), and of those the largest keeps
+# the most rows per block as n grows.
 _BLOCK_ENTRIES = 1 << 19
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from specscale import DataMatrix, load_matrix, save_matrix
+from specscale import DataMatrix, cli, load_matrix, save_matrix
 from specscale.cli import main
 
 
@@ -198,24 +198,38 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, config",
+    "command, flags, config",
     [
-        (["--repetitions", "0"], None),
-        (["--fraction", "0"], None),
-        (["--k-neighbors", "0"], None),
-        (["--kmeans-restarts", "0"], None),
-        (["--sigma-grid", "0"], None),
-        ([], "ell=4"),
-        ([], "k_neighbors=x"),
-        ([], "no_standardize=maybe"),
+        ("classify", ["--repetitions", "0"], None),
+        ("classify", ["--fraction", "0"], None),
+        ("classify", ["--k-neighbors", "0"], None),
+        ("classify", ["--kmeans-restarts", "0"], None),
+        ("classify", ["--sigma-grid", "0"], None),
+        ("classify", [], "ell=4"),
+        ("classify", [], "k_neighbors=x"),
+        ("classify", [], "no_standardize=maybe"),
+        ("sweep", ["--fractions", "0,0.5"], None),
+        ("inspect-scaling", ["--fraction", "0"], None),
+        ("inspect-scaling", ["--sigma", "0"], None),
+        ("inspect-scaling", ["--sigma", "nan"], None),
     ],
     ids=[
         "repetitions", "fraction", "k-neighbors", "kmeans-restarts", "sigma-grid",
-        "config-ell", "config-k-neighbors", "config-bool",
+        "config-ell", "config-k-neighbors", "config-bool", "sweep-fractions",
+        "inspect-fraction", "inspect-sigma-zero", "inspect-sigma-nan",
     ],
 )
-def test_bad_option_value_is_a_usage_error(toy_file, tmp_path, capsys, flags, config):
-    argv = ["classify", "--data", str(toy_file), "--output-dir", str(tmp_path), *flags]
+def test_bad_option_value_is_a_usage_error(
+    toy_file, tmp_path, capsys, monkeypatch, command, flags, config
+):
+    # the option is rejected before the data file is read
+    def no_read(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_matrix", no_read)
+    argv = [command, "--data", str(toy_file), *flags]
+    if command != "inspect-scaling":
+        argv += ["--output-dir", str(tmp_path)]
     if config is not None:
         conf = tmp_path / "bad.conf"
         conf.write_text(config + "\n")

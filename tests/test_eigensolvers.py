@@ -12,22 +12,18 @@ import scipy.sparse.csgraph
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from specscale import (
-    DataMatrix,
     EigenPair,
-    ExperimentConfig,
     KernelParams,
-    SplitSpec,
     assemble_pencil,
     build_similarity,
     eigensolvers,
-    embedding,
     generate_toy,
     learn_scaling,
     pencil_residual,
     rect_pencil_eig,
-    run_pipeline,
     scaling,
     standardize,
+    scaled_sqdist,
     sym_gen_eig,
 )
 from specscale.errors import (
@@ -229,34 +225,21 @@ class TestSymCertificateScale:
                 else:
                     assert 0.0 < b.residual <= 1e-13
 
-    def test_huge_weights_run_without_overflow(self, monkeypatch):
-        # 16 x 40, three features shifted for class 1: the learned factors are
-        # negative enough that the kept kernel weights reach ~1e210, where the
+    def test_huge_weights_run_without_overflow(self):
+        # equal negative factors sized so that the farthest pair has
+        # delta_s = -500 and weight exp(500) ~ 1e217 at 2 sigma^2 = 1: each
+        # row keeps its most negative delta_s, so that pair is an edge, and the
         # sum of squares of L's entries overflows
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((16, 40))
-        values[:8, :3] += 1.5
-        labels = np.array([1] * 8 + [2] * 8)
-        data = standardize(
-            DataMatrix(values=values, feature_names=[f"f{j}" for j in range(40)], labels=labels)
-        )
-        seen = []
-        solve = embedding.sym_gen_eig
-
-        def recording(L, D, k):
-            seen.append(np.max(np.abs(L.data)))
-            return solve(L, D, k)
-
-        monkeypatch.setattr(embedding, "sym_gen_eig", recording)
-        cfg = ExperimentConfig(
-            task="classify", sigma_grid=(1.0,), split=SplitSpec(0.5, repetitions=1, seed=0)
-        )
+        values = np.random.default_rng(3).standard_normal((16, 40))
+        factors = np.full(40, -500.0 / scaled_sqdist(values).max())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = run_pipeline(cfg, data)
-        assert max(seen) > 1e200
-        (record,) = report.records
-        assert record.ok and record.scaled
+            graph = build_similarity(values, KernelParams(np.sqrt(0.5), scaling=factors))
+            pairs = sym_gen_eig(graph.laplacian, graph.degrees, k=2)
+        assert np.max(np.abs(graph.laplacian.data)) > 1e200
+        for pair in pairs:
+            assert np.isfinite(pair.value)
+            assert 0.0 < pair.residual <= 1e-8
 
 
 class TestRectPencilEig:

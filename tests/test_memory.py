@@ -5,6 +5,11 @@ but keep only O(n k) results, so they work in row blocks. A dense n x n float64
 array is n^2 * 8 bytes; each layer's traced peak must stay below a quarter of
 that. Measured at n = 3000: 3.0 of it for the graph and the linearization
 share and 0.75 for 1-NN with whole arrays, 0.18 for each in 4 MB row blocks.
+
+Pencil assembly sums over all n_train^2 training pairs in closed form, from
+per-sample moments, so its peak must stay below 32 float64 arrays of the
+training rows' size (n_train * m). Measured at n_train = 1500 and m = 10:
+180.6 MB with the n_train x n_train x m pair tensor, 0.87 MB in closed form.
 """
 
 import tracemalloc
@@ -14,7 +19,9 @@ import pytest
 
 from specscale import (
     KernelParams,
+    assemble_pencil,
     build_similarity,
+    estimate_fiedler,
     generate_toy,
     linearization_violation_fraction,
     nn1_classify,
@@ -58,3 +65,11 @@ def test_nn1_holds_no_dense_distance_matrix(toy):
     train, test = np.arange(0, N, 2), np.arange(1, N, 2)
     peak = traced_peak(nn1_classify, embedded, train, data.labels[train], test)
     assert peak < LIMIT
+
+
+def test_pencil_assembly_holds_no_pair_tensor(toy):
+    data, _ = toy
+    train = np.arange(0, N, 2)  # n_train = 1500, m = 10
+    X = data.values[train]
+    fiedler = estimate_fiedler(data.labels[train], negative_value=-0.2)
+    assert traced_peak(assemble_pencil, X, fiedler, 1.0) < 32 * X.size * 8

@@ -79,7 +79,47 @@ class TestEstimateFiedler:
             estimate_fiedler([1, 2], "auto")
 
 
+def oracle_input(shape):
+    """Training rows and a target: the standardized toy (tall), 16 x 60 normal
+    data (wide), or the toy moved by +1e3 on every feature (shifted), where
+    centering must not lose the pair differences to cancellation."""
+    if shape == "wide":
+        rng = np.random.default_rng(8)
+        v = np.where(rng.random(16) < 0.5, 1.0, -0.2)
+        v[:2] = [1.0, -0.2]
+        return rng.normal(size=(16, 60)), v
+    data = standardize(generate_toy(200, seed=0))
+    v = estimate_fiedler(data.labels, negative_value=-0.2).values
+    return data.values + (1e3 if shape == "shifted" else 0.0), v
+
+
 class TestAssemblePencil:
+    @pytest.mark.parametrize("shape", ["tall", "wide", "shifted"])
+    @pytest.mark.parametrize("sigma", [SIGMA_UNIT, 10.0])
+    def test_blocks_match_pair_tensor(self, pair_tensor, shape, sigma):
+        X, v = oracle_input(shape)
+        n = X.shape[0]
+        tensor = pair_tensor(X)
+        c = 1.0 / (2.0 * sigma**2)
+        xhat = c * tensor.sum(axis=1)
+        expected = {
+            "A": c * np.einsum("ijk,j->ik", tensor, v),
+            "B": v[:, None] * xhat,
+            "alpha": v.sum() - v,
+            "beta": (n - 1) * v,
+            "gamma": xhat.T @ v,
+            "rho": (n - 1) * v.sum(),
+        }
+        assert_relative(pairwise_sqdiff(X).sqdiff, tensor.sum(axis=1), 1e-12)
+        ps = assemble_pencil(X, v, sigma)
+        for name, block in expected.items():
+            assert_relative(getattr(ps, name), block, 1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+    def test_nonpositive_width_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            assemble_pencil(np.eye(3), np.array([1.0, -0.2, 1.0]), sigma)
+
     def test_two_sample_hand_values(self):
         fv = estimate_fiedler([1, 2], negative_value=-1.0)
         ps = assemble_pencil(np.array([[0.0], [1.0]]), fv, SIGMA_UNIT)
@@ -136,7 +176,7 @@ class TestAssemblePencil:
         X = rng.normal(size=(7, 4))
         v = np.where(rng.random(7) < 0.5, 1.0, -1.0)
         v[:2] = [1.0, -1.0]
-        diffs = pairwise_sqdiff(X, 1.0)
+        diffs = pairwise_sqdiff(X)
         a = assemble_pencil(X, v, 2.5)
         b = assemble_pencil(X, v, 2.5, diffs=diffs)
         np.testing.assert_array_equal(a.A, b.A)

@@ -9,10 +9,8 @@ from specscale import (
     KernelParams,
     similarity,
     build_similarity,
-    generate_toy,
     pairwise_sqdiff,
     scaled_sqdist,
-    standardize,
 )
 from specscale.errors import (
     InsufficientSamplesError,
@@ -64,47 +62,31 @@ def reference_knn_weights(Y, k, factors, sigma):
 
 class TestPairwiseSqdiff:
     def test_two_point_hand_values(self):
-        d = pairwise_sqdiff(np.array([[0.0], [1.0]]), SIGMA_UNIT)
-        np.testing.assert_array_equal(d.sqdiff[0, 1], [1.0])
-        np.testing.assert_allclose(d.xhat[0], [1.0])
+        d = pairwise_sqdiff(np.array([[0.0], [1.0]]))
+        np.testing.assert_array_equal(d.centered, [[-0.5], [0.5]])
+        np.testing.assert_array_equal(d.sqdiff, [[1.0], [1.0]])
 
     def test_identical_rows_give_zero(self):
         X = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        d = pairwise_sqdiff(X, 1.0)
-        np.testing.assert_array_equal(d.sqdiff[0, 1], np.zeros(2))
-
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(6, 4))
-        d = pairwise_sqdiff(X, 1.3)
-        np.testing.assert_array_equal(d.sqdiff, np.swapaxes(d.sqdiff, 0, 1))
+        d = pairwise_sqdiff(X)
+        np.testing.assert_array_equal(d.sqdiff[0], d.sqdiff[1])
+        same = pairwise_sqdiff(np.tile([1.0, 2.0], (3, 1)))
+        np.testing.assert_array_equal(same.sqdiff, np.zeros((3, 2)))
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(5, 3))
-        a = pairwise_sqdiff(X, 1.0)
-        b = pairwise_sqdiff(3.0 * X, 1.0)
+        a = pairwise_sqdiff(X)
+        b = pairwise_sqdiff(3.0 * X)
         np.testing.assert_allclose(b.sqdiff, 9.0 * a.sqdiff, rtol=1e-12)
 
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientSamplesError):
-            pairwise_sqdiff(np.array([[1.0, 2.0]]), 1.0)
+            pairwise_sqdiff(np.array([[1.0, 2.0]]))
 
-    def test_rescaled_shares_tensor(self):
-        X = np.random.default_rng(2).normal(size=(4, 2))
-        d1 = pairwise_sqdiff(X, 1.0)
-        d2 = d1.rescaled(2.0)
-        assert d2.sqdiff is d1.sqdiff
-        np.testing.assert_allclose(d2.xhat, d1.xhat / 4.0)
-
-    def test_rescaled_reuses_row_sums_bit_identically(self):
-        # the toy at one width, rescaled to each grid width, against a fresh tensor
-        X = standardize(generate_toy(60, seed=0)).values
-        base = pairwise_sqdiff(X, 1.0)
-        for sigma in (0.01, 0.1, 10.0, 100.0):
-            moved = base.rescaled(sigma)
-            assert moved.rowsums is base.rowsums
-            np.testing.assert_array_equal(moved.xhat, pairwise_sqdiff(X, sigma).xhat)
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pairwise_sqdiff(np.array([[1.0, 2.0], [np.nan, 0.0]]))
 
 
 class TestBuildSimilarity:
@@ -235,12 +217,11 @@ class TestScaledSqdist:
             # a row wider than a block still makes a block of one row
             assert list(similarity.row_blocks(2, 50)) == [slice(0, 1), slice(1, 2)]
 
-    def test_matches_pair_tensor(self):
+    def test_matches_pair_tensor(self, pair_tensor):
         rng = np.random.default_rng(7)
         Y = rng.normal(size=(9, 4))
         s = rng.normal(size=4)
-        d = pairwise_sqdiff(Y, 1.0)
-        direct = d.sqdiff @ s
+        direct = pair_tensor(Y) @ s
         np.testing.assert_allclose(scaled_sqdist(Y, s), direct, atol=1e-12)
 
     def test_kernel_params_validation(self):
