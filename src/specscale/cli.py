@@ -51,6 +51,14 @@ def _parse_fiedler(text):
         raise argparse.ArgumentTypeError("fiedler-negative must be a number or 'auto'")
 
 
+def _parse_delimiter(text):
+    # load_matrix tells only these two apart, so any other would write a file
+    # that cluster and classify cannot read
+    if text not in (",", "\t"):
+        raise argparse.ArgumentTypeError(f"delimiter must be ',' or a tab, got {text!r}")
+    return text
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -96,7 +104,7 @@ _CONFIG_TYPES = {
     "ell": int,
     "samples": int,
     "out": str,
-    "delimiter": str,
+    "delimiter": _parse_delimiter,
     "fractions": _parse_float_list,
     "no_standardize": _parse_bool,
     "no_feature_scaling": _parse_bool,
@@ -248,7 +256,8 @@ def build_parser():
     p.add_argument("--samples", type=int, default=800)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_parse_delimiter, default=",",
+                   help="',' (default) or a tab")
     p.add_argument("--config", help="key=value file; entries override flags")
     p.set_defaults(func=_cmd_generate)
 

@@ -106,10 +106,12 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     nearest = np.empty(test_indices.size, dtype=np.intp)
     for rows in row_blocks(test_indices.size, train_indices.size):
         block = test_points[rows]
-        # (t_j - r_j)^2 summed one dimension at a time: for ell <= 3 the same
-        # order, and so the same bits, as .sum(axis=2) over the dimensions
-        d2 = np.zeros((block.shape[0], train_indices.size))
-        for t, r in zip(block.T, train_points.T):
+        # (t_j - r_j)^2 summed one dimension at a time from the first: for
+        # ell <= 3 the same order, and so the same bits, as .sum(axis=2) over
+        # the dimensions
+        d2 = np.subtract.outer(block[:, 0], train_points[:, 0])
+        np.square(d2, out=d2)
+        for t, r in zip(block.T[1:], train_points.T[1:]):
             sq = np.subtract.outer(t, r)
             d2 += np.square(sq, out=sq)
         nearest[rows] = d2.argmin(axis=1)

@@ -28,7 +28,8 @@ class NoEigenpairError(SpecScaleError):
 
 
 class InsufficientSamplesError(SpecScaleError):
-    """An operation needs at least two samples."""
+    """An operation needs more samples: at least two, and more than a k-NN
+    graph's neighbourhood size."""
 
 
 class IsolatedSampleError(SpecScaleError):

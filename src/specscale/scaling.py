@@ -279,14 +279,15 @@ def linearization_violation_fraction(X, scaling, sigma) -> float:
     The first-order form of the kernel assumes 0 < s^T x_ij / (2 sigma^2) < 1
     for each pair; this reports how often that fails (over unordered pairs).
     The violations are counted over the upper triangle of delta_s in row
-    blocks, so no n x n array is held.
+    blocks, so no n x n array is held. Each block evaluates only the columns
+    at and past its first row, about half of the matrix in all.
     """
     factors = np.asarray(getattr(scaling, "factors", scaling), dtype=float)
     values = as_values(X)
     n = values.shape[0]
     violations = 0
     for rows in row_blocks(n, n):
-        t = scaled_sqdist(values, factors, rows) / (2.0 * sigma**2)
+        t = scaled_sqdist(values, factors, rows, slice(rows.start, n)) / (2.0 * sigma**2)
         outside = (t <= 0.0) | (t >= 1.0)
-        violations += np.count_nonzero(np.triu(outside, k=rows.start + 1))
+        violations += np.count_nonzero(np.triu(outside, k=1))
     return float(violations / (n * (n - 1) // 2))

@@ -99,19 +99,23 @@ def row_blocks(n_rows, n_cols):
         yield slice(start, min(start + step, n_rows))
 
 
-def _own_entries(n, rows):
-    """Index of each row's own sample in a row block of an n x n pairwise array."""
+def _own_entries(n, rows, cols=slice(None)):
+    """Index of each row's own sample in the block (rows, cols) of an n x n
+    pairwise array, for the rows whose own sample lies in the column slice
+    (both slices of step 1)."""
     own = np.arange(n)[rows]
-    return np.arange(own.size), own
+    start, stop, _ = cols.indices(n)
+    inside = np.flatnonzero((own >= start) & (own < stop))
+    return inside, own[inside] - start
 
 
-def scaled_sqdist(Y, factors=None, rows=slice(None)) -> np.ndarray:
+def scaled_sqdist(Y, factors=None, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """(Optionally per-feature weighted) squared distances from the rows
-    ``rows`` of Y (a slice, default all) to every row of Y.
+    ``rows`` of Y to the rows ``cols`` of Y (slices of step 1, default all).
 
-    Entry (i, j) is delta_s between samples rows[i] and j, and 0 on each
-    row's own sample. A row block is the same formula as the whole matrix
-    (the default), so callers evaluate n x n quantities block by block
+    Entry (i, j) is delta_s between samples rows[i] and cols[j], and 0 on each
+    row's own sample. A block is the same formula as the whole matrix (the
+    default), so callers evaluate n x n quantities block by block
     (``row_blocks``) without ever holding the whole matrix.
     """
     values = as_values(Y)
@@ -126,14 +130,15 @@ def scaled_sqdist(Y, factors=None, rows=slice(None)) -> np.ndarray:
             )
         norms = (values**2) @ factors
         block = block * factors
-    # (norm_i + norm_j) - 2 cross, in two block-sized arrays
-    cross = block @ values.T
-    cross *= 2.0
-    d2 = norms[rows, None] + norms[None, :]
+    # (norm_i + norm_j) - 2 cross, in two block-sized arrays; doubling is
+    # exact, so doubling the rows before the product gives the same bits as
+    # doubling the product
+    cross = (2.0 * block) @ values[cols].T
+    d2 = norms[rows, None] + norms[None, cols]
     d2 -= cross
     if factors is None or np.all(factors >= 0.0):
         np.maximum(d2, 0.0, out=d2)
-    d2[_own_entries(values.shape[0], rows)] = 0.0
+    d2[_own_entries(values.shape[0], rows, cols)] = 0.0
     return d2
 
 
@@ -154,13 +159,16 @@ def _nearest(d2, k):
     """Each row's k smallest entries of a row block d2, ties to the smaller column.
 
     Selects without sorting whole rows: every entry at most the row's k-th
-    smallest value is a candidate (k or more per row), and only the candidates
-    are ordered by (row, value, column). Returns (n, k) columns and values,
-    nearest first; the same as the first k columns of a stable row argsort.
+    smallest value (from ``np.partition``) is a candidate, k or more per row.
+    The candidates are found in one pass over the flat block, their (row,
+    column) recovered from the flat index, and only they are ordered by (row,
+    value, column). Returns (n, k) columns and values, nearest first; the same
+    as the first k columns of a stable row argsort.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    rows, cols = np.nonzero(d2 <= kth[:, None])
-    vals = d2[rows, cols]
+    flat = np.flatnonzero(d2 <= kth[:, None])
+    rows, cols = np.divmod(flat, d2.shape[1])
+    vals = d2.ravel()[flat]
     order = np.lexsort((cols, vals, rows))
     starts = np.searchsorted(rows, np.arange(d2.shape[0]))  # rows come sorted
     take = order[starts[:, None] + np.arange(k)]
@@ -197,7 +205,7 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
         raise InsufficientSamplesError("need at least two samples")
     k = params.k_neighbors
     if k >= n:
-        raise ValueError(f"k_neighbors={k} must be < {n} samples")
+        raise InsufficientSamplesError(f"k_neighbors={k} needs more than {n} samples")
 
     cols = np.empty((n, k), dtype=np.intp)
     near = np.empty((n, k))

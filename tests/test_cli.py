@@ -245,6 +245,55 @@ def test_bad_option_value_is_a_usage_error(
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("flags, config", [(["--delimiter", ";"], None), ([], "delimiter=;")],
+                         ids=["flag", "config"])
+def test_generate_rejects_a_delimiter_the_loader_cannot_read(tmp_path, capsys, flags, config):
+    out = tmp_path / "toy.csv"
+    argv = ["generate", "--samples", "60", "--out", str(out), *flags]
+    if config is not None:
+        conf = tmp_path / "gen.conf"
+        conf.write_text(config + "\n")
+        argv += ["--config", str(conf)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "delimiter must be ',' or a tab" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_tab_delimited_file_loads(tmp_path):
+    out = tmp_path / "toy.tsv"
+    assert main(["generate", "--samples", "60", "--out", str(out), "--delimiter", "\t"]) == 0
+    assert "\t" in out.read_text().splitlines()[0]
+    assert load_matrix(out).values.shape == (60, 10)
+
+
+@pytest.mark.parametrize(
+    "command, flags, n",
+    [
+        ("cluster", ["--k-neighbors", "100"], 60),
+        # "auto" builds its target's graph on the 30 training rows
+        ("classify", ["--k-neighbors", "40", "--fiedler-negative", "auto"], 30),
+    ],
+    ids=["cluster", "classify-auto"],
+)
+def test_k_neighbors_beyond_the_samples_is_a_recorded_error(tmp_path, capsys, command, flags, n):
+    data = tmp_path / "toy.csv"
+    assert main(["generate", "--samples", "60", "--out", str(data)]) == 0
+    outdir = tmp_path / "run"
+    argv = [command, "--data", str(data), "--output-dir", str(outdir),
+            "--sigma-grid", "1,10", "--repetitions", "2", *flags]
+    assert main(argv) == 1
+    assert "error: SpecScaleError: every run failed" in capsys.readouterr().err
+    k = flags[1]
+    with open(outdir / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4
+    assert {row["error"] for row in rows} == {
+        f"InsufficientSamplesError: k_neighbors={k} needs more than {n} samples"
+    }
+
+
 def test_lanczos_failure_is_a_recorded_row(tmp_path, monkeypatch, capsys):
     from scipy.sparse.linalg import ArpackNoConvergence
 

@@ -5,6 +5,7 @@ import pytest
 
 from specscale import (
     DataMatrix,
+    data,
     SplitSpec,
     generate_toy,
     load_matrix,
@@ -131,6 +132,37 @@ class TestLoadSave:
         )
         with pytest.raises(MatrixParseError, match=f":3: {problem}.* column {width}$"):
             load_matrix(path)
+
+    def test_roundtrip_exact_across_chunks(self, tmp_path, monkeypatch):
+        # 3 rows of 8 cells (7 features and the label) per chunk: 17 chunks,
+        # the last one short
+        monkeypatch.setattr(data, "_CHUNK_CELLS", 3 * 8 + 5)
+        dm = balanced_matrix(n=50, m=7, seed=4)
+        path = tmp_path / "chunks.csv"
+        save_matrix(dm, path)
+        back = load_matrix(path)
+        np.testing.assert_array_equal(back.values, dm.values)
+        np.testing.assert_array_equal(back.labels, dm.labels)
+        assert back.feature_names == dm.feature_names
+
+    def test_bad_cell_in_a_later_chunk_after_blank_lines_cites_line_and_column(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(data, "_CHUNK_CELLS", 2 * 3)  # 2 rows per chunk
+        lines = ["a,b,c", "1,2,3", "", "4,5,6", "  ", "7,8,9", "1,2,3", "", "\t",
+                 "4,5,6", "7,8,9", "1,2,oops", "4,5,6"]
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MatrixParseError, match=r":12: non-numeric cell 'oops' in column 3$"):
+            load_matrix(path)
+
+    def test_quoted_numeric_cells_load(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"a","b","label"\n"1.5",2.5,"1"\n3.5,"4.5",2\n')
+        dm = load_matrix(path)
+        assert dm.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(dm.values, [[1.5, 2.5], [3.5, 4.5]])
+        np.testing.assert_array_equal(dm.labels, [1, 2])
 
     def test_wide_matrix_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -195,7 +195,8 @@ class TestBuildSimilarity:
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
     def test_k_too_large_rejected(self):
-        with pytest.raises(ValueError):
+        # a typed error, so a pipeline run records it on the row instead of crashing
+        with pytest.raises(InsufficientSamplesError, match="k_neighbors=3 needs more than 3"):
             build_similarity(np.zeros((3, 1)), KernelParams(sigma=1.0, k_neighbors=3))
 
 
@@ -203,11 +204,19 @@ class TestScaledSqdist:
     @given(knn_problems())
     def test_row_block_matches_full_matrix(self, problem):
         Y, _, factors, _ = problem
+        n = Y.shape[0]
         full = scaled_sqdist(Y, factors)
-        for start in range(Y.shape[0]):
-            for stop in range(start + 1, Y.shape[0] + 1):
+        for start in range(n):
+            for stop in range(start + 1, n + 1):
                 block = scaled_sqdist(Y, factors, slice(start, stop))
                 np.testing.assert_array_equal(block, full[start:stop])
+                # a column range too: the upper-triangle block of the
+                # linearization share, and the one left of it
+                for cols in (slice(start, n), slice(0, stop)):
+                    block = scaled_sqdist(Y, factors, slice(start, stop), cols)
+                    np.testing.assert_array_equal(block, full[start:stop, cols])
+                block = scaled_sqdist(Y, factors, cols=slice(start, stop))
+                np.testing.assert_array_equal(block, full[:, start:stop])
 
     def test_blocks_cover_rows_in_order(self):
         with pytest.MonkeyPatch.context() as patch:
