@@ -33,9 +33,8 @@ from .experiments import (
     run_pipeline,
     sweep,
 )
-from .metrics import Contingency, nmi, rand_index
+from .metrics import nmi, rand_index
 from .scaling import (
-    FiedlerEstimate,
     PencilSystem,
     ScalingVector,
     assemble_pencil,
@@ -55,14 +54,12 @@ from .similarity import (
 
 __all__ = [
     "ClusterAssignment",
-    "Contingency",
     "DataMatrix",
     "DEFAULT_SIGMA_GRID",
     "EigenPair",
     "Embedding",
     "EvalReport",
     "ExperimentConfig",
-    "FiedlerEstimate",
     "KernelParams",
     "NcutValue",
     "PairwiseDifferences",

@@ -14,8 +14,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .data import SplitSpec, generate_toy, load_matrix, save_matrix, split, standardize
 from .errors import SpecScaleError
 from .experiments import (
@@ -117,8 +115,9 @@ def _apply_config_file(args):
         return args
     with open(args.config, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            # a tab is a value (delimiter=<tab>), so only spaces are trimmed
+            line = line.rstrip("\r\n").strip(" ")
+            if not line.strip() or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise SpecScaleError(f"{args.config}:{lineno}: expected key=value")
@@ -131,7 +130,7 @@ def _apply_config_file(args):
                     f"{args.config}:{lineno}: key '{key}' does not apply to this command"
                 )
             try:
-                setattr(args, key, _CONFIG_TYPES[key](value.strip()))
+                setattr(args, key, _CONFIG_TYPES[key](value.strip(" ")))
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise argparse.ArgumentTypeError(f"{args.config}:{lineno}: {key}: {exc}") from exc
     return args
@@ -225,12 +224,10 @@ def _cmd_inspect_scaling(args):
     _usage_errors(lambda: KernelParams(args.sigma))
     data = _load_data(args)
     train, _ = split(data, spec, repetition=0)
-    fiedler = training_target(
-        data.values[train], data.labels[train], args.fiedler_negative, args.sigma
-    )
-    pencil = assemble_pencil(data.values[train], fiedler, args.sigma)
+    v = training_target(data.values[train], data.labels[train], args.fiedler_negative, args.sigma)
+    pencil = assemble_pencil(data.values[train], v, args.sigma)
     scaling = learn_scaling(pencil)
-    table = scaling_table(scaling, data.feature_names)
+    table = scaling_table(scaling.factors, data.feature_names)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             f.write(table)

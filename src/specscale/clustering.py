@@ -7,23 +7,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .embedding import Embedding
 from .similarity import row_blocks
+
+# Lloyd iterations per restart; each stops earlier once its labels repeat
+_MAX_ITER = 300
 
 
 @dataclass
 class ClusterAssignment:
     labels: np.ndarray
     inertia: float
-    restarts_used: int
 
 
-def _lloyd(points, k, rng, max_iter):
+def _lloyd(points, k, rng):
     n = points.shape[0]
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     labels = None
     prev_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         # empty-cluster policy: reseed at the point farthest from its centroid
@@ -51,15 +52,14 @@ def _lloyd(points, k, rng, max_iter):
     return labels, inertia
 
 
-def kmeans(points, k, restarts=20, seed=0, max_iter=300) -> ClusterAssignment:
-    """Lloyd's algorithm from random point initializations, best of ``restarts``.
+def kmeans(points, k, restarts=20, seed=0) -> ClusterAssignment:
+    """Lloyd's algorithm on the rows of the 2-D array ``points`` from random
+    point initializations, best of ``restarts``.
 
     Each restart seeds its own generator from (seed, restart index), so the
     winner is independent of evaluation order; ties go to the earlier restart.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
@@ -68,15 +68,15 @@ def kmeans(points, k, restarts=20, seed=0, max_iter=300) -> ClusterAssignment:
     best_labels, best_inertia = None, np.inf
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        labels, inertia = _lloyd(points, k, rng, max_iter)
+        labels, inertia = _lloyd(points, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
-    return ClusterAssignment(labels=best_labels, inertia=best_inertia,
-                             restarts_used=restarts)
+    return ClusterAssignment(labels=best_labels, inertia=best_inertia)
 
 
 def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndarray:
-    """Nearest-neighbor labels for test rows of a joint embedding.
+    """Nearest-neighbor labels for test rows of a joint embedding, the 2-D
+    array ``embedded`` (one row per sample).
 
     The embedding covers training and test samples together (it was computed
     once over all rows), so classification is transductive. Ties go to the
@@ -84,9 +84,7 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     squared distances, accumulated one embedding dimension at a time, so no
     n_test x n_train (or n_test x n_train x ell) array is held.
     """
-    points = embedded.vectors if isinstance(embedded, Embedding) else np.asarray(embedded, float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = np.asarray(embedded, dtype=float)
     train_indices = np.asarray(train_indices, dtype=int)
     test_indices = np.asarray(test_indices, dtype=int)
     train_labels = np.asarray(train_labels)

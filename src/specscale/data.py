@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ class DataMatrix:
     values: np.ndarray
     feature_names: list[str]
     labels: Optional[np.ndarray] = None
-    standardized: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -116,7 +115,6 @@ def standardize(data: DataMatrix) -> DataMatrix:
         values=values,
         feature_names=list(data.feature_names),
         labels=None if data.labels is None else data.labels.copy(),
-        standardized=True,
     )
 
 
@@ -141,24 +139,26 @@ def _is_float(cell):
 _CHUNK_CELLS = 1 << 13
 
 
-def load_matrix(path, delimiter=None) -> DataMatrix:
+def load_matrix(path) -> DataMatrix:
     """Read a delimited text table as a DataMatrix.
 
-    The first row may be a header of feature names; a column named 'label'
-    holds integer class labels. One csv reader reads the rows after the
-    first; blank lines are skipped. Rows are parsed in chunks of at most
+    Blank lines are skipped. The first other line sets the delimiter (a tab
+    if it holds one, else a comma) and may be a header of feature names; a
+    column named 'label' holds integer class labels. One csv reader reads the
+    rows after it. Rows are parsed in chunks of at most
     ``_CHUNK_CELLS`` cells, so neither the text of a whole file nor a
     transpose is ever held. Parse problems report 1-based line numbers.
     """
     header = None
     label_idx = None
     chunk, chunk_lines, blocks = [], [], []
+    where = [0]  # the number of the last line the reader took
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        first = handle.readline()
-        if first == "":
+        lines = _nonblank_lines(handle, where)
+        first = next(lines, None)
+        if first is None:
             raise MatrixParseError(f"{path}: empty file")
-        if delimiter is None:
-            delimiter = _sniff_delimiter(first)
+        delimiter = _sniff_delimiter(first)
         cells = next(csv.reader([first], delimiter=delimiter))
         width = len(cells)
         if any(not _is_float(c) for c in cells):
@@ -167,10 +167,9 @@ def load_matrix(path, delimiter=None) -> DataMatrix:
                 label_idx = header.index(LABEL_COLUMN)
         else:
             chunk.append(cells)
-            chunk_lines.append(1)
+            chunk_lines.append(where[0])
         chunk_rows = max(1, _CHUNK_CELLS // max(width, 1))
-        where = [1]  # the number of the last line the reader took
-        for cells in csv.reader(_nonblank_lines(handle, where), delimiter=delimiter):
+        for cells in csv.reader(lines, delimiter=delimiter):
             lineno = where[0]
             if len(cells) != width:
                 raise MatrixParseError(
@@ -201,9 +200,9 @@ def load_matrix(path, delimiter=None) -> DataMatrix:
 
 
 def _nonblank_lines(handle, where):
-    """The lines of ``handle`` after the first that hold more than whitespace;
-    ``where[0]`` is set to the 1-based number of each as it is read."""
-    for lineno, line in enumerate(handle, start=2):
+    """The lines of ``handle`` that hold more than whitespace; ``where[0]`` is
+    set to the 1-based number of each as it is read."""
+    for lineno, line in enumerate(handle, start=1):
         if line.strip():
             where[0] = lineno
             yield line

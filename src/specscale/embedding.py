@@ -19,10 +19,6 @@ class Embedding:
     vectors: np.ndarray  # (n_samples, ell)
     eigenvalues: np.ndarray  # ascending, trivial (per-component) pairs deflated
 
-    @property
-    def ell(self):
-        return self.vectors.shape[1]
-
 
 def embed(graph: SimilarityGraph, ell) -> Embedding:
     """Embed graph vertices on the eigenvectors of L u = lambda D u (L sparse).

@@ -250,7 +250,8 @@ def _kmeans_seed(config_seed, repetition, sigma_index):
 
 
 def training_target(X_train, labels_train, negative_value, sigma, k_neighbors=7):
-    """The label target of the training rows, as ``estimate_fiedler`` builds it.
+    """The label target array of the training rows, as ``estimate_fiedler``
+    builds it.
 
     ``negative_value="auto"`` takes its degrees from the unscaled k-NN graph
     of the training rows at width ``sigma``.
@@ -261,11 +262,12 @@ def training_target(X_train, labels_train, negative_value, sigma, k_neighbors=7)
     return estimate_fiedler(labels_train, negative_value, degrees)
 
 
-def _scores(config, data, embedding, train, test, repetition, sigma_index):
-    """(RI, NMI) of k-means over all samples, or (RI, None) of 1-NN on the test rows."""
+def _scores(config, data, vectors, train, test, repetition, sigma_index):
+    """(RI, NMI) of k-means over all samples, or (RI, None) of 1-NN on the test
+    rows, from the embedded samples ``vectors``."""
     if config.task == "cluster":
         labels = kmeans(
-            embedding.vectors,
+            vectors,
             k=2,
             restarts=config.kmeans_restarts,
             seed=_kmeans_seed(config.seed, repetition, sigma_index),
@@ -273,7 +275,7 @@ def _scores(config, data, embedding, train, test, repetition, sigma_index):
         return rand_index(data.labels, labels, align=True), nmi_score(data.labels, labels)
     if test.size == 0:
         raise SpecScaleError("classification needs a nonempty test set")
-    predicted = nn1_classify(embedding, train, data.labels[train], test)
+    predicted = nn1_classify(vectors, train, data.labels[train], test)
     return rand_index(data.labels[test], predicted, align=False), None
 
 
@@ -305,10 +307,10 @@ def _kernel(config, data, train, test, repetition, diffs, sigma, sigma_index, sh
         return None
     scaling = None
     if config.feature_scaling:
-        fiedler = training_target(
+        v = training_target(
             X, data.labels[train], config.fiedler_negative, sigma, config.k_neighbors
         )
-        pencil = assemble_pencil(X, fiedler, sigma, diffs=diffs)
+        pencil = assemble_pencil(X, v, sigma, diffs=diffs)
         if shared and not has_full_column_rank(pencil):
             return None
         try:
@@ -324,19 +326,21 @@ def _kernel(config, data, train, test, repetition, diffs, sigma, sigma_index, sh
         record.constraint_violation = float(scaling.constraint_violation)
         record.certified = bool(scaling.certified)
         record.factors = scaling.factors
-        record.linearization_violations = linearization_violation_fraction(X, scaling, sigma)
+        record.linearization_violations = linearization_violation_fraction(
+            X, record.factors, sigma
+        )
     try:
-        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, scaling))
+        graph = build_similarity(
+            data.values, KernelParams(sigma, config.k_neighbors, record.factors)
+        )
     except NumericalOverflowError:
         # only negative learned factors can overflow the kernel
         if shared:
             return None
         record.scaled = False
         graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors))
-    embedding = embed(graph, config.ell)
-    record.ri, record.nmi = _scores(
-        config, data, embedding, train, test, repetition, sigma_index
-    )
+    vectors = embed(graph, config.ell).vectors
+    record.ri, record.nmi = _scores(config, data, vectors, train, test, repetition, sigma_index)
     return record
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,31 +25,14 @@ def _encode_binary(labels, name):
     return np.searchsorted(classes, labels), classes
 
 
-@dataclass
-class Contingency:
-    """2x2 cross-counts of two binary labelings with their margins."""
-
-    counts: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-    total: int
-
-    @classmethod
-    def from_labels(cls, truth, predicted) -> "Contingency":
-        t, _ = _encode_binary(truth, "truth")
-        p, _ = _encode_binary(predicted, "predicted")
-        if t.shape != p.shape:
-            raise ValueError("labelings have different lengths")
-        counts = np.zeros((2, 2), dtype=int)
-        for i in range(2):
-            for j in range(2):
-                counts[i, j] = int(np.count_nonzero((t == i) & (p == j)))
-        return cls(
-            counts=counts,
-            row_sums=counts.sum(axis=1),
-            col_sums=counts.sum(axis=0),
-            total=int(counts.sum()),
-        )
+def _contingency(truth, predicted):
+    """2x2 cross-counts of two binary labelings: entry (i, j) counts the
+    samples of truth class i predicted as class j."""
+    t, _ = _encode_binary(truth, "truth")
+    p, _ = _encode_binary(predicted, "predicted")
+    if t.shape != p.shape:
+        raise ValueError("labelings have different lengths")
+    return np.bincount(2 * t + p, minlength=4).reshape(2, 2)
 
 
 def rand_index(truth, predicted, align=False) -> float:
@@ -68,10 +50,10 @@ def rand_index(truth, predicted, align=False) -> float:
         _encode_binary(truth, "truth")
         _encode_binary(predicted, "predicted")
         return float(np.mean(truth == predicted))
-    c = Contingency.from_labels(truth, predicted)
-    direct = c.counts[0, 0] + c.counts[1, 1]
-    swapped = c.counts[0, 1] + c.counts[1, 0]
-    return float(max(direct, swapped) / c.total)
+    counts = _contingency(truth, predicted)
+    direct = counts[0, 0] + counts[1, 1]
+    swapped = counts[0, 1] + counts[1, 0]
+    return float(max(direct, swapped) / counts.sum())
 
 
 def nmi(truth, predicted) -> float:
@@ -83,23 +65,24 @@ def nmi(truth, predicted) -> float:
     swapping the two cluster ids gives the same bits. Returns 0 (with a DegenerateEntropyWarning) when either labeling is
     constant.
     """
-    c = Contingency.from_labels(truth, predicted)
-    n = c.total
+    counts = _contingency(truth, predicted)
+    n = counts.sum()
+    row_sums, col_sums = counts.sum(axis=1), counts.sum(axis=0)
 
     def neg_entropy(margins):
         # sum of n_i * log(n_i / n); zero counts contribute nothing
         return math.fsum(m * np.log(m / n) for m in margins if m > 0)
 
-    h_truth = neg_entropy(c.row_sums)
-    h_pred = neg_entropy(c.col_sums)
+    h_truth = neg_entropy(row_sums)
+    h_pred = neg_entropy(col_sums)
     if h_truth == 0.0 or h_pred == 0.0:
         warnings.warn(
             "a labeling is constant; NMI reported as 0", DegenerateEntropyWarning
         )
         return 0.0
     numer = math.fsum(
-        nij * np.log(n * nij / (c.row_sums[i] * c.col_sums[j]))
-        for (i, j), nij in np.ndenumerate(c.counts)
+        nij * np.log(n * nij / (row_sums[i] * col_sums[j]))
+        for (i, j), nij in np.ndenumerate(counts)
         if nij > 0
     )
     value = numer / np.sqrt(h_truth * h_pred)

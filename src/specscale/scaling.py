@@ -35,13 +35,7 @@ from .errors import (
     NonNormalizableError,
     NoScalingError,
 )
-from .similarity import (
-    PairwiseDifferences,
-    as_values,
-    pairwise_sqdiff,
-    row_blocks,
-    scaled_sqdist,
-)
+from .similarity import PairwiseDifferences, pairwise_sqdiff, row_blocks, scaled_sqdist
 
 # Certifies a residual, and tells factors from s = 0 (see ``learn_scaling``):
 # on toy splits at widths 0.01 to 100, s = 0 reads <= 2.6e-9, other pairs >= 0.029.
@@ -49,18 +43,9 @@ _RESIDUAL_TOL = 1e-6
 _LAST_COMPONENT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FiedlerEstimate:
-    """Two-valued stand-in for the Fiedler vector, one value per label group."""
-
-    values: np.ndarray
-    negative_value: float
-    positive_value: float = 1.0
-
-
-def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> FiedlerEstimate:
-    """Build the target vector: positive class maps to 1, the other to a fixed
-    negative value.
+def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
+    """The target vector, a two-valued stand-in for the Fiedler vector: the
+    positive class maps to 1, the other to a fixed negative value.
 
     ``negative_value="auto"`` computes -b with b the ratio of degree sums of
     the two groups, which makes the zero-mean constraint e^T D v = 0 hold
@@ -84,8 +69,7 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> FiedlerEstima
         neg = -float(b)
     else:
         neg = float(negative_value)
-    v = np.where(positive_mask, 1.0, neg)
-    return FiedlerEstimate(values=v, negative_value=neg)
+    return np.where(positive_mask, 1.0, neg)
 
 
 @dataclass(frozen=True)
@@ -102,10 +86,6 @@ class PencilSystem:
     beta: np.ndarray
     gamma: np.ndarray
     rho: float
-
-    @property
-    def n_samples(self):
-        return self.A.shape[0]
 
     @property
     def n_features(self):
@@ -128,8 +108,9 @@ class PencilSystem:
         return out
 
 
-def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None) -> PencilSystem:
-    """Assemble the pencil blocks from training data and the target vector.
+def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> PencilSystem:
+    """Assemble the pencil blocks from the training rows X and the target
+    vector v, both arrays.
 
     A_ik = c sum_j v_j (x_ik - x_jk)^2 and x^_ik = c sum_j (x_ik - x_jk)^2, with
     c = 1/(2 sigma^2). Expanding the square on the column-centered x~ gives
@@ -139,8 +120,8 @@ def assemble_pencil(X, fiedler, sigma, diffs: PairwiseDifferences | None = None)
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    values = as_values(X)
-    v = fiedler.values if isinstance(fiedler, FiedlerEstimate) else np.asarray(fiedler, float)
+    values = np.asarray(X, dtype=float)
+    v = np.asarray(v, dtype=float)
     n, m = values.shape
     if v.shape != (n,):
         raise ValueError(f"target vector length {v.shape} does not match {n} samples")
@@ -201,10 +182,6 @@ class ScalingVector:
     constraint_violation: float
     certified: bool = True
 
-    @property
-    def n_features(self):
-        return self.factors.shape[0]
-
 
 def learn_scaling(ps: PencilSystem) -> ScalingVector:
     """Solve the assembled pencil for scaling factors.
@@ -263,9 +240,9 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     return inspected[0]
 
 
-def scaling_table(scaling, feature_names) -> str:
-    """Two-column text table (feature name, factor), one line per feature."""
-    factors = np.asarray(getattr(scaling, "factors", scaling), dtype=float)
+def scaling_table(factors, feature_names) -> str:
+    """Two-column text table (feature name, factor), one line per entry of the
+    factor array."""
     if len(feature_names) != factors.shape[0]:
         raise ValueError("feature_names length does not match the factors")
     lines = ["feature\tscaling_factor"]
@@ -273,8 +250,9 @@ def scaling_table(scaling, feature_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def linearization_violation_fraction(X, scaling, sigma) -> float:
-    """Fraction of training pairs outside the expansion's validity region.
+def linearization_violation_fraction(X, factors, sigma) -> float:
+    """Fraction of training pairs (rows of the array X) outside the expansion's
+    validity region under the factor array ``factors``.
 
     The first-order form of the kernel assumes 0 < s^T x_ij / (2 sigma^2) < 1
     for each pair; this reports how often that fails (over unordered pairs).
@@ -282,8 +260,7 @@ def linearization_violation_fraction(X, scaling, sigma) -> float:
     blocks, so no n x n array is held. Each block evaluates only the columns
     at and past its first row, about half of the matrix in all.
     """
-    factors = np.asarray(getattr(scaling, "factors", scaling), dtype=float)
-    values = as_values(X)
+    values = np.asarray(X, dtype=float)
     n = values.shape[0]
     violations = 0
     for rows in row_blocks(n, n):

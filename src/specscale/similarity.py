@@ -10,7 +10,6 @@ delta_s and the result is symmetrized in CSR as (W + W^T) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 import scipy.sparse
@@ -21,31 +20,13 @@ from .errors import (
     NumericalOverflowError,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .data import DataMatrix
-    from .scaling import ScalingVector
-
-
-def as_values(X) -> np.ndarray:
-    """Accept a DataMatrix or a plain array; return the float matrix."""
-    values = getattr(X, "values", X)
-    return np.asarray(values, dtype=float)
-
-
-def _as_factors(scaling) -> Optional[np.ndarray]:
-    if scaling is None:
-        return None
-    factors = getattr(scaling, "factors", scaling)
-    return np.asarray(factors, dtype=float)
-
-
 @dataclass
 class KernelParams:
     """Gaussian kernel width, neighborhood size and optional learned factors."""
 
     sigma: float
     k_neighbors: int = 7
-    scaling: Union["ScalingVector", np.ndarray, None] = None
+    scaling: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -69,8 +50,9 @@ class PairwiseDifferences:
 
 
 def pairwise_sqdiff(X) -> PairwiseDifferences:
-    """Sums over all pairs of the squared feature differences of the rows of X."""
-    values = as_values(X)
+    """Sums over all pairs of the squared feature differences of the rows of the
+    array X."""
+    values = np.asarray(X, dtype=float)
     if values.ndim != 2:
         raise ValueError("X must be 2-D")
     if values.shape[0] < 2:
@@ -111,15 +93,15 @@ def _own_entries(n, rows, cols=slice(None)):
 
 def scaled_sqdist(Y, factors=None, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """(Optionally per-feature weighted) squared distances from the rows
-    ``rows`` of Y to the rows ``cols`` of Y (slices of step 1, default all).
+    ``rows`` of the array Y to its rows ``cols`` (slices of step 1, default
+    all); ``factors`` is None or an array of one weight per feature.
 
     Entry (i, j) is delta_s between samples rows[i] and cols[j], and 0 on each
     row's own sample. A block is the same formula as the whole matrix (the
     default), so callers evaluate n x n quantities block by block
     (``row_blocks``) without ever holding the whole matrix.
     """
-    values = as_values(Y)
-    factors = _as_factors(factors)
+    values = np.asarray(Y, dtype=float)
     block = values[rows]
     if factors is None:
         norms = (values**2).sum(axis=1)
@@ -150,10 +132,6 @@ class SimilarityGraph:
     degrees: np.ndarray
     laplacian: scipy.sparse.csr_matrix
 
-    @property
-    def n_samples(self):
-        return self.weights.shape[0]
-
 
 def _nearest(d2, k):
     """Each row's k smallest entries of a row block d2, ties to the smaller column.
@@ -176,7 +154,7 @@ def _nearest(d2, k):
 
 
 def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
-    """k-NN Gaussian similarity graph of the rows of Y.
+    """k-NN Gaussian similarity graph of the rows of the array Y.
 
     Each row keeps its k nearest other samples in delta_s (ties go to the
     smaller sample index), selected by partition rather than a full-row sort.
@@ -197,7 +175,7 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
         most isolated first. At small sigma every weight can underflow, so
         many samples (possibly all) are isolated at once.
     """
-    values = as_values(Y)
+    values = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("Y contains non-finite entries")
     n = values.shape[0]

@@ -262,10 +262,14 @@ def test_generate_rejects_a_delimiter_the_loader_cannot_read(tmp_path, capsys, f
 
 
 def test_generate_tab_delimited_file_loads(tmp_path):
-    out = tmp_path / "toy.tsv"
-    assert main(["generate", "--samples", "60", "--out", str(out), "--delimiter", "\t"]) == 0
-    assert "\t" in out.read_text().splitlines()[0]
-    assert load_matrix(out).values.shape == (60, 10)
+    conf = tmp_path / "gen.conf"
+    conf.write_text("delimiter=\t\n")  # a config value that is a tab
+    cases = [("flag.tsv", ["--delimiter", "\t"]), ("config.tsv", ["--config", str(conf)])]
+    for name, flags in cases:
+        out = tmp_path / name
+        assert main(["generate", "--samples", "60", "--out", str(out), *flags]) == 0
+        assert "\t" in out.read_text().splitlines()[0]
+        assert load_matrix(out).values.shape == (60, 10)
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,7 @@ class TestKmeans:
             assert got.inertia == pytest.approx(exhaustive_two_means(pts), rel=1e-9)
 
     def test_one_dimensional_input(self):
-        pts = np.array([0.0, 0.1, 5.0, 5.1])
+        pts = np.array([[0.0], [0.1], [5.0], [5.1]])
         got = kmeans(pts, k=2, restarts=5, seed=0)
         assert got.labels[0] == got.labels[1]
         assert got.labels[2] == got.labels[3]

@@ -59,7 +59,6 @@ class TestStandardize:
         dm = DataMatrix(values=np.array([[0.0], [2.0]]), feature_names=["x"])
         out = standardize(dm)
         np.testing.assert_allclose(out.values, [[-1.0], [1.0]])
-        assert out.standardized
 
     def test_population_moments(self):
         data = standardize(generate_toy(400, seed=2))
@@ -101,6 +100,17 @@ class TestLoadSave:
         path.write_text("x\ty\tlabel\n1\t2\t1\n3\t4\t2\n")
         dm = load_matrix(path)
         assert dm.feature_names == ["x", "y"]
+
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
+        path = tmp_path / "lead.csv"
+        path.write_text("\na,b,label\n1,2,1\n3,4,2\n")
+        dm = load_matrix(path)
+        assert dm.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(dm.labels, [1, 2])
+        path.write_text("\n \n1,2\n3\n")  # line numbers count the skipped lines
+        with pytest.raises(MatrixParseError, match=":4: ragged row"):
+            load_matrix(path)
 
     def test_ragged_row_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"

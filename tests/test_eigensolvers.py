@@ -159,7 +159,7 @@ def knn_blocks(c):
     """Laplacian and degrees of c disjoint toy k-NN graphs, 420 vertices in all,
     with the full-spectrum dense oracle of the whitened matrix."""
     graphs = [
-        build_similarity(standardize(generate_toy(420 // c, seed=s)), KernelParams(1.0))
+        build_similarity(standardize(generate_toy(420 // c, seed=s)).values, KernelParams(1.0))
         for s in range(c)
     ]
     L = scipy.sparse.block_diag([g.laplacian for g in graphs], format="csr")
@@ -208,7 +208,7 @@ class TestSymCertificateScale:
 
     @pytest.mark.parametrize("n", [60, 500])  # dense eigh and Lanczos
     def test_scaled_pair_gives_same_pairs(self, n):
-        graph = build_similarity(standardize(generate_toy(n, seed=0)), KernelParams(1.0))
+        graph = build_similarity(standardize(generate_toy(n, seed=0)).values, KernelParams(1.0))
         L, d = graph.laplacian, graph.degrees
         ref = sym_gen_eig(L, d, k=2)
         # powers of two scale every entry exactly, so the whole solve repeats

@@ -54,21 +54,20 @@ def tall_pencil():
 
 class TestEstimateFiedler:
     def test_plus_minus_one(self):
-        fv = estimate_fiedler([1, 1, 2, 2], negative_value=-1.0)
-        np.testing.assert_array_equal(fv.values, [1.0, 1.0, -1.0, -1.0])
+        v = estimate_fiedler([1, 1, 2, 2], negative_value=-1.0)
+        np.testing.assert_array_equal(v, [1.0, 1.0, -1.0, -1.0])
 
     def test_auto_balanced_degrees(self):
-        fv = estimate_fiedler([1, 2], "auto", degrees=np.array([3.0, 3.0]))
-        np.testing.assert_array_equal(fv.values, [1.0, -1.0])
-        assert fv.negative_value == -1.0
+        v = estimate_fiedler([1, 2], "auto", degrees=np.array([3.0, 3.0]))
+        np.testing.assert_array_equal(v, [1.0, -1.0])
 
     def test_default_negative_value(self):
-        fv = estimate_fiedler([1, 1, 2], negative_value=-0.2)
-        np.testing.assert_array_equal(fv.values, [1.0, 1.0, -0.2])
+        v = estimate_fiedler([1, 1, 2], negative_value=-0.2)
+        np.testing.assert_array_equal(v, [1.0, 1.0, -0.2])
 
     def test_auto_weighted_degrees(self):
-        fv = estimate_fiedler([1, 2, 2], "auto", degrees=np.array([2.0, 1.0, 3.0]))
-        assert fv.negative_value == pytest.approx(-0.5)
+        v = estimate_fiedler([1, 2, 2], "auto", degrees=np.array([2.0, 1.0, 3.0]))
+        np.testing.assert_allclose(v, [1.0, -0.5, -0.5], rtol=1e-15)
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateSupervisionError):
@@ -89,7 +88,7 @@ def oracle_input(shape):
         v[:2] = [1.0, -0.2]
         return rng.normal(size=(16, 60)), v
     data = standardize(generate_toy(200, seed=0))
-    v = estimate_fiedler(data.labels, negative_value=-0.2).values
+    v = estimate_fiedler(data.labels, negative_value=-0.2)
     return data.values + (1e3 if shape == "shifted" else 0.0), v
 
 
@@ -407,7 +406,7 @@ class TestDiagnostics:
             residual=1e-8,
             constraint_violation=0.0,
         )
-        table = scaling_table(sv, ["height", "width"])
+        table = scaling_table(sv.factors, ["height", "width"])
         lines = table.strip().split("\n")
         assert lines[0] == "feature\tscaling_factor"
         assert lines[1] == "height\t0.5"
@@ -427,7 +426,7 @@ def toy_pencils(draw):
     train, _ = split(data, SplitSpec(0.5, seed=seed), draw(st.integers(0, 1)))
     X = data.values[train]
     fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
-    return X, fv.values, assemble_pencil(X, fv, SIGMA_UNIT)
+    return X, fv, assemble_pencil(X, fv, SIGMA_UNIT)
 
 
 def assert_relative(actual, expected, tol):
@@ -449,7 +448,7 @@ class TestPencilInvariances:
         moved = assemble_pencil(X + np.array(shift), v, SIGMA_UNIT)
         for name in ("A", "B", "alpha", "beta", "gamma"):
             assert_relative(getattr(moved, name), getattr(ps, name), 1e-12)
-        assert abs(moved.rho - ps.rho) <= 1e-12 * (ps.n_samples - 1) * np.abs(v).sum()
+        assert abs(moved.rho - ps.rho) <= 1e-12 * (ps.A.shape[0] - 1) * np.abs(v).sum()
         a, b = learn_scaling(ps), learn_scaling(moved)
         assert_relative(b.eigenvalue, a.eigenvalue, 1e-10)
         assert_relative(b.factors, a.factors, 1e-10)
@@ -458,12 +457,12 @@ class TestPencilInvariances:
     @given(toy_pencils(), st.integers(0, 2**32 - 1))
     def test_row_permutation_equivariance(self, problem, perm_seed):
         X, v, ps = problem
-        perm = np.random.default_rng(perm_seed).permutation(ps.n_samples)
+        perm = np.random.default_rng(perm_seed).permutation(ps.A.shape[0])
         permuted = assemble_pencil(X[perm], v[perm], SIGMA_UNIT)
         for name in ("A", "B", "alpha", "beta"):
             assert_relative(getattr(permuted, name), getattr(ps, name)[perm], 1e-12)
         assert_relative(permuted.gamma, ps.gamma, 1e-12)
-        assert abs(permuted.rho - ps.rho) <= 1e-12 * (ps.n_samples - 1) * np.abs(v).sum()
+        assert abs(permuted.rho - ps.rho) <= 1e-12 * (ps.A.shape[0] - 1) * np.abs(v).sum()
         a, b = learn_scaling(ps), learn_scaling(permuted)
         assert_relative(b.eigenvalue, a.eigenvalue, 1e-10)
         assert_relative(b.factors, a.factors, 1e-10)

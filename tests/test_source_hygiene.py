@@ -1,0 +1,55 @@
+"""Static checks of the package source: no unused imports, a consistent
+public surface."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import specscale
+
+PACKAGE = Path(specscale.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """Name bound by each import statement in the module (``__future__`` aside)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def used_names(tree):
+    """Every name the module reads, including names inside string annotations."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def test_public_surface_matches_all():
+    for name in specscale.__all__:
+        assert hasattr(specscale, name), name
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    public = {name for name in imported_names(tree) if not name.startswith("_")}
+    assert sorted(public - set(specscale.__all__)) == []
