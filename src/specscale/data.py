@@ -1,8 +1,16 @@
-"""Synthetic data generation, delimited-text ingestion, standardization, splits."""
+"""Synthetic data generation, delimited-text ingestion, standardization, splits.
+
+``load_matrix`` parses every data row with one ``np.loadtxt`` call. Its error
+messages come from a second pass that runs only when that parse fails or its
+table is bad, and reads the file again row by row to name the line and
+column. numpy's parser is stricter than Python's ``float``: cells such as
+digit-group underscores ('1_0') that ``float`` would take are rejected.
+"""
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,63 +138,50 @@ def _is_float(cell):
         return False
 
 
-# Most cells parsed by one np.array call of load_matrix (a chunk of whole
-# rows, at least one). A chunk's strings (~0.5 MB) fit in one of CPython's
-# 1 MB small-object arenas, which the next chunk reuses. Measured with the
-# allocator pinned: at 2^16 cells each load of a 144 x 2000 file page-faulted
-# ~3400 times as arenas came and went, against none at 2^13, and a 3200 x 11
-# file loaded as fast at 2^13 as at 2^16.
-_CHUNK_CELLS = 1 << 13
-
-
 def load_matrix(path) -> DataMatrix:
     """Read a delimited text table as a DataMatrix.
 
     Blank lines are skipped. The first other line sets the delimiter (a tab
     if it holds one, else a comma) and may be a header of feature names; a
-    column named 'label' holds integer class labels. One csv reader reads the
-    rows after it. Rows are parsed in chunks of at most
-    ``_CHUNK_CELLS`` cells, so neither the text of a whole file nor a
-    transpose is ever held. Parse problems report 1-based line numbers.
+    column named 'label' holds integer class labels. Every data row is parsed
+    by one ``np.loadtxt`` call, so no cell becomes a Python string. When that
+    parse fails, or the table is ragged against the header or holds a
+    non-finite value, a second pass reads the file again row by row only to
+    name the 1-based line and the column of the first problem.
+
+    Cells that Python's ``float`` takes but numpy's parser does not, such as
+    digit-group underscores ('1_0') or non-ASCII digits, are rejected.
     """
     header = None
-    label_idx = None
-    chunk, chunk_lines, blocks = [], [], []
-    where = [0]  # the number of the last line the reader took
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = _nonblank_lines(handle, where)
-        first = next(lines, None)
-        if first is None:
-            raise MatrixParseError(f"{path}: empty file")
-        delimiter = _sniff_delimiter(first)
-        cells = next(csv.reader([first], delimiter=delimiter))
-        width = len(cells)
-        if any(not _is_float(c) for c in cells):
-            header = [c.strip() for c in cells]
-            if LABEL_COLUMN in header:
-                label_idx = header.index(LABEL_COLUMN)
-        else:
-            chunk.append(cells)
-            chunk_lines.append(where[0])
-        chunk_rows = max(1, _CHUNK_CELLS // max(width, 1))
-        for cells in csv.reader(lines, delimiter=delimiter):
-            lineno = where[0]
-            if len(cells) != width:
-                raise MatrixParseError(
-                    f"{path}:{lineno}: ragged row with {len(cells)} cells, expected {width}"
-                )
-            chunk.append(cells)
-            chunk_lines.append(lineno)
-            if len(chunk) == chunk_rows:
-                blocks.append(_parse_rows(chunk, chunk_lines, path))
-                chunk.clear()
-                chunk_lines.clear()
-    if chunk:
-        blocks.append(_parse_rows(chunk, chunk_lines, path))
-    if not blocks:
-        raise MatrixParseError(f"{path}: no data rows")
-    table = np.vstack(blocks)
-    if label_idx is not None:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            lines = (line for line in handle if not line.isspace())
+            first = next(lines, None)
+            if first is None:
+                raise MatrixParseError(f"{path}: empty file")
+            delimiter = _sniff_delimiter(first)
+            cells = next(csv.reader([first], delimiter=delimiter))
+            if any(not _is_float(c) for c in cells):
+                header = [c.strip() for c in cells]
+                first = next(lines, None)
+                if first is None:  # np.loadtxt would only warn
+                    raise MatrixParseError(f"{path}: no data rows")
+            table = np.loadtxt(
+                itertools.chain([first], lines),
+                delimiter=delimiter,
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                dtype=float,
+            )
+    except ValueError as exc:  # numpy's parse error, or a byte that is not UTF-8
+        raise _first_problem(path, str(exc)) from None
+    if header is not None and table.shape[1] != len(header):
+        raise _first_problem(path, f"{table.shape[1]} columns under {len(header)} names")
+    if not np.all(np.isfinite(table)):
+        raise _first_problem(path, "non-finite value")
+    if header is not None and LABEL_COLUMN in header:
+        label_idx = header.index(LABEL_COLUMN)
         labels = table[:, label_idx].astype(int)
         if np.any(table[:, label_idx] != labels):
             raise MatrixParseError(f"{path}: label column holds non-integer values")
@@ -199,53 +194,43 @@ def load_matrix(path) -> DataMatrix:
     return DataMatrix(values=values, feature_names=names, labels=labels)
 
 
-def _nonblank_lines(handle, where):
-    """The lines of ``handle`` that hold more than whitespace; ``where[0]`` is
-    set to the 1-based number of each as it is read."""
-    for lineno, line in enumerate(handle, start=1):
-        if line.strip():
-            where[0] = lineno
-            yield line
-
-
-def _parse_rows(rows, line_numbers, path):
-    """A chunk of rows as one float array; a bad chunk is parsed again row by
-    row, so the error names the line and column of the bad cell."""
-    try:
-        out = np.array(rows, dtype=float)
-    except ValueError:
-        pass
-    else:
-        if np.all(np.isfinite(out)):
-            return out
-    return np.vstack(
-        [_parse_row(cells, lineno, path) for cells, lineno in zip(rows, line_numbers)]
-    )
-
-
-def _parse_row(cells, lineno, path):
-    """One row of floats; a bad row is parsed again cell by cell to name the cell."""
-    try:
-        out = np.array(cells, dtype=float)
-    except ValueError:
-        pass
-    else:
-        if np.all(np.isfinite(out)):
-            return out
-    out = np.empty(len(cells))
-    for i, cell in enumerate(cells):
-        cell = cell.strip()
-        if cell == "":
-            raise MatrixParseError(f"{path}:{lineno}: missing value in column {i + 1}")
-        try:
-            out[i] = float(cell)
-        except ValueError:
-            raise MatrixParseError(
-                f"{path}:{lineno}: non-numeric cell '{cell}' in column {i + 1}"
-            ) from None
-        if not np.isfinite(out[i]):
-            raise MatrixParseError(f"{path}:{lineno}: non-finite value in column {i + 1}")
-    return out
+def _first_problem(path, message) -> MatrixParseError:
+    """The diagnostic pass: read ``path`` again line by line and return a
+    MatrixParseError naming the line (and column) of the first line that is
+    not UTF-8, ragged row or bad cell; with no such problem the error carries
+    ``message``."""
+    width = None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return MatrixParseError(f"{where}: bytes that are not UTF-8")
+            if width is None:
+                delimiter = _sniff_delimiter(line)
+            cells = next(csv.reader([line], delimiter=delimiter))
+            if width is None:
+                width = len(cells)
+                if not all(_is_float(c) for c in cells):
+                    continue  # the header
+            if len(cells) != width:
+                return MatrixParseError(
+                    f"{where}: ragged row with {len(cells)} cells, expected {width}"
+                )
+            for i, cell in enumerate(cells, start=1):
+                cell = cell.strip()
+                if cell == "":
+                    return MatrixParseError(f"{where}: missing value in column {i}")
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return MatrixParseError(f"{where}: non-numeric cell '{cell}' in column {i}")
+                if not np.isfinite(value):
+                    return MatrixParseError(f"{where}: non-finite value in column {i}")
+    return MatrixParseError(f"{path}: {message}")
 
 
 def _default_names(m):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from specscale import DataMatrix, cli, load_matrix, save_matrix
+from specscale import DataMatrix, ScalingVector, cli, experiments, load_matrix, save_matrix
 from specscale.cli import main
 
 
@@ -327,9 +327,20 @@ def test_lanczos_failure_is_a_recorded_row(tmp_path, monkeypatch, capsys):
                             "of a 420-vertex graph")
 
 
-def test_overflowing_factors_fall_back_to_unscaled_graph(tmp_path):
-    # 24 x 100, three planted features among N(0, 1) noise: at sigma = 1 the
-    # learned signed factors overflow exp(-s^T x / 2 sigma^2) on this split
+def test_overflowing_factors_fall_back_to_unscaled_graph(tmp_path, monkeypatch):
+    # the fit returns factors of -1e3 on a 24 x 100 input: every pair's scaled
+    # squared distance is below -1e4 (N(0, 1) rows lie ~14 apart), far past
+    # where exp(-s^T x / 2 sigma^2) overflows at sigma = 1
+    def overflowing_fit(pencil):
+        return ScalingVector(
+            factors=np.full(pencil.n_features, -1e3),
+            eigenvalue=1.0,
+            residual=0.5,
+            constraint_violation=0.0,
+            certified=False,
+        )
+
+    monkeypatch.setattr(experiments, "learn_scaling", overflowing_fit)
     rng = np.random.default_rng(0)
     values = rng.standard_normal((24, 100))
     values[:10, :3] += 1.5
@@ -355,3 +366,13 @@ def test_overflowing_factors_fall_back_to_unscaled_graph(tmp_path):
     assert row["mu"] != ""
     assert row["residual"] != "" and row["certified"] != ""
     assert 0.0 <= float(row["ri"]) <= 1.0
+
+
+def test_non_utf8_data_is_a_parse_error(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"a,b,label\n1,2,1\n3,4\xe9,2\n")
+    code = main(["classify", "--data", str(data), "--output-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: MatrixParseError: {data}:3: bytes that are not UTF-8\n"
+    assert not (tmp_path / "run" / "report.csv").exists()

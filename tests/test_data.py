@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specscale import (
     DataMatrix,
-    data,
     SplitSpec,
     generate_toy,
     load_matrix,
@@ -131,7 +132,9 @@ class TestLoadSave:
             load_matrix(path)
 
     @pytest.mark.parametrize(
-        "cell, problem", [("oops", "non-numeric"), ("inf", "non-finite"), ("", "missing")]
+        "cell, problem",
+        [("oops", "non-numeric"), ("", "missing")]
+        + [(cell, "non-finite") for cell in ("inf", "-inf", "Infinity", "nan", "NaN")],
     )
     def test_bad_last_cell_of_wide_row_cites_line_and_column(self, tmp_path, cell, problem):
         width = 500
@@ -143,28 +146,113 @@ class TestLoadSave:
         with pytest.raises(MatrixParseError, match=f":3: {problem}.* column {width}$"):
             load_matrix(path)
 
-    def test_roundtrip_exact_across_chunks(self, tmp_path, monkeypatch):
-        # 3 rows of 8 cells (7 features and the label) per chunk: 17 chunks,
-        # the last one short
-        monkeypatch.setattr(data, "_CHUNK_CELLS", 3 * 8 + 5)
+    def test_roundtrip_exact_50_rows(self, tmp_path):
         dm = balanced_matrix(n=50, m=7, seed=4)
-        path = tmp_path / "chunks.csv"
+        path = tmp_path / "rows.csv"
         save_matrix(dm, path)
         back = load_matrix(path)
         np.testing.assert_array_equal(back.values, dm.values)
         np.testing.assert_array_equal(back.labels, dm.labels)
         assert back.feature_names == dm.feature_names
 
-    def test_bad_cell_in_a_later_chunk_after_blank_lines_cites_line_and_column(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(data, "_CHUNK_CELLS", 2 * 3)  # 2 rows per chunk
+    def test_bad_cell_after_blank_lines_cites_line_and_column(self, tmp_path):
         lines = ["a,b,c", "1,2,3", "", "4,5,6", "  ", "7,8,9", "1,2,3", "", "\t",
                  "4,5,6", "7,8,9", "1,2,oops", "4,5,6"]
         path = tmp_path / "late.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MatrixParseError, match=r":12: non-numeric cell 'oops' in column 3$"):
             load_matrix(path)
+
+    def test_hash_is_data_not_a_comment(self, tmp_path):
+        path = tmp_path / "hash.csv"
+        path.write_text("a,b\n1,2\n1,2#x\n")
+        with pytest.raises(MatrixParseError, match=r":3: non-numeric cell '2#x' in column 2$"):
+            load_matrix(path)
+
+    def test_rows_narrower_than_the_header_are_ragged_at_the_first_data_line(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("a,b,c\n\n1,2\n3,4\n")
+        with pytest.raises(MatrixParseError, match=r":3: ragged row with 2 cells, expected 3$"):
+            load_matrix(path)
+
+    def test_single_data_row_is_one_by_m(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("a,b,c\n1.5,2.5,3.5\n")
+        dm = load_matrix(path)
+        assert dm.values.shape == (1, 3)
+        np.testing.assert_array_equal(dm.values, [[1.5, 2.5, 3.5]])
+        path.write_text("7.25\n")  # headerless, one cell
+        assert load_matrix(path).values.shape == (1, 1)
+
+    def test_crlf_line_endings_load(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,b,label\r\n1.5,2.5,1\r\n\r\n3.5,4.5,2\r\n")
+        dm = load_matrix(path)
+        assert dm.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(dm.values, [[1.5, 2.5], [3.5, 4.5]])
+        np.testing.assert_array_equal(dm.labels, [1, 2])
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        # tier-1 turns warnings into errors, so numpy's empty-input UserWarning
+        # would fail this test before the MatrixParseError
+        path = tmp_path / "header.csv"
+        path.write_text("a,b,label\n\n  \n")
+        with pytest.raises(MatrixParseError, match=r"header\.csv: no data rows$"):
+            load_matrix(path)
+
+    def test_whitespace_lines_are_skipped_and_still_counted(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("a,b\n1,2\n \t \n\n3,4\n\t\n5,x\n")
+        with pytest.raises(MatrixParseError, match=r":7: non-numeric cell 'x' in column 2$"):
+            load_matrix(path)
+        path.write_text("a,b\n1,2\n \t \n\n3,4\n\t\n")
+        np.testing.assert_array_equal(load_matrix(path).values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        rows = b"".join(b"%d,%d\n" % (i, i + 1) for i in range(3000))  # past one read buffer
+        path.write_bytes(b"a,b\n" + rows + b"caf\xe9,2\n")
+        with pytest.raises(MatrixParseError, match=r"latin1\.csv:3002: bytes that are not UTF-8$"):
+            load_matrix(path)
+        path.write_bytes(b"caf\xe9,b\n1,2\n")  # in the header
+        with pytest.raises(MatrixParseError, match=r":1: bytes that are not UTF-8$"):
+            load_matrix(path)
+
+    def test_cells_numpy_does_not_parse_are_rejected(self, tmp_path):
+        # Python's float() takes digit-group underscores; numpy's parser does not
+        path = tmp_path / "underscore.csv"
+        path.write_text("a,b\n1,2\n1_0,3\n")
+        with pytest.raises(MatrixParseError, match="could not convert string '1_0'"):
+            load_matrix(path)
+
+    @settings(max_examples=30)
+    @given(
+        shape=st.sampled_from([(12, 3), (4, 40), (2, 1), (9, 9)]),
+        delimiter=st.sampled_from([",", "\t"]),
+        labelled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_load_roundtrip_is_bit_exact(self, tmp_path_factory, shape, delimiter,
+                                              labelled, seed):
+        rng = np.random.default_rng(seed)
+        n, m = shape
+        # every binade from subnormal to huge, both signs, and exact zeros
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-310, 300, size=shape)
+        values[rng.random(shape) < 0.1] = 0.0
+        dm = DataMatrix(
+            values=values,
+            feature_names=[f"feat{j}" for j in range(m)],
+            labels=np.arange(n) % 2 + 1 if labelled else None,
+        )
+        path = tmp_path_factory.mktemp("roundtrip") / "table.txt"
+        save_matrix(dm, path, delimiter=delimiter)
+        back = load_matrix(path)
+        assert back.values.tobytes() == dm.values.tobytes()
+        assert back.feature_names == dm.feature_names
+        if labelled:
+            np.testing.assert_array_equal(back.labels, dm.labels)
+        else:
+            assert back.labels is None
 
     def test_quoted_numeric_cells_load(self, tmp_path):
         path = tmp_path / "quoted.csv"

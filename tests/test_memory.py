@@ -11,11 +11,11 @@ per-sample moments, so its peak must stay below 32 float64 arrays of the
 training rows' size (n_train * m). Measured at n_train = 1500 and m = 10:
 180.6 MB with the n_train x n_train x m pair tensor, 0.87 MB in closed form.
 
-The loader parses its rows in chunks of at most 2^13 cells, so its peak must
-stay below 6 float64 copies of the table. Measured on a 144 x 2000 file with
-a label column: 7.5 MB parsing row by row or in chunks of 2^13 cells, 9.8 MB
-in chunks of 2^16 and 29.2 MB parsing the whole file at once, against a limit
-of 13.8 MB.
+The loader parses every data row with numpy's C reader, which makes no Python
+string per cell, so its peak must stay below 6 float64 copies of the table.
+Measured on a 144 x 2000 file with a label column: 5.1 MB, against a limit of
+13.8 MB. A csv reader with one float parse per chunk of 2^13 cell strings
+peaked at 7.5 MB, and one parse of every cell string at once at 29.2 MB.
 """
 
 import tracemalloc
@@ -84,7 +84,7 @@ def test_pencil_assembly_holds_no_pair_tensor(toy):
     assert traced_peak(assemble_pencil, X, fiedler, 1.0) < 32 * X.size * 8
 
 
-def test_loader_holds_a_chunk_not_the_whole_file(tmp_path, monkeypatch):
+def test_loader_peak_stays_below_six_table_copies(tmp_path):
     rng = np.random.default_rng(0)
     wide = DataMatrix(  # the wide-pencil shape: 144 x 2000 and a label column
         values=rng.normal(size=(144, 2000)),
@@ -93,9 +93,4 @@ def test_loader_holds_a_chunk_not_the_whole_file(tmp_path, monkeypatch):
     )
     path = tmp_path / "wide.csv"
     save_matrix(wide, path)
-    limit = 6 * 144 * 2001 * 8
-    assert traced_peak(load_matrix, path) < limit
-    monkeypatch.setattr("specscale.data._CHUNK_CELLS", 1)  # row by row
-    assert traced_peak(load_matrix, path) < limit
-    monkeypatch.setattr("specscale.data._CHUNK_CELLS", 1 << 40)  # the whole file in one parse
-    assert traced_peak(load_matrix, path) > limit
+    assert traced_peak(load_matrix, path) < 6 * 144 * 2001 * 8
