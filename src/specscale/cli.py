@@ -1,16 +1,21 @@
 """Command-line harness for the supervised feature-scaling experiments.
 
 Subcommands: ``generate`` (synthetic data to a file), ``cluster``,
-``classify``, ``sweep``, ``loocv`` and ``inspect-scaling``. A key=value config
-file can be supplied with --config; its entries override command-line flags.
-Outputs are a human-readable table on stdout plus report.csv and manifest.json
-in the output directory. Exit code 0 on success, 1 on a toolkit error, 2 on
-usage errors.
+``classify``, ``sweep``, ``loocv`` and ``inspect-scaling``; each takes only
+the options it reads. A key=value config file can be supplied with --config;
+its entries override command-line flags. A key is one of the subcommand's own
+long option names, with '-' or '_' (``k-neighbors=3``, ``no_standardize=yes``).
+A value parses as the flag's would and is checked against the flag's choices;
+a flag that takes no value takes true/false/1/0/yes/no. A key the subcommand
+does not declare is an error. Outputs are a human-readable table on stdout
+plus report.csv and manifest.json in the output directory. Exit code 0 on
+success, 1 on a toolkit error, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -66,74 +71,74 @@ def _parse_bool(text):
     return _BOOLEANS[text.lower()]
 
 
-def _add_common(parser, classification):
-    parser.add_argument("--data", required=True, help="delimited text file with a 'label' column")
-    parser.add_argument("--output-dir", default=".", help="where report.csv and manifest.json go")
-    parser.add_argument("--sigma-grid", type=_parse_float_list,
-                        default=list(DEFAULT_SIGMA_GRID),
-                        help="comma-separated kernel widths (default 0.01,0.1,1,10,100)")
-    parser.add_argument("--k-neighbors", type=int, default=7)
-    parser.add_argument("--fiedler-negative", type=_parse_fiedler, default=-0.2,
-                        help="value for the second class, or 'auto'")
-    parser.add_argument("--fraction", type=float, default=0.5, help="training fraction")
-    parser.add_argument("--repetitions", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--kmeans-restarts", type=int, default=20)
-    parser.add_argument("--no-standardize", action="store_true",
-                        help="skip the mean-0 / variance-1 normalization")
-    parser.add_argument("--no-feature-scaling", action="store_true",
-                        help="run the unsupervised baseline (all factors = 1)")
-    parser.add_argument("--config", help="key=value file; entries override flags")
-    if classification:
-        parser.add_argument("--ell", type=int, default=1, choices=(1, 2, 3),
-                            help="embedding dimension")
-
-
-_CONFIG_TYPES = {
-    "data": str,
-    "output_dir": str,
-    "sigma_grid": _parse_float_list,
-    "k_neighbors": int,
-    "fiedler_negative": _parse_fiedler,
-    "fraction": float,
-    "repetitions": int,
-    "seed": int,
-    "kmeans_restarts": int,
-    "ell": int,
-    "samples": int,
-    "out": str,
-    "delimiter": _parse_delimiter,
-    "fractions": _parse_float_list,
-    "no_standardize": _parse_bool,
-    "no_feature_scaling": _parse_bool,
-    "sigma": float,
+# every option that more than one subcommand reads, declared once
+_SHARED = {
+    "--data": {"required": True, "help": "delimited text file with a 'label' column"},
+    "--output-dir": {"default": ".", "help": "where report.csv and manifest.json go"},
+    "--sigma-grid": {"type": _parse_float_list, "default": DEFAULT_SIGMA_GRID,
+                     "help": "comma-separated kernel widths (default 0.01,0.1,1,10,100)"},
+    "--k-neighbors": {"type": int, "default": 7},
+    "--fiedler-negative": {"type": _parse_fiedler, "default": -0.2,
+                           "help": "value for the second class, or 'auto'"},
+    "--fraction": {"type": float, "default": 0.5, "help": "training fraction"},
+    "--repetitions": {"type": int, "default": 10},
+    "--seed": {"type": int, "default": 0},
+    "--kmeans-restarts": {"type": int, "default": 20},
+    "--ell": {"type": int, "default": 1, "choices": (1, 2, 3), "help": "embedding dimension"},
+    "--no-standardize": {"action": "store_true",
+                         "help": "skip the mean-0 / variance-1 normalization"},
+    "--no-feature-scaling": {"action": "store_true",
+                             "help": "run the unsupervised baseline (all factors = 1)"},
+    "--config": {"help": "key=value file; entries override flags"},
 }
+
+# what cluster, classify, sweep and loocv all read
+_PIPELINE = ("--data", "--output-dir", "--sigma-grid", "--k-neighbors", "--fiedler-negative",
+             "--no-standardize", "--no-feature-scaling", "--config")
+
+
+def _add_command(sub, name, summary, func, shared, own=None):
+    """Add subcommand ``name`` taking the ``shared`` options named and its
+    ``own`` ones (flag -> add_argument keywords). Its options go into the
+    namespace as ``options``, by config key, for _apply_config_file. A flag
+    is taken only in full, as a key is: sweep's --fractions is not --fraction."""
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    actions = [p.add_argument(flag, **_SHARED[flag]) for flag in shared]
+    actions += [p.add_argument(flag, **kwargs) for flag, kwargs in (own or {}).items()]
+    p.set_defaults(func=func, options={a.dest: a for a in actions if a.dest != "config"})
+
+
+def _parse_entry(action, text):
+    """A config value, parsed as option ``action`` parses its flag's value; a
+    flag that takes no value takes a boolean word."""
+    if action.nargs == 0:
+        return _parse_bool(text)
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentTypeError(f"expected one of {list(action.choices)}")
+    return value
 
 
 def _apply_config_file(args):
-    if getattr(args, "config", None) is None:
-        return args
+    if args.config is None:
+        return
     with open(args.config, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             # a tab is a value (delimiter=<tab>), so only spaces are trimmed
             line = line.rstrip("\r\n").strip(" ")
             if not line.strip() or line.startswith("#"):
                 continue
+            where = f"{args.config}:{lineno}"
             if "=" not in line:
-                raise SpecScaleError(f"{args.config}:{lineno}: expected key=value")
+                raise SpecScaleError(f"{where}: expected key=value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
-                raise SpecScaleError(f"{args.config}:{lineno}: unknown key '{key}'")
-            if not hasattr(args, key):
-                raise SpecScaleError(
-                    f"{args.config}:{lineno}: key '{key}' does not apply to this command"
-                )
+            if key not in args.options:
+                raise SpecScaleError(f"{where}: unknown key '{key}' for {args.command}")
             try:
-                setattr(args, key, _CONFIG_TYPES[key](value.strip(" ")))
+                setattr(args, key, _parse_entry(args.options[key], value.strip(" ")))
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise argparse.ArgumentTypeError(f"{args.config}:{lineno}: {key}: {exc}") from exc
-    return args
+                raise argparse.ArgumentTypeError(f"{where}: {key}: {exc}") from exc
 
 
 def _load_data(args):
@@ -153,22 +158,26 @@ def _usage_errors(build):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _declared(args, **dests):
+    """``{field: args.<dest>}`` for each ``dest`` the subcommand declares."""
+    return {field: getattr(args, dest) for field, dest in dests.items() if dest in args.options}
+
+
 def _build_config(args, task):
-    return _usage_errors(
-        lambda: ExperimentConfig(
+    # a field whose option the subcommand does not declare keeps its default
+    def build():
+        config = ExperimentConfig(
             task=task,
-            ell=getattr(args, "ell", 1),
             sigma_grid=tuple(args.sigma_grid),
             k_neighbors=args.k_neighbors,
             fiedler_negative=args.fiedler_negative,
-            split=SplitSpec(
-                train_fraction=args.fraction, seed=args.seed, repetitions=args.repetitions
-            ),
-            kmeans_restarts=args.kmeans_restarts,
-            seed=args.seed,
             feature_scaling=not args.no_feature_scaling,
+            **_declared(args, ell="ell", kmeans_restarts="kmeans_restarts", seed="seed"),
         )
-    )
+        spec = _declared(args, train_fraction="fraction", seed="seed", repetitions="repetitions")
+        return dataclasses.replace(config, split=dataclasses.replace(config.split, **spec))
+
+    return _usage_errors(build)
 
 
 def _emit(reports, output_dir):
@@ -190,32 +199,18 @@ def _cmd_generate(args):
     return 0
 
 
-def _cmd_cluster(args):
-    config = _build_config(args, "cluster")
-    report = run_pipeline(config, _load_data(args))
-    _emit([report], args.output_dir)
-    return 0
-
-
-def _cmd_classify(args):
-    config = _build_config(args, "classify")
-    report = run_pipeline(config, _load_data(args))
-    _emit([report], args.output_dir)
+def _cmd_pipeline(args):
+    """``cluster``, ``classify`` and ``loocv``: one protocol, one report."""
+    config = _build_config(args, "cluster" if args.command == "cluster" else "classify")
+    protocol = loocv if args.command == "loocv" else run_pipeline
+    _emit([protocol(config, _load_data(args))], args.output_dir)
     return 0
 
 
 def _cmd_sweep(args):
     config = _build_config(args, args.task)
     _usage_errors(lambda: [SplitSpec(fraction) for fraction in args.fractions])
-    reports = sweep(config, args.fractions, _load_data(args))
-    _emit(reports, args.output_dir)
-    return 0
-
-
-def _cmd_loocv(args):
-    config = _build_config(args, "classify")
-    report = loocv(config, _load_data(args))
-    _emit([report], args.output_dir)
+    _emit(sweep(config, args.fractions, _load_data(args)), args.output_dir)
     return 0
 
 
@@ -248,45 +243,28 @@ def build_parser():
         description="Supervised feature scaling for spectral clustering and classification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic benchmark dataset")
-    p.add_argument("--samples", type=int, default=800)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--delimiter", type=_parse_delimiter, default=",",
-                   help="',' (default) or a tab")
-    p.add_argument("--config", help="key=value file; entries override flags")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("cluster", help="spectral clustering with learned scaling")
-    _add_common(p, classification=False)
-    p.set_defaults(func=_cmd_cluster, ell=1)
-
-    p = sub.add_parser("classify", help="transductive 1-NN classification")
-    _add_common(p, classification=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("sweep", help="repeat a task over several training fractions")
-    _add_common(p, classification=True)
-    p.add_argument("--task", choices=("cluster", "classify"), default="classify")
-    p.add_argument("--fractions", type=_parse_float_list,
-                   default=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5])
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("loocv", help="leave-one-out classification")
-    _add_common(p, classification=True)
-    p.set_defaults(func=_cmd_loocv)
-
-    p = sub.add_parser("inspect-scaling", help="emit the learned factor table")
-    p.add_argument("--data", required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fiedler-negative", type=_parse_fiedler, default=-0.2)
-    p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--config", help="key=value file; entries override flags")
-    p.set_defaults(func=_cmd_inspect_scaling)
+    _add_command(sub, "generate", "write a synthetic benchmark dataset", _cmd_generate,
+                 ("--seed", "--config"),
+                 {"--samples": {"type": int, "default": 800},
+                  "--out": {"required": True},
+                  "--delimiter": {"type": _parse_delimiter, "default": ",",
+                                  "help": "',' (default) or a tab"}})
+    _add_command(sub, "cluster", "spectral clustering with learned scaling", _cmd_pipeline,
+                 _PIPELINE + ("--fraction", "--repetitions", "--seed", "--kmeans-restarts"))
+    _add_command(sub, "classify", "transductive 1-NN classification", _cmd_pipeline,
+                 _PIPELINE + ("--fraction", "--repetitions", "--seed", "--ell"))
+    _add_command(sub, "sweep", "repeat a task over several training fractions", _cmd_sweep,
+                 _PIPELINE + ("--repetitions", "--seed", "--kmeans-restarts", "--ell"),
+                 {"--task": {"choices": ("cluster", "classify"), "default": "classify"},
+                  "--fractions": {"type": _parse_float_list,
+                                  "default": [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
+                                              0.45, 0.5]}})
+    _add_command(sub, "loocv", "leave-one-out classification", _cmd_pipeline,
+                 _PIPELINE + ("--ell",))
+    _add_command(sub, "inspect-scaling", "emit the learned factor table", _cmd_inspect_scaling,
+                 ("--data", "--fraction", "--seed", "--fiedler-negative", "--no-standardize",
+                  "--config"),
+                 {"--sigma": {"type": float, "default": 1.0}, "--out": {}})
     return parser
 
 
@@ -294,14 +272,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        _apply_config_file(args)
         return args.func(args)
     except argparse.ArgumentTypeError as exc:  # a bad option value: exit code 2
         parser.error(str(exc))
-    except SpecScaleError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpecScaleError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

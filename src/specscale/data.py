@@ -3,8 +3,9 @@
 ``load_matrix`` parses every data row with one ``np.loadtxt`` call. Its error
 messages come from a second pass that runs only when that parse fails or its
 table is bad, and reads the file again row by row to name the line and
-column. numpy's parser is stricter than Python's ``float``: cells such as
-digit-group underscores ('1_0') that ``float`` would take are rejected.
+column. numpy's parser is stricter than Python's ``float``: it rejects cells
+such as digit-group underscores ('1_0') that ``float`` would take, and the
+header test and the second pass apply its rules too.
 """
 
 from __future__ import annotations
@@ -131,6 +132,12 @@ def _sniff_delimiter(line):
 
 
 def _is_float(cell):
+    """Whether numpy's reader parses ``cell``: after stripping whitespace it
+    reads ASCII only, by Python's ``float`` rules without digit-group
+    underscores."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return False
     try:
         float(cell)
         return True
@@ -185,6 +192,9 @@ def load_matrix(path) -> DataMatrix:
         labels = table[:, label_idx].astype(int)
         if np.any(table[:, label_idx] != labels):
             raise MatrixParseError(f"{path}: label column holds non-integer values")
+        classes = np.unique(labels).size
+        if classes != 2:
+            raise MatrixParseError(f"{path}: the label column needs 2 classes, found {classes}")
         values = np.delete(table, label_idx, axis=1)
         names = [h for i, h in enumerate(header) if i != label_idx]
     else:
@@ -224,11 +234,9 @@ def _first_problem(path, message) -> MatrixParseError:
                 cell = cell.strip()
                 if cell == "":
                     return MatrixParseError(f"{where}: missing value in column {i}")
-                try:
-                    value = float(cell)
-                except ValueError:
+                if not _is_float(cell):
                     return MatrixParseError(f"{where}: non-numeric cell '{cell}' in column {i}")
-                if not np.isfinite(value):
+                if not np.isfinite(float(cell)):
                     return MatrixParseError(f"{where}: non-finite value in column {i}")
     return MatrixParseError(f"{path}: {message}")
 

@@ -191,6 +191,99 @@ def test_unknown_config_key_fails(toy_file, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+# the argv each subcommand needs before any option is parsed
+REQUIRED = {
+    "generate": ["--out", "toy.csv"],
+    "cluster": ["--data", "toy.csv"],
+    "classify": ["--data", "toy.csv"],
+    "sweep": ["--data", "toy.csv"],
+    "loocv": ["--data", "toy.csv"],
+    "inspect-scaling": ["--data", "toy.csv"],
+}
+
+# a value other than the default for every option a subcommand declares;
+# None marks a flag that takes no value
+NON_DEFAULT = {
+    "data": "other.csv", "output_dir": "elsewhere", "sigma_grid": "0.5,2",
+    "k_neighbors": "3", "fiedler_negative": "auto", "fraction": "0.25", "repetitions": "3",
+    "seed": "4", "kmeans_restarts": "5", "ell": "2", "task": "cluster",
+    "fractions": "0.2,0.4", "samples": "64", "out": "other-out.csv", "delimiter": "\t",
+    "sigma": "2.5", "no_standardize": None, "no_feature_scaling": None,
+}
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_config_entries_parse_as_their_flags(tmp_path, command):
+    parser = cli.build_parser()
+    defaults = parser.parse_args([command, *REQUIRED[command]])
+    assert sorted(set(defaults.options) - set(NON_DEFAULT)) == []
+    assert "config" not in defaults.options and "help" not in defaults.options
+    for dest, action in defaults.options.items():
+        (flag,) = action.option_strings
+        value = NON_DEFAULT[dest]
+        by_flag = parser.parse_args([command, *REQUIRED[command], flag]
+                                    + ([] if value is None else [value]))
+        assert getattr(by_flag, dest) != getattr(defaults, dest), flag
+        for key in (flag[2:], dest):  # dashes or underscores
+            conf = tmp_path / "entry.conf"
+            conf.write_text(f"{key}={'yes' if value is None else value}\n")
+            by_config = parser.parse_args([command, *REQUIRED[command], "--config", str(conf)])
+            cli._apply_config_file(by_config)
+            assert getattr(by_config, dest) == getattr(by_flag, dest), key
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    [("cluster", "ell=2"), ("classify", "kmeans-restarts=5"), ("loocv", "seed=1"),
+     ("sweep", "fraction=0.3"), ("classify", "config=other.conf"), ("classify", "help=yes")],
+)
+def test_config_key_the_subcommand_does_not_declare_fails(toy_file, tmp_path, capsys,
+                                                          command, entry):
+    conf = tmp_path / "run.conf"
+    conf.write_text(entry + "\n")
+    argv = [command, "--data", str(toy_file), "--output-dir", str(tmp_path), "--config", str(conf)]
+    assert main(argv) == 1
+    key = entry.partition("=")[0].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"error: SpecScaleError: {conf}:1: unknown key '{key}' for {command}\n"
+    )
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_sweep_config_task_runs_that_task(toy_file, tmp_path):
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("task=cluster\n")
+    outdir = tmp_path / "sw"
+    argv = ["sweep", "--data", str(toy_file), "--output-dir", str(outdir), "--fractions", "0.5",
+            "--sigma-grid", "1", "--repetitions", "1", "--config", str(conf)]
+    assert main(argv) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert [r["task"] for r in manifest["reports"]] == ["cluster"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("classify", "--kmeans-restarts"), ("loocv", "--seed"), ("loocv", "--fraction"),
+     ("loocv", "--repetitions"), ("loocv", "--kmeans-restarts"), ("sweep", "--fraction")],
+)
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(toy_file, tmp_path, capsys,
+                                                            command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(toy_file), "--output-dir", str(tmp_path), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_label_column_without_two_classes_fails_cleanly(tmp_path, capsys):
+    data = tmp_path / "one-class.csv"
+    data.write_text("a,b,label\n1,2,1\n3,4,1\n5,7,1\n")
+    code = main(["classify", "--data", str(data), "--output-dir", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: MatrixParseError: {data}: the label column needs 2 classes, found 1\n"
+    )
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # missing --data
@@ -203,7 +296,7 @@ def test_usage_error_exit_code(capsys):
         ("classify", ["--repetitions", "0"], None),
         ("classify", ["--fraction", "0"], None),
         ("classify", ["--k-neighbors", "0"], None),
-        ("classify", ["--kmeans-restarts", "0"], None),
+        ("cluster", ["--kmeans-restarts", "0"], None),
         ("classify", ["--sigma-grid", "0"], None),
         ("classify", [], "ell=4"),
         ("classify", [], "k_neighbors=x"),
@@ -242,6 +335,8 @@ def test_bad_option_value_is_a_usage_error(
         line for line in err.splitlines() if line.startswith("specscale: error:")
     ]
     assert err.count("error:") == 1
+    if config is not None:
+        assert f"specscale: error: {conf}:1: " in err
     assert not (tmp_path / "report.csv").exists()
 
 

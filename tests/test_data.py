@@ -219,10 +219,25 @@ class TestLoadSave:
             load_matrix(path)
 
     def test_cells_numpy_does_not_parse_are_rejected(self, tmp_path):
-        # Python's float() takes digit-group underscores; numpy's parser does not
-        path = tmp_path / "underscore.csv"
-        path.write_text("a,b\n1,2\n1_0,3\n")
-        with pytest.raises(MatrixParseError, match="could not convert string '1_0'"):
+        # Python's float() takes digit-group underscores and non-ASCII digits;
+        # numpy's parser does not, and the error names the file line
+        path = tmp_path / "cells.csv"
+        for cell in ("1_0", "\u0661\u0662", "2.\u0665"):
+            path.write_text(f"a,b\n1,2\n3,{cell}\n", encoding="utf-8")
+            with pytest.raises(MatrixParseError,
+                               match=rf"cells\.csv:3: non-numeric cell '{cell}' in column 2$"):
+                load_matrix(path)
+        path.write_text("1_0,2\n3,4\n")  # the same rules tell a header line apart
+        assert load_matrix(path).feature_names == ["1_0", "2"]
+
+    @pytest.mark.parametrize("labels, classes", [((1, 1, 1), 1), ((1, 2, 3), 3)],
+                             ids=["one-class", "three-classes"])
+    def test_label_column_without_two_classes_is_a_parse_error(self, tmp_path, labels, classes):
+        path = tmp_path / "classes.csv"
+        path.write_text("a,b,label\n" + "".join(f"{i},{i + 1},{c}\n"
+                                                  for i, c in enumerate(labels)))
+        message = rf"classes\.csv: the label column needs 2 classes, found {classes}$"
+        with pytest.raises(MatrixParseError, match=message):
             load_matrix(path)
 
     @settings(max_examples=30)

@@ -1,5 +1,5 @@
-"""Static checks of the package source: no unused imports, a consistent
-public surface."""
+"""Static checks of the package source: no unused imports, no unused private
+names, a consistent public surface."""
 
 import ast
 from pathlib import Path
@@ -45,6 +45,28 @@ def used_names(tree):
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def private_definitions(tree):
+    """Module-level private functions, classes and constants (``_name``)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_reads_every_private_name_it_defines(path):
+    # a private helper nothing in its own module reads is dead code
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    assert sorted(private_definitions(tree) - read) == []
 
 
 def test_public_surface_matches_all():
