@@ -7,10 +7,13 @@ trivial eigenvalue per connected component of the graph. Graphs of at most
 implicitly restarted Lanczos (ARPACK ``eigsh``) on the sparse normalized
 adjacency, with the trivial eigenvectors shifted out of the way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
-pencil F - mu G determines: the finite QZ pairs of one square reduction onto
-the row space of [F; G], lifted back in one product; with full column rank
-these are the pairs of the least-squares (Galerkin) pencil (G^T F, G^T G).
-The caller certifies the pair it keeps with ``pencil_residual``.
+pencil F - mu G determines, nearest a target eigenvalue first. A wide pencil
+(fewer rows than columns) has an exact pair at every mu; it yields one pair in
+closed form, at mu = target, by a minimum-norm least-squares solve. Any other
+pencil yields the finite QZ pairs of one square reduction onto the row space
+of [F; G], lifted back in one product; with full column rank these are the
+pairs of the least-squares (Galerkin) pencil (G^T F, G^T G). The caller
+certifies the pair it keeps with ``pencil_residual``.
 """
 
 from __future__ import annotations
@@ -219,33 +222,40 @@ def numerical_rank(singular_values, shape):
     return int(np.count_nonzero(singular_values > tol))
 
 
-def rect_pencil_eig(F, G):
-    """Eigenpairs that the (possibly rectangular) pencil F - mu G determines.
+def rect_pencil_eig(F, G, target):
+    """Eigenpairs that the (possibly rectangular) pencil F - mu G determines,
+    nearest ``target`` first.
 
-    F and G are restricted to the row space of the stacked [F; G] (its leading
-    right singular vectors), giving F_r and G_r; the finite QZ eigenpairs of
-    the square reduction (G_r^T F_r, G_r^T G_r) are lifted back, all of them in
-    one product of the real basis with the real and the imaginary parts of the
-    QZ eigenvectors. A lifted vector has no component in the joint nullspace
-    of F and G, so it is the minimal-norm representative of its class.
-    Directions in that nullspace solve the pencil for every mu and are not
-    reported.
+    A wide pencil (fewer rows than columns) has an exact pair at every mu, and
+    at mu = target an affine family of them with last component -1. Its one
+    returned pair is the member of least norm: with K = F - target G, the
+    minimum-norm least-squares solution s of K[:, :-1] s = K[:, -1] (``lstsq``
+    with ``rcond=None``, the cutoff eps * max(shape) of ``numerical_rank``),
+    as w = [s; -1]. The solve is stable under rounding-level changes of F and
+    G, and a column scaling diag(c I, 1) of the pencil maps s to s / c.
 
-    With full column rank the pairs are those of the least-squares (Galerkin)
-    pencil (G^T F, G^T G): a tall pencil's pairs solve G^T (F - mu G) w = 0,
-    not F w = mu G w. A wide pencil's pairs are exact pairs of F - mu G.
+    Any other pencil is restricted to the row space of the stacked [F; G] (its
+    leading right singular vectors), giving F_r and G_r; the finite QZ
+    eigenpairs of the square reduction (G_r^T F_r, G_r^T G_r) are lifted back,
+    all of them in one product of the real basis with the real and the
+    imaginary parts of the QZ eigenvectors. A lifted vector has no component
+    in the joint nullspace of F and G, so it is the minimal-norm
+    representative of its class. Directions in that nullspace solve the pencil
+    for every mu and are not reported. With full column rank the pairs are
+    those of the least-squares (Galerkin) pencil (G^T F, G^T G): they solve
+    G^T (F - mu G) w = 0, not F w = mu G w.
 
     No pair is certified here (``residual`` is None) and nothing is filtered.
     Complex eigenvalues appear together with their conjugates. Vectors have
-    unit 2-norm and a deterministic sign. Pairs are ordered by (Re mu, Im mu);
-    equal eigenvalues keep QZ's order.
+    unit 2-norm and a deterministic sign. Pairs are ordered by
+    (|Re mu - target|, Re mu, Im mu); equal keys keep QZ's order.
 
     Raises
     ------
     DegeneratePencilError
         If G = 0.
     NoEigenpairError
-        If the reduction has no finite eigenvalue.
+        If the reduction of a square or tall pencil has no finite eigenvalue.
     """
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -255,6 +265,12 @@ def rect_pencil_eig(F, G):
         raise ValueError("at least one of F, G must be nonzero")
     if not G.any():
         raise DegeneratePencilError("G = 0: the pencil has no finite eigenvalue")
+
+    if F.shape[0] < F.shape[1]:
+        K = F - target * G
+        s = np.linalg.lstsq(K[:, :-1], K[:, -1], rcond=None)[0]
+        w = np.append(s, -1.0)
+        return [EigenPair(float(target), _sign_normalize(w / np.linalg.norm(w)))]
 
     stacked = np.vstack([F, G])
     _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
@@ -280,5 +296,8 @@ def rect_pencil_eig(F, G):
 
     if not pairs:
         raise NoEigenpairError("the pencil has no finite eigenpair")
-    # stable sort: equal eigenvalues keep QZ's deterministic order
-    return sorted(pairs, key=lambda p: (np.real(p.value), np.imag(p.value)))
+    # stable sort: equal keys keep QZ's deterministic order
+    return sorted(
+        pairs,
+        key=lambda p: (abs(np.real(p.value) - target), np.real(p.value), np.imag(p.value)),
+    )

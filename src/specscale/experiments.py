@@ -296,7 +296,10 @@ def _kernel(config, data, train, test, repetition, diffs, sigma, sigma_index, sh
     none: no feature scaling, the "auto" target (its degrees come from a
     sigma-dependent training graph), a rank-deficient pencil (always when
     2 n_train + 1 < m + 1, which needs no SVD to tell), or a fit that would
-    take one of the unscaled fallbacks.
+    take one of the unscaled fallbacks. Of the rank-deficient pencils only
+    the square and tall ones depend on sigma, through their minimal-norm
+    pairs; a wide one's closed-form pair is width-free, but it is still solved
+    per sigma.
     """
     X = data.values[train]
     if shared and (

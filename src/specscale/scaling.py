@@ -13,12 +13,21 @@ minus the targeted Laplacian eigenvalue. ``learn_scaling`` solves that pencil
 and selects the candidate with mu closest to one.
 
 F and G have n_train + 1 rows and m + 1 columns. A wide pencil (more features
-than training samples) has exact pairs, a whole family of them. A pencil with
-full column rank, rank([F; G]) = m + 1, such as the tall toy pencils, has no
-exact pair in general; it is solved as its least-squares (Galerkin) reduction
-eig(G^T F, G^T G) (Das & Neumaier, SISC 2013). G's last row is zero, so the
-constraint row (gamma^T, rho) does not enter G^T F: it is reported as
-``constraint_violation`` and not enforced.
+than training samples) has an exact pair at every mu, so the candidate closest
+to one is mu = 1 itself, where the pairs form an affine family of dimension
+m - n_train. The one taken is the least-norm member: with K = F - G, the
+equations K [s; -1] = 0 read [A - B; gamma^T] s = [alpha - beta; rho], and s is
+their minimum-norm least-squares solution (Golub & Van Loan, Matrix
+Computations, underdetermined systems). The constraint row is enforced, the
+solution is stable under rounding-level changes of the blocks, and, as A, B
+and gamma carry 1/(2 sigma^2), s = 2 sigma^2 t exactly with t the unit-width
+factors.
+
+A pencil with full column rank, rank([F; G]) = m + 1, such as the tall toy
+pencils, has no exact pair in general; it is solved as its least-squares
+(Galerkin) reduction eig(G^T F, G^T G) (Das & Neumaier, SISC 2013). G's last
+row is zero, so the constraint row (gamma^T, rho) does not enter G^T F: it is
+reported as ``constraint_violation`` and not enforced.
 """
 
 from __future__ import annotations
@@ -158,9 +167,10 @@ def has_full_column_rank(ps: PencilSystem) -> bool:
     diag(c I, 1) on the right. With full column rank the row-space reduction
     spans every column, its pairs are those of the normal equations, and a
     column scaling maps them onto each other: mu is the same at every width
-    and s = 2 sigma^2 t, with t the unit-width factors. A rank-deficient
-    pencil's minimal-norm representatives depend on that scaling, and so on
-    sigma.
+    and s = 2 sigma^2 t, with t the unit-width factors. The least-norm pair of
+    a wide pencil scales the same way at any rank. The minimal-norm
+    representatives of a rank-deficient square or tall pencil depend on that
+    scaling, and so on sigma.
     """
     stacked = np.vstack([ps.F(), ps.G()])
     singular_values = np.linalg.svd(stacked, compute_uv=False)
@@ -186,23 +196,24 @@ class ScalingVector:
 def learn_scaling(ps: PencilSystem) -> ScalingVector:
     """Solve the assembled pencil for scaling factors.
 
-    The pencil is solved once (as the Galerkin pencil when [F; G] has full
-    column rank). Each candidate vector is rescaled so its last component is
-    -1, and complex candidates are repaired by taking real parts. Dropped are
+    The pencil is solved once by ``rect_pencil_eig`` with target mu = 1: a
+    wide pencil gives its one least-norm pair at mu = 1 (see the module
+    docstring), any other the pairs of its Galerkin reduction, nearest mu = 1
+    first. Each candidate vector is rescaled so its last component is -1, and
+    complex candidates are repaired by taking real parts. Dropped are
     candidates whose last component vanishes (NonNormalizableError if all do)
     and those whose factors do nothing, ||[A; B] s|| <= 1e-6 ||[alpha; beta]||
     (NoScalingError if all do). That test is sigma-free, as A and B carry
     1/(2 sigma^2) and s carries 2 sigma^2; it drops the exact pair s = 0 at
     mu = -1/(n_train - 1) of a target that sums to zero.
 
-    The rest are ranked by |Re mu - 1| (ties keep the solver's order) and
-    certified in that order: the first whose residual meets 1e-6 is returned
-    with ``certified=True``, else the first one with ``certified=False`` (the
-    generic case for tall pencils).
+    The rest are certified in the solver's order: the first whose residual
+    meets 1e-6 is returned with ``certified=True``, else the first one with
+    ``certified=False`` (the generic case for tall pencils).
     """
     F, G = ps.F(), ps.G()
     try:
-        pairs = rect_pencil_eig(F, G)
+        pairs = rect_pencil_eig(F, G, 1.0)
     except NoEigenpairError as exc:
         raise NoScalingError("the pencil produced no usable candidates") from exc
     candidates = [
@@ -220,8 +231,6 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     candidates = [c for c, e in zip(candidates, effect) if e > floor]
     if not candidates:
         raise NoScalingError("every normalizable candidate has factors that do nothing")
-    # stable sort: equal keys keep the solver's order
-    candidates.sort(key=lambda c: abs(c[0] - 1.0))
 
     inspected = []
     for mu, s in candidates:

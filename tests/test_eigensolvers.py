@@ -244,7 +244,7 @@ class TestSymCertificateScale:
 
 class TestRectPencilEig:
     def test_diagonal_square_pencil(self):
-        pairs = rect_pencil_eig(np.diag([2.0, 3.0]), np.eye(2))
+        pairs = rect_pencil_eig(np.diag([2.0, 3.0]), np.eye(2), 1.0)
         values = sorted(np.real(p.value) for p in pairs)
         np.testing.assert_allclose(values, [2.0, 3.0], atol=1e-10)
         for p in pairs:
@@ -256,7 +256,7 @@ class TestRectPencilEig:
         # certified pairs obey mu = (1 - s) / (1 + s); s = 0 gives mu = 1
         F = np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
         G = np.array([[1.0, -1.0], [-1.0, 1.0], [0.0, 0.0]])
-        pairs = rect_pencil_eig(F, G)
+        pairs = rect_pencil_eig(F, G, 1.0)
         found_mu_one = False
         for p in pairs:
             w = p.vector
@@ -271,11 +271,11 @@ class TestRectPencilEig:
 
     def test_zero_G_is_degenerate(self):
         with pytest.raises(DegeneratePencilError):
-            rect_pencil_eig(np.eye(2), np.zeros((2, 2)))
+            rect_pencil_eig(np.eye(2), np.zeros((2, 2)), 1.0)
 
     def test_both_zero_invalid(self):
         with pytest.raises(ValueError):
-            rect_pencil_eig(np.zeros((2, 2)), np.zeros((2, 2)))
+            rect_pencil_eig(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
 
     def test_matches_characteristic_polynomial(self):
         rng = np.random.default_rng(11)
@@ -284,7 +284,7 @@ class TestRectPencilEig:
             F = rng.normal(size=(q, q))
             G = rng.normal(size=(q, q))
             roots = charpoly_roots(F, G)
-            pairs = rect_pencil_eig(F, G)
+            pairs = rect_pencil_eig(F, G, 1.0)
             got = np.array([p.value for p in pairs])
             for mu in got:
                 assert np.min(np.abs(roots - mu)) < 1e-6
@@ -294,7 +294,7 @@ class TestRectPencilEig:
     def test_complex_pairs_come_with_conjugates(self):
         theta = 0.7
         F = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        pairs = rect_pencil_eig(F, np.eye(2))
+        pairs = rect_pencil_eig(F, np.eye(2), 1.0)
         values = np.array([p.value for p in pairs])
         assert np.iscomplexobj(values)
         np.testing.assert_allclose(sorted(values.imag), [-np.sin(theta), np.sin(theta)], atol=1e-10)
@@ -303,19 +303,26 @@ class TestRectPencilEig:
         rng = np.random.default_rng(2)
         F = rng.normal(size=(3, 8))
         G = rng.normal(size=(3, 8))
-        pairs = rect_pencil_eig(F, G)
-        assert pairs
-        for p in pairs:
-            assert p.residual is None
-            assert dense_residual(F, G, p.value, p.vector) <= 1e-6
-            np.testing.assert_allclose(np.linalg.norm(p.vector), 1.0, atol=1e-12)
+        for target in (1.0, -0.3):
+            pairs = rect_pencil_eig(F, G, target)
+            assert [p.value for p in pairs] == [target]
+            for p in pairs:
+                assert p.residual is None
+                assert dense_residual(F, G, p.value, p.vector) <= 1e-6
+                np.testing.assert_allclose(np.linalg.norm(p.vector), 1.0, atol=1e-12)
+
+    def test_pairs_come_nearest_target_first(self):
+        # key (|Re mu - target|, Re mu, Im mu): 2 and 4 tie at distance 1 from 3
+        F = np.diag([5.0, 4.0, 2.0, 3.0, -1.0])
+        pairs = rect_pencil_eig(F, np.eye(5), 3.0)
+        np.testing.assert_allclose([p.value for p in pairs], [3.0, 2.0, 4.0, 5.0, -1.0])
 
     def test_mildly_wide_pencil_certificates(self):
         # more columns than rows but no joint nullspace
         rng = np.random.default_rng(4)
         F = rng.normal(size=(5, 7))
         G = rng.normal(size=(5, 7))
-        pairs = rect_pencil_eig(F, G)
+        pairs = rect_pencil_eig(F, G, 1.0)
         assert pairs
         assert all(dense_residual(F, G, p.value, p.vector) <= 1e-6 for p in pairs)
 
@@ -327,47 +334,63 @@ class TestRectPencilEig:
         G = rng.normal(size=(4, 3))
         F = np.column_stack([F, F[:, 0]])
         G = np.column_stack([G, G[:, 0]])
-        pairs = rect_pencil_eig(F, G)
+        pairs = rect_pencil_eig(F, G, 1.0)
         assert pairs
         for p in pairs:
             assert abs(p.vector[0] - p.vector[3]) <= 1e-10
 
     @pytest.mark.parametrize("shape", ["tall", "wide"])
     def test_candidates_are_minimal_norm(self, shape):
-        # no vector has a component in the joint nullspace N of F and G
         rng = np.random.default_rng(19)
         if shape == "tall":
+            # no vector has a component in the joint nullspace N of F and G
             F = rng.normal(size=(6, 3))
             G = rng.normal(size=(6, 3))
             F = np.column_stack([F, F[:, 0]])
             G = np.column_stack([G, G[:, 0]])
+            _, sv, vt = np.linalg.svd(np.vstack([F, G]))
+            rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
+            N = vt[rank:].T
+            assert N.shape[1] == 1
+            pairs = rect_pencil_eig(F, G, 1.0)
+            assert pairs
+            for p in pairs:
+                assert np.linalg.norm(N.T @ p.vector) <= 1e-10
         else:
+            # one pair at mu = target: w = [s; -1] with K[:, :-1] s = K[:, -1]
+            # for K = F - target G, and s free of the nullspace of K[:, :-1]
             F = rng.normal(size=(3, 8))
             G = rng.normal(size=(3, 8))
-        _, sv, vt = np.linalg.svd(np.vstack([F, G]))
-        rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
-        N = vt[rank:].T
-        assert N.shape[1] == (1 if shape == "tall" else 2)
-        pairs = rect_pencil_eig(F, G)
-        assert pairs
-        for p in pairs:
-            assert np.linalg.norm(N.T @ p.vector) <= 1e-10
+            target = 0.7
+            (pair,) = rect_pencil_eig(F, G, target)
+            assert pair.value == target
+            K = F - target * G
+            s = -pair.vector[:-1] / pair.vector[-1]
+            lhs = K[:, :-1] @ s
+            assert np.linalg.norm(lhs - K[:, -1]) <= 1e-12 * np.linalg.norm(K[:, -1])
+            _, _, vt = np.linalg.svd(K[:, :-1])
+            N = vt[3:].T
+            assert N.shape[1] == 4
+            assert np.linalg.norm(N.T @ s) <= 1e-12 * np.linalg.norm(s)
 
     def test_deterministic_output(self):
         rng = np.random.default_rng(13)
         F = rng.normal(size=(6, 4))
         G = rng.normal(size=(6, 4))
-        a = rect_pencil_eig(F, G)
-        b = rect_pencil_eig(F, G)
+        a = rect_pencil_eig(F, G, 1.0)
+        b = rect_pencil_eig(F, G, 1.0)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.value == y.value
             np.testing.assert_array_equal(x.vector, y.vector)
 
     def test_no_finite_eigenvalue_raises(self):
-        # the reduction of [[1, 0]] - mu [[0, 1]] has beta = 0 for both pairs
+        # F - mu G = [[1, -mu], [0, 0]]: the reduction (G^T F, G^T G) has
+        # beta = 0 for both pairs
         with pytest.raises(NoEigenpairError):
-            rect_pencil_eig(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+            rect_pencil_eig(
+                np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0
+            )
 
 
 def dense_residual(F, G, mu, w):
@@ -380,12 +403,12 @@ def dense_residual(F, G, mu, w):
 class TestPencilCertificates:
     """One lift, and a real-arithmetic residual checked against dense complex algebra."""
 
-    @pytest.mark.parametrize("shape", [(6, 15), (15, 6)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("shape", [(15, 15), (15, 6)], ids=["square", "tall"])
     def test_residuals_match_dense_complex_evaluation(self, shape):
         rng = np.random.default_rng(23)
         F = rng.normal(size=shape)
         G = rng.normal(size=shape)
-        pairs = rect_pencil_eig(F, G)
+        pairs = rect_pencil_eig(F, G, 1.0)
         complex_pairs = [p for p in pairs if np.iscomplexobj(p.value)]
         assert complex_pairs and len(complex_pairs) < len(pairs)
         for p in pairs:
@@ -426,7 +449,7 @@ class TestPencilCertificates:
             v[:2] = [1.0, -0.2]
             ps = assemble_pencil(X, v, 1.0)
             seen.clear()
-            pairs = rect_pencil_eig(ps.F(), ps.G())
+            pairs = rect_pencil_eig(ps.F(), ps.G(), 1.0)
             assert seen == []
             sv = learn_scaling(ps)
             assert sv.certified == wide

@@ -1,5 +1,7 @@
 """Tests for the scaling-factor learner and its pencil assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -221,10 +223,10 @@ class TestLearnScaling:
         assert sv.eigenvalue != pytest.approx(-1 / 19, abs=1e-8)
 
     def test_only_trivial_candidates_raise_no_scaling(self, monkeypatch):
-        ps = wide_pencil()
+        ps = tall_pencil()
         dims = ps.n_features + 1
         pairs = [EigenPair(mu, -np.eye(dims)[-1]) for mu in (0.5, 1.0)]
-        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G: pairs)
+        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, target: pairs)
         with pytest.raises(NoScalingError):
             learn_scaling(ps)
 
@@ -240,19 +242,23 @@ class TestLearnScaling:
             sv.constraint_violation, abs=1e-12
         )
 
-    def test_wide_factors_avoid_joint_nullspace(self):
-        # s is defined only up to the joint nullspace N of F and G; the
-        # selected [s; -1] must be its minimal-norm representative
+    def test_wide_pair_is_least_norm_solution_at_mu_one(self):
+        # a wide pencil has a pair at every mu; the one taken is mu = 1 with
+        # the minimum-norm s of K[:, :-1] s = K[:, -1], K = F - G, which
+        # enforces the constraint row (gamma^T, rho)
         ps = wide_pencil(n_features=20)
-        F, G = ps.F(), ps.G()
-        _, singular, vt = np.linalg.svd(np.vstack([F, G]))
+        K = ps.F() - ps.G()
+        sv = learn_scaling(ps)
+        assert sv.eigenvalue == 1.0
+        assert sv.certified
+        lhs = K[:, :-1] @ sv.factors
+        assert np.linalg.norm(lhs - K[:, -1]) <= 1e-12 * np.linalg.norm(K[:, -1])
+        _, singular, vt = np.linalg.svd(K[:, :-1])
         rank = int(np.count_nonzero(singular > 1e-10 * singular[0]))
         N = vt[rank:].T
-        assert N.shape[1] == 11
-        sv = learn_scaling(ps)
-        vec = np.concatenate([sv.factors, [-1.0]])
-        assert np.linalg.norm(N.T @ vec) <= 1e-10 * np.linalg.norm(vec)
-        assert sv.certified
+        # the rows of A - B sum to zero, so the family has dimension m - n_train
+        assert N.shape[1] == 20 - 6
+        assert np.linalg.norm(N.T @ sv.factors) <= 1e-12 * np.linalg.norm(sv.factors)
 
     def test_tall_system_reports_approximate_solution(self):
         sv = learn_scaling(tall_pencil())
@@ -266,27 +272,27 @@ class TestLearnScaling:
         solve = scaling.rect_pencil_eig
         calls = []
 
-        def counting(F, G):
+        def counting(F, G, target):
             calls.append(F.shape)
-            return solve(F, G)
+            return solve(F, G, target)
 
         monkeypatch.setattr(scaling, "rect_pencil_eig", counting)
         learn_scaling(make_pencil())
         assert len(calls) == 1
 
     def test_no_finite_candidate_raises_no_scaling(self, monkeypatch):
-        def no_pairs(F, G):
+        def no_pairs(F, G, target):
             raise NoEigenpairError("no finite candidate")
 
         monkeypatch.setattr(scaling, "rect_pencil_eig", no_pairs)
         with pytest.raises(NoScalingError):
-            learn_scaling(wide_pencil())
+            learn_scaling(tall_pencil())
 
     def test_vanishing_last_components_raise_non_normalizable(self, monkeypatch):
-        ps = wide_pencil()
+        ps = tall_pencil()
         dims = ps.n_features + 1
         pairs = [EigenPair(mu, np.eye(dims)[i]) for i, mu in enumerate([1.0, 0.5])]
-        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G: pairs)
+        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, target: pairs)
         with pytest.raises(NonNormalizableError):
             learn_scaling(ps)
 
@@ -312,22 +318,29 @@ class TestLearnScaling:
 
 class TestWidthInvariance:
     """A, B and gamma carry 1/(2 sigma^2) and alpha, beta and rho do not, so on
-    a full-column-rank pencil mu does not depend on sigma and s = 2 sigma^2 t."""
+    a full-column-rank pencil mu does not depend on sigma and s = 2 sigma^2 t.
+    A wide pencil's least-norm pair at mu = 1 scales the same way at any rank."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("repetition", [0, 1])
     def test_factors_scale_with_width(self, seed, repetition):
         data = standardize(generate_toy(200, seed=seed))
         train, _ = split(data, SplitSpec(0.5, seed=seed), repetition)
-        fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
-        unit = assemble_pencil(data.values[train], fv, SIGMA_UNIT)
-        assert has_full_column_rank(unit)
-        t = learn_scaling(unit)
-        for sigma in (0.1, 1.0, 10.0, 100.0):
-            sv = learn_scaling(assemble_pencil(data.values[train], fv, sigma))
-            drift = np.linalg.norm(sv.factors / (2 * sigma**2) - t.factors)
-            assert drift <= 1e-8 * np.linalg.norm(t.factors)
-            assert sv.eigenvalue == pytest.approx(t.eigenvalue, abs=1e-8)
+        rng = np.random.default_rng([seed, repetition])
+        wide = rng.normal(size=(16, 60))  # rank([F; G]) <= 2 * 16 + 1 < 61
+        inputs = [
+            (data.values[train], estimate_fiedler(data.labels[train], negative_value=-0.2)),
+            (wide, np.where(np.arange(16) < 5, 1.0, -0.2)),
+        ]
+        for X, fv in inputs:
+            unit = assemble_pencil(X, fv, SIGMA_UNIT)
+            assert has_full_column_rank(unit) == (X is not wide)
+            t = learn_scaling(unit)
+            for sigma in (0.1, 1.0, 10.0, 100.0):
+                sv = learn_scaling(assemble_pencil(X, fv, sigma))
+                drift = np.linalg.norm(sv.factors / (2 * sigma**2) - t.factors)
+                assert drift <= 1e-8 * np.linalg.norm(t.factors)
+                assert sv.eigenvalue == pytest.approx(t.eigenvalue, abs=1e-8)
 
     def test_rank_of_stacked_pencil(self):
         data = standardize(generate_toy(200, seed=0))
@@ -339,6 +352,35 @@ class TestWidthInvariance:
         assert not has_full_column_rank(assemble_pencil(duplicated, fv, 1.0))
         # 2 n + 1 = 13 nonzero rows of [F; G] for m + 1 = 21 columns
         assert not has_full_column_rank(wide_pencil(n_features=20))
+
+
+@st.composite
+def wide_problems(draw):
+    """A wide pencil at unit width: n_train samples of m > n_train normal
+    features, and a two-valued target with both values present."""
+    n, m = draw(st.sampled_from([(6, 20), (12, 40), (24, 150)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.where(rng.random(n) < 0.4, 1.0, -0.2)
+    v[:2] = [1.0, -0.2]
+    return assemble_pencil(rng.normal(size=(n, m)), v, SIGMA_UNIT), rng
+
+
+class TestWideStability:
+    """A wide pencil's pair is a least-norm solve, not a pick among rounding-
+    defined QZ pairs: a rounding-level change of A leaves mu = 1 and barely
+    moves s."""
+
+    @settings(max_examples=30)
+    @given(wide_problems())
+    def test_rounding_perturbation_keeps_the_pair(self, problem):
+        ps, rng = problem
+        perturbed = dataclasses.replace(
+            ps, A=ps.A * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, ps.A.shape))
+        )
+        a, b = learn_scaling(ps), learn_scaling(perturbed)
+        assert a.eigenvalue == b.eigenvalue == 1.0
+        assert a.certified and b.certified
+        assert_relative(b.factors, a.factors, 1e-10)
 
 
 class TestGalerkinPencil:
