@@ -24,14 +24,14 @@ from .errors import SpecScaleError
 from .experiments import (
     DEFAULT_SIGMA_GRID,
     ExperimentConfig,
+    fit_unit_scaling,
     loocv,
     reports_to_csv,
     reports_to_manifest,
     run_pipeline,
     sweep,
-    training_target,
 )
-from .scaling import assemble_pencil, learn_scaling, scaling_table
+from .scaling import scaling_table
 from .similarity import KernelParams
 
 
@@ -219,10 +219,11 @@ def _cmd_inspect_scaling(args):
     _usage_errors(lambda: KernelParams(args.sigma))
     data = _load_data(args)
     train, _ = split(data, spec, repetition=0)
-    v = training_target(data.values[train], data.labels[train], args.fiedler_negative, args.sigma)
-    pencil = assemble_pencil(data.values[train], v, args.sigma)
-    scaling = learn_scaling(pencil)
-    table = scaling_table(scaling.factors, data.feature_names)
+    # the pipeline's fit: the pencil at unit width, factors t, s = 2 sigma^2 t
+    scaling = fit_unit_scaling(
+        data.values[train], data.labels[train], args.fiedler_negative, args.sigma
+    )
+    table = scaling_table(2.0 * args.sigma**2 * scaling.factors, data.feature_names)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             f.write(table)
@@ -237,7 +238,7 @@ def _cmd_inspect_scaling(args):
     return 0
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="specscale",
         description="Supervised feature scaling for spectral clustering and classification.",
@@ -269,7 +270,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)

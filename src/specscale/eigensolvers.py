@@ -212,16 +212,6 @@ def _realify(z, tol=1e-12):
     return z
 
 
-def numerical_rank(singular_values, shape):
-    """Rank of a matrix of the given shape from its singular values, descending.
-
-    Counts the singular values above max(shape) * eps * the largest one. This
-    is the rule by which ``rect_pencil_eig`` takes the row space of [F; G].
-    """
-    tol = max(shape) * np.finfo(float).eps * singular_values[0]
-    return int(np.count_nonzero(singular_values > tol))
-
-
 def rect_pencil_eig(F, G, target):
     """Eigenpairs that the (possibly rectangular) pencil F - mu G determines,
     nearest ``target`` first.
@@ -230,15 +220,16 @@ def rect_pencil_eig(F, G, target):
     at mu = target an affine family of them with last component -1. Its one
     returned pair is the member of least norm: with K = F - target G, the
     minimum-norm least-squares solution s of K[:, :-1] s = K[:, -1] (``lstsq``
-    with ``rcond=None``, the cutoff eps * max(shape) of ``numerical_rank``),
+    with ``rcond=None``, the cutoff eps * max(shape) of the rank rule below),
     as w = [s; -1]. The solve is stable under rounding-level changes of F and
     G, and a column scaling diag(c I, 1) of the pencil maps s to s / c.
 
     Any other pencil is restricted to the row space of the stacked [F; G] (its
-    leading right singular vectors), giving F_r and G_r; the finite QZ
-    eigenpairs of the square reduction (G_r^T F_r, G_r^T G_r) are lifted back,
-    all of them in one product of the real basis with the real and the
-    imaginary parts of the QZ eigenvectors. A lifted vector has no component
+    right singular vectors whose singular value exceeds max(shape) * eps times
+    the largest), giving F_r and G_r; the finite QZ eigenpairs of the square
+    reduction (G_r^T F_r, G_r^T G_r) are lifted back, all of them in one
+    product of the real basis with the real and the imaginary parts of the QZ
+    eigenvectors. A lifted vector has no component
     in the joint nullspace of F and G, so it is the minimal-norm
     representative of its class. Directions in that nullspace solve the pencil
     for every mu and are not reported. With full column rank the pairs are
@@ -274,7 +265,8 @@ def rect_pencil_eig(F, G, target):
 
     stacked = np.vstack([F, G])
     _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
-    v_r = vt[: numerical_rank(sv, stacked.shape)].T  # (q, rank); row space of [F; G]
+    rank = np.count_nonzero(sv > max(stacked.shape) * np.finfo(float).eps * sv[0])
+    v_r = vt[:rank].T  # (q, rank); row space of [F; G]
 
     f_red, g_red = F @ v_r, G @ v_r
     alpha_beta, vecs = scipy.linalg.eig(

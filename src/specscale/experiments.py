@@ -1,10 +1,10 @@
 """Experiment harness: kernel-width grids, repeated splits, result tables.
 
 ``run_pipeline`` runs the supervised-scaling pipeline over repeated splits and
-a kernel-width grid. A kernel is one fit, one graph, one embedding and one
-assignment (k-means or 1-NN). Each split builds one kernel at unit width when
-its scaled pipeline does not depend on sigma, and one kernel per sigma
-otherwise; every (repetition, sigma) row copies the scores and pencil
+a kernel-width grid. Every pencil is solved, and every scaled graph built, at
+unit width (2 sigma^2 = 1); the row at width sigma records the factors
+s = 2 sigma^2 t. A kernel is one graph, one embedding and one assignment
+(k-means or 1-NN); every (repetition, sigma) row copies the scores and pencil
 diagnostics of the kernel that serves it, and the report aggregates per-sigma
 statistics. ``sweep`` varies the training fraction and ``loocv`` runs
 leave-one-out classification. Reports serialize to a tidy CSV plus a JSON
@@ -40,7 +40,6 @@ from .metrics import rand_index
 from .scaling import (
     assemble_pencil,
     estimate_fiedler,
-    has_full_column_rank,
     learn_scaling,
     linearization_violation_fraction,
 )
@@ -249,19 +248,6 @@ def _kmeans_seed(config_seed, repetition, sigma_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def training_target(X_train, labels_train, negative_value, sigma, k_neighbors=7):
-    """The label target array of the training rows, as ``estimate_fiedler``
-    builds it.
-
-    ``negative_value="auto"`` takes its degrees from the unscaled k-NN graph
-    of the training rows at width ``sigma``.
-    """
-    degrees = None
-    if negative_value == "auto":
-        degrees = build_similarity(X_train, KernelParams(sigma, k_neighbors)).degrees
-    return estimate_fiedler(labels_train, negative_value, degrees)
-
-
 def _scores(config, data, vectors, train, test, repetition, sigma_index):
     """(RI, NMI) of k-means over all samples, or (RI, None) of 1-NN on the test
     rows, from the embedded samples ``vectors``."""
@@ -279,80 +265,67 @@ def _scores(config, data, vectors, train, test, repetition, sigma_index):
     return rand_index(data.labels[test], predicted, align=False), None
 
 
-# 2 sigma^2 = 1 (to rounding): the width of a split's one shared kernel
+# 2 sigma^2 = 1 (to rounding): the width of every pencil and every scaled graph
 _UNIT_SIGMA = np.sqrt(0.5)
 
 
-def _kernel(config, data, train, test, repetition, diffs, sigma, sigma_index, shared=False):
-    """Fit, build, embed and assign one kernel at width ``sigma``.
+def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None):
+    """Learn the unit-width factors t of the rows at width ``sigma``.
 
-    Returns the kernel as the RunRecord of that width; ``sigma_index`` is the
-    first grid row it serves and seeds its k-means. A failed fit, or learned
-    factors that overflow the kernel weights, fall back to the unscaled graph
-    with ``scaled=False``; after an overflow the pencil diagnostics stay.
-
-    ``shared=True`` asks for the one kernel of every sigma row of the split,
-    and returns None before any unscaled graph is built when the split has
-    none: no feature scaling, the "auto" target (its degrees come from a
-    sigma-dependent training graph), a rank-deficient pencil (always when
-    2 n_train + 1 < m + 1, which needs no SVD to tell), or a fit that would
-    take one of the unscaled fallbacks. Of the rank-deficient pencils only
-    the square and tall ones depend on sigma, through their minimal-norm
-    pairs; a wide one's closed-form pair is width-free, but it is still solved
-    per sigma.
+    Builds the label target of the training rows X, assembles the pencil at
+    unit width (2 sigma^2 = 1) and solves it. The row at width sigma records
+    s = 2 sigma^2 t. Only ``negative_value="auto"`` reads sigma: it takes its
+    degrees from the unscaled k-NN graph of the training rows at that width.
+    ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
-    X = data.values[train]
-    if shared and (
-        not config.feature_scaling
-        or config.fiedler_negative == "auto"
-        or 2 * X.shape[0] < X.shape[1]
-    ):
-        return None
-    scaling = None
-    if config.feature_scaling:
-        v = training_target(
-            X, data.labels[train], config.fiedler_negative, sigma, config.k_neighbors
-        )
-        pencil = assemble_pencil(X, v, sigma, diffs=diffs)
-        if shared and not has_full_column_rank(pencil):
-            return None
-        try:
-            scaling = learn_scaling(pencil)
-        except (NoScalingError, NonNormalizableError):
-            if shared:
-                return None
-    record = RunRecord(sigma=float(sigma), repetition=repetition)
-    if scaling is not None:
-        record.scaled = True
-        record.mu = float(scaling.eigenvalue)
-        record.residual = float(scaling.residual)
-        record.constraint_violation = float(scaling.constraint_violation)
-        record.certified = bool(scaling.certified)
-        record.factors = scaling.factors
-        record.linearization_violations = linearization_violation_fraction(
-            X, record.factors, sigma
-        )
+    degrees = None
+    if negative_value == "auto":
+        degrees = build_similarity(X, KernelParams(sigma, k_neighbors)).degrees
+    v = estimate_fiedler(labels, negative_value, degrees)
+    return learn_scaling(assemble_pencil(X, v, _UNIT_SIGMA, diffs=diffs))
+
+
+def _fit(config, X, labels, diffs, sigma, repetition):
+    """The kernel record of the fit for the rows at width ``sigma``: its pencil
+    diagnostics and unit-width factors t, or ``scaled=False`` and none when
+    feature scaling is off or the pencil yields no factors."""
+    record = RunRecord(sigma=float(_UNIT_SIGMA), repetition=repetition)
+    if not config.feature_scaling:
+        return record
     try:
-        graph = build_similarity(
-            data.values, KernelParams(sigma, config.k_neighbors, record.factors)
+        scaling = fit_unit_scaling(
+            X, labels, config.fiedler_negative, sigma, config.k_neighbors, diffs
         )
-    except NumericalOverflowError:
-        # only negative learned factors can overflow the kernel
-        if shared:
-            return None
-        record.scaled = False
-        graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors))
-    vectors = embed(graph, config.ell).vectors
-    record.ri, record.nmi = _scores(config, data, vectors, train, test, repetition, sigma_index)
+    except (NoScalingError, NonNormalizableError):
+        return record
+    record.scaled = True
+    record.mu = float(scaling.eigenvalue)
+    record.residual = float(scaling.residual)
+    record.constraint_violation = float(scaling.constraint_violation)
+    record.certified = bool(scaling.certified)
+    record.factors = scaling.factors
+    record.linearization_violations = linearization_violation_fraction(
+        X, record.factors, _UNIT_SIGMA
+    )
     return record
+
+
+def _assign(config, data, train, test, record, sigma, sigma_index):
+    """Build the graph at width ``sigma``, with ``record.factors`` when the
+    record is scaled, embed and assign it, and write the scores to ``record``;
+    ``sigma_index`` seeds the k-means."""
+    factors = record.factors if record.scaled else None
+    graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
+    vectors = embed(graph, config.ell).vectors
+    record.ri, record.nmi = _scores(
+        config, data, vectors, train, test, record.repetition, sigma_index
+    )
 
 
 def _row(kernel, sigma):
     """The row of width ``sigma`` that ``kernel`` serves: its scores and pencil
-    diagnostics, with factors s = (sigma / sigma_kernel)^2 t."""
-    factors = kernel.factors
-    if factors is not None:
-        factors = (sigma / kernel.sigma) ** 2 * factors
+    diagnostics, with factors s = 2 sigma^2 t."""
+    factors = None if kernel.factors is None else 2.0 * sigma**2 * kernel.factors
     return dataclasses.replace(kernel, sigma=float(sigma), factors=factors)
 
 
@@ -362,24 +335,44 @@ def _failed_run(sigma, repetition, exc):
     )
 
 
+def _split_rows(config, data, train, test, repetition):
+    """The rows of one split, one per grid width."""
+    X, labels = data.values[train], data.labels[train]
+    # only a fit reads the pair moments; they hold no width, so one serves every fit
+    diffs = pairwise_sqdiff(X) if config.feature_scaling else None
+    widths = list(enumerate(config.sigma_grid))
+    # a fixed target's fit and scaled kernel hold no width: one serves every row
+    fixed = config.feature_scaling and config.fiedler_negative != "auto"
+    groups = [widths] if fixed else [[width] for width in widths]
+    rows = []
+    for group in groups:
+        sigma_index, sigma = group[0]
+        try:
+            kernel = _fit(config, X, labels, diffs, sigma, repetition)
+            if kernel.scaled:
+                try:
+                    _assign(config, data, train, test, kernel, _UNIT_SIGMA, sigma_index)
+                except NumericalOverflowError:
+                    # only negative learned factors can overflow the kernel
+                    kernel.scaled = False
+        except SpecScaleError as exc:
+            rows.extend(_failed_run(s, repetition, exc) for _, s in group)
+            continue
+        for sigma_index, sigma in group:
+            row = _row(kernel, sigma)
+            if not row.scaled:  # the unscaled graph at this width
+                try:
+                    _assign(config, data, train, test, row, sigma, sigma_index)
+                except SpecScaleError as exc:
+                    row = _failed_run(sigma, repetition, exc)
+            rows.append(row)
+    return rows
+
+
 def _run_over_splits(config, data, index_pairs):
     records = []
     for repetition, (train, test) in enumerate(index_pairs):
-        # only a fit reads the pair moments; they hold no width, so one serves every sigma
-        diffs = pairwise_sqdiff(data.values[train]) if config.feature_scaling else None
-        split_args = (config, data, train, test, repetition, diffs)
-        try:
-            shared = _kernel(*split_args, _UNIT_SIGMA, 0, shared=True)
-        except SpecScaleError as exc:
-            records.extend(_failed_run(s, repetition, exc) for s in config.sigma_grid)
-            continue
-        for sigma_index, sigma in enumerate(config.sigma_grid):
-            try:
-                kernel = shared or _kernel(*split_args, sigma, sigma_index)
-            except SpecScaleError as exc:
-                records.append(_failed_run(sigma, repetition, exc))
-                continue
-            records.append(_row(kernel, sigma))
+        records.extend(_split_rows(config, data, train, test, repetition))
     return records
 
 
@@ -387,24 +380,22 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     """Execute the supervised-scaling pipeline over repeated splits and a
     kernel-width grid.
 
-    A kernel at width sigma estimates the target vector on the training rows,
-    assembles and solves the scaling pencil, builds the similarity graph over
-    all samples with the learned factors and embeds it. It then assigns once:
-    k-means (RI/NMI over all samples, seeded by the first grid row the kernel
-    serves) or transductive 1-NN (RI over the test rows). When the pencil
-    yields no usable factors, or when the learned factors overflow the kernel
-    weights, the kernel falls back to the unscaled graph with
-    ``scaled=False``; in the overflow case the pencil diagnostics stay.
-
-    A split has one kernel when feature scaling is on, the target is fixed
-    (not ``"auto"``), the pencil has full column rank, rank([F; G]) = m + 1,
-    and the unit-width fit takes neither unscaled fallback. That kernel is
-    built at unit width (2 sigma^2 = 1) for factors t, and its scaled kernel
-    exp(-t^T x) is sigma-free. Every other split has one kernel per sigma.
-    Each row copies its kernel's RI, NMI, mu, ``residual``, ``certified``,
-    ``constraint_violation`` and linearization share, and records the factors
-    s = (sigma / sigma_kernel)^2 t. A typed error while a kernel is built is
-    recorded, not fatal, on every row that kernel would serve.
+    For the rows at width sigma, the fit estimates the target vector on the
+    training rows (the "auto" target from their unscaled graph at sigma), then
+    assembles and solves the scaling pencil at unit width for factors t. The
+    scaled kernel builds the graph exp(-t^T x) over all samples, which is
+    exp(-s^T x / 2 sigma^2) at every width, embeds it and assigns once: k-means
+    (RI/NMI over all samples, seeded by the first grid row the kernel serves)
+    or transductive 1-NN (RI over the test rows). A fixed target is fitted
+    once per split and its one scaled kernel serves every row; the "auto"
+    target is fitted once per sigma. Without feature scaling, or when the
+    pencil yields no usable factors or the factors overflow the kernel
+    weights, each row gets the unscaled graph at its own sigma with
+    ``scaled=False``, and nothing is re-fitted; after an overflow the pencil
+    diagnostics stay. Each row copies its kernel's RI, NMI, mu, ``residual``,
+    ``certified``, ``constraint_violation`` and linearization share, and
+    records the factors s = 2 sigma^2 t. A typed error while a kernel is built
+    is recorded, not fatal, on every row that kernel would serve.
     """
     if data.labels is None:
         raise ValueError("run_pipeline requires labeled data")

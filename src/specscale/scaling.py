@@ -18,16 +18,26 @@ to one is mu = 1 itself, where the pairs form an affine family of dimension
 m - n_train. The one taken is the least-norm member: with K = F - G, the
 equations K [s; -1] = 0 read [A - B; gamma^T] s = [alpha - beta; rho], and s is
 their minimum-norm least-squares solution (Golub & Van Loan, Matrix
-Computations, underdetermined systems). The constraint row is enforced, the
-solution is stable under rounding-level changes of the blocks, and, as A, B
-and gamma carry 1/(2 sigma^2), s = 2 sigma^2 t exactly with t the unit-width
-factors.
+Computations, underdetermined systems). The constraint row is enforced, and the
+solution is stable under rounding-level changes of the blocks.
 
 A pencil with full column rank, rank([F; G]) = m + 1, such as the tall toy
 pencils, has no exact pair in general; it is solved as its least-squares
 (Galerkin) reduction eig(G^T F, G^T G) (Das & Neumaier, SISC 2013). G's last
 row is zero, so the constraint row (gamma^T, rho) does not enter G^T F: it is
 reported as ``constraint_violation`` and not enforced.
+
+A, B and gamma carry c = 1/(2 sigma^2) and alpha, beta and rho do not, so the
+pencil at width sigma is the unit-width (2 sigma^2 = 1) pencil times
+diag(c I, 1) on the right, and its factors are s = 2 sigma^2 t with t the
+unit-width factors: exactly for a wide pencil's least-norm pair, and for the
+pairs of a full-column-rank pencil's reduction. Rank-deficient tall pencils
+measure the same. On two 200-sample toy splits with a duplicated, constant or
+doubled column, factors solved at sigma in [0.1, 100] match 2 sigma^2 t to
+<= 6e-10 relative, against <= 4e-10 for the full-rank pencils. At sigma = 0.01
+solves of both kinds miss mu by 0.35 to 0.53, a loss of conditioning in the
+scaled blocks, so the pipeline solves every pencil at unit width
+(``experiments.fit_unit_scaling``).
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolvers import numerical_rank, pencil_residual, rect_pencil_eig
+from .eigensolvers import pencil_residual, rect_pencil_eig
 from .errors import (
     DegenerateSupervisionError,
     InternalConsistencyError,
@@ -139,7 +149,9 @@ def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> Pe
     if diffs.sqdiff.shape != (n, m):
         raise ValueError("precomputed differences do not match X")
 
-    c = 1.0 / (2.0 * sigma**2)
+    # a Python float, so that c * (temporary) reuses the temporary's buffer;
+    # a numpy scalar on the left makes numpy allocate another n x m array
+    c = 1.0 / (2.0 * float(sigma) ** 2)
     centered, squares = diffs.centered, np.square(diffs.centered)
     A = c * (squares * v.sum() - 2.0 * centered * (v @ centered) + v @ squares)
     xhat = c * diffs.sqdiff
@@ -157,24 +169,6 @@ def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> Pe
             f"(A - B)^T e = {drift:.3e} exceeds the assembly tolerance"
         )
     return PencilSystem(A=A, B=B, alpha=alpha, beta=beta, gamma=gamma, rho=float(rho))
-
-
-def has_full_column_rank(ps: PencilSystem) -> bool:
-    """Whether rank([F; G]) = m + 1 under ``rect_pencil_eig``'s rank rule.
-
-    A, B and gamma carry c = 1/(2 sigma^2) and alpha, beta and rho do not, so
-    the pencil at width sigma is the unit-width (2 sigma^2 = 1) pencil times
-    diag(c I, 1) on the right. With full column rank the row-space reduction
-    spans every column, its pairs are those of the normal equations, and a
-    column scaling maps them onto each other: mu is the same at every width
-    and s = 2 sigma^2 t, with t the unit-width factors. The least-norm pair of
-    a wide pencil scales the same way at any rank. The minimal-norm
-    representatives of a rank-deficient square or tall pencil depend on that
-    scaling, and so on sigma.
-    """
-    stacked = np.vstack([ps.F(), ps.G()])
-    singular_values = np.linalg.svd(stacked, compute_uv=False)
-    return numerical_rank(singular_values, stacked.shape) == ps.n_features + 1
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,19 @@ import os
 import numpy as np
 import pytest
 
-from specscale import DataMatrix, ScalingVector, cli, experiments, load_matrix, save_matrix
+from specscale import (
+    DataMatrix,
+    ExperimentConfig,
+    ScalingVector,
+    SplitSpec,
+    cli,
+    experiments,
+    generate_toy,
+    load_matrix,
+    run_pipeline,
+    save_matrix,
+    standardize,
+)
 from specscale.cli import main
 
 
@@ -175,6 +187,32 @@ def test_inspect_scaling_to_file(toy_file, tmp_path):
     assert out.read_text().startswith("feature\tscaling_factor")
 
 
+@pytest.mark.parametrize("target", ["-0.2", "auto"])
+def test_inspect_scaling_prints_the_pipelines_row_factors(tmp_path, capsys, target):
+    # the table is the factors s = 2 sigma^2 t that run_pipeline records on
+    # its row at --sigma, from the same unit-width fit; a pencil solved at
+    # sigma = 0.01 instead gives mu = 0.025 where the -0.2 row has 0.370
+    path = tmp_path / "toy.csv"
+    save_matrix(generate_toy(200, seed=0), str(path))
+    grid = (0.01, 1.0, 100.0)
+    config = ExperimentConfig(task="classify", sigma_grid=grid, fiedler_negative=target,
+                              split=SplitSpec(0.5, seed=0, repetitions=1))
+    records = run_pipeline(config, standardize(load_matrix(path))).records
+    assert sum(r.ok for r in records) >= 2
+    for record in records:
+        code = main(["inspect-scaling", "--data", str(path), "--sigma", repr(record.sigma),
+                     "--fraction", "0.5", "--seed", "0", "--fiedler-negative", target])
+        captured = capsys.readouterr()
+        if not record.ok:  # "auto" at 0.01: the training graph has an isolated sample
+            assert code == 1 and record.error in captured.err
+            continue
+        assert code == 0
+        factors = np.array([float(line.split("\t")[1])
+                            for line in captured.out.strip().split("\n")[1:]])
+        np.testing.assert_allclose(factors, record.factors, rtol=1e-12, atol=0)
+        assert f"mu={record.mu!r} residual={record.residual!r}" in captured.err
+
+
 def test_missing_label_column_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "nolabel.csv"
     path.write_text("a,b\n1,2\n3,4\n")
@@ -214,7 +252,7 @@ NON_DEFAULT = {
 
 @pytest.mark.parametrize("command", list(REQUIRED))
 def test_config_entries_parse_as_their_flags(tmp_path, command):
-    parser = cli.build_parser()
+    parser = cli._build_parser()
     defaults = parser.parse_args([command, *REQUIRED[command]])
     assert sorted(set(defaults.options) - set(NON_DEFAULT)) == []
     assert "config" not in defaults.options and "help" not in defaults.options

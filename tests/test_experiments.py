@@ -9,12 +9,18 @@ import pytest
 from specscale import (
     DataMatrix,
     ExperimentConfig,
+    KernelParams,
     SplitSpec,
+    assemble_pencil,
+    build_similarity,
+    estimate_fiedler,
     generate_toy,
+    learn_scaling,
     loocv,
     reports_to_csv,
     reports_to_manifest,
     run_pipeline,
+    split,
     standardize,
     sweep,
 )
@@ -177,7 +183,6 @@ class TestRunPipeline:
 
 COUNTED = (
     "assemble_pencil",
-    "has_full_column_rank",
     "learn_scaling",
     "build_similarity",
     "embed",
@@ -211,9 +216,20 @@ def wide_data(n_per=12, n_features=100, seed=0):
     return standardize(DataMatrix(values=values, feature_names=names, labels=labels))
 
 
+def duplicated_column_toy():
+    """The 200-sample toy with its first column repeated: a tall pencil
+    without full column rank."""
+    toy = standardize(generate_toy(200, seed=0))
+    values = np.column_stack([toy.values, toy.values[:, 0]])
+    return dataclasses.replace(toy, values=values, feature_names=[*toy.feature_names, "copy"])
+
+
+UNIT_SIGMA = np.sqrt(0.5)  # 2 sigma^2 = 1
+
+
 class TestSharedSplit:
-    """With a fixed target and a full-column-rank pencil, every sigma row of a
-    split copies one unit-width kernel: solve, graph, embedding and assignment."""
+    """With a fixed target every sigma row of a split copies one unit-width
+    kernel, whatever the pencil shape: fit, graph, embedding and assignment."""
 
     def config(self, task="cluster", grid=(0.01, 0.1, 1.0), **kw):
         return toy_config(task, sigma_grid=grid, **kw)
@@ -222,7 +238,6 @@ class TestSharedSplit:
         report = run_pipeline(self.config(), standardize(generate_toy(200, seed=0)))
         assert len(report.records) == 6 and all(r.ok and r.scaled for r in report.records)
         assert calls["assemble_pencil"] == 2
-        assert calls["has_full_column_rank"] == 2
         assert calls["learn_scaling"] == 2
         assert calls["build_similarity"] == 2
         assert calls["embed"] == 2
@@ -239,22 +254,49 @@ class TestSharedSplit:
             assert len(ris) == 1
 
     def test_rows_share_mu_and_residual_and_scale_factors(self):
-        report = run_pipeline(self.config(), standardize(generate_toy(200, seed=0)))
-        rows = {r.sigma: r for r in report.records if r.repetition == 0}
-        small, unit = rows[0.01], rows[1.0]
-        assert small.mu == unit.mu and small.residual == unit.residual
-        assert small.certified == unit.certified
-        assert small.linearization_violations == unit.linearization_violations
-        ratio = (2 * 0.01**2) / (2 * 1.0**2)
-        np.testing.assert_allclose(small.factors, ratio * unit.factors, rtol=1e-12, atol=0)
+        # full-rank tall, rank-deficient tall and wide pencils alike, down to
+        # sigma = 0.01, where a pencil solved at that width loses its mu
+        inputs = [standardize(generate_toy(200, seed=0)), duplicated_column_toy(), wide_data()]
+        for data in inputs:
+            report = run_pipeline(self.config(grid=(0.01, 1.0, 100.0)), data)
+            assert len(report.records) == 6
+            for rep in (0, 1):
+                rows = [r for r in report.records if r.repetition == rep]
+                unit = rows[1]
+                assert unit.sigma == 1.0 and unit.ok and unit.scaled
+                for r in rows:
+                    assert r.mu == unit.mu and r.residual == unit.residual
+                    assert r.ri == unit.ri and r.nmi == unit.nmi
+                    assert r.certified == unit.certified
+                    assert r.linearization_violations == unit.linearization_violations
+                    np.testing.assert_allclose(
+                        r.factors, r.sigma**2 * unit.factors, rtol=1e-12, atol=0
+                    )
 
-    def test_wide_pencil_runs_per_sigma_without_rank_test(self, calls):
+    def test_auto_rows_record_the_unit_width_fit_of_their_target(self):
+        data = standardize(generate_toy(200, seed=0))
+        cfg = self.config("classify", grid=(0.1, 1.0, 100.0), fiedler_negative="auto")
+        report = run_pipeline(cfg, data)
+        for rep in (0, 1):
+            train, _ = split(data, cfg.split, rep)
+            X, labels = data.values[train], data.labels[train]
+            for r in (r for r in report.records if r.repetition == rep):
+                assert r.ok and r.scaled
+                degrees = build_similarity(X, KernelParams(r.sigma, cfg.k_neighbors)).degrees
+                v = estimate_fiedler(labels, "auto", degrees)
+                t = learn_scaling(assemble_pencil(X, v, UNIT_SIGMA))
+                assert r.mu == t.eigenvalue
+                np.testing.assert_allclose(
+                    r.factors, 2 * r.sigma**2 * t.factors, rtol=1e-12, atol=0
+                )
+
+    def test_wide_split_fits_once_for_every_sigma(self, calls):
         report = run_pipeline(self.config("classify", grid=(1.0, 10.0, 100.0)), wide_data())
-        assert len(report.records) == 6 and all(r.ok for r in report.records)
-        assert calls["has_full_column_rank"] == 0  # 2 n_train + 1 < m + 1
-        assert calls["assemble_pencil"] == 6
-        assert calls["learn_scaling"] == 6
-        assert calls["embed"] == 6
+        assert len(report.records) == 6 and all(r.ok and r.scaled for r in report.records)
+        assert calls["assemble_pencil"] == 2
+        assert calls["learn_scaling"] == 2
+        assert calls["build_similarity"] == 2
+        assert calls["embed"] == 2
 
     def test_auto_target_runs_per_sigma(self, calls):
         report = run_pipeline(
@@ -262,25 +304,18 @@ class TestSharedSplit:
             standardize(generate_toy(200, seed=0)),
         )
         assert len(report.records) == 6 and all(r.ok for r in report.records)
-        assert calls["has_full_column_rank"] == 0
         assert calls["learn_scaling"] == 6
         assert calls["build_similarity"] == 12  # training graph and full graph
         assert calls["embed"] == 6
 
-    def test_rank_deficient_tall_pencil_runs_per_sigma(self, calls):
-        toy = standardize(generate_toy(200, seed=0))
-        values = np.column_stack([toy.values, toy.values[:, 0]])
-        data = dataclasses.replace(
-            toy, values=values, feature_names=[*toy.feature_names, "copy"]
-        )
-        report = run_pipeline(self.config(grid=(1.0, 10.0, 100.0)), data)
-        assert len(report.records) == 6 and all(r.ok for r in report.records)
-        assert calls["has_full_column_rank"] == 2
-        assert calls["assemble_pencil"] == 2 + 6  # the unit-width test, then per sigma
-        assert calls["learn_scaling"] == 6
-        assert calls["build_similarity"] == 6
-        assert calls["embed"] == 6
-        assert calls["kmeans"] == 6
+    def test_rank_deficient_tall_split_fits_once_for_every_sigma(self, calls):
+        report = run_pipeline(self.config(grid=(1.0, 10.0, 100.0)), duplicated_column_toy())
+        assert len(report.records) == 6 and all(r.ok and r.scaled for r in report.records)
+        assert calls["assemble_pencil"] == 2
+        assert calls["learn_scaling"] == 2
+        assert calls["build_similarity"] == 2
+        assert calls["embed"] == 2
+        assert calls["kmeans"] == 2
 
     def run_one_split(self, monkeypatch):
         """One toy split, recording the (sigma, scaled) of every graph built."""
@@ -295,45 +330,51 @@ class TestSharedSplit:
         cfg = self.config(split=SplitSpec(0.5, seed=0, repetitions=1))
         return run_pipeline(cfg, standardize(generate_toy(200, seed=0))), graphs
 
-    def assert_per_sigma_fallback(self, calls, report, graphs):
-        assert len(report.records) == 3 and all(r.ok and r.scaled for r in report.records)
-        assert calls["assemble_pencil"] == 1 + 3  # the unit-width attempt, then per sigma
-        assert calls["has_full_column_rank"] == 1
-        assert calls["embed"] == 3
-        assert calls["kmeans"] == 3
-        assert (np.sqrt(0.5), False) not in graphs  # no unscaled graph at unit width
-        assert graphs[-3:] == [(0.01, True), (0.1, True), (1.0, True)]
+    def assert_unscaled_fallback(self, calls, report, graphs):
+        # one fit, then the unscaled graph at each width; at sigma = 0.01 that
+        # graph has an isolated sample, as the unscaled baseline's does
+        assert calls["assemble_pencil"] == 1
+        assert graphs[-3:] == [(0.01, False), (0.1, False), (1.0, False)]
+        assert calls["embed"] == 2
+        assert calls["kmeans"] == 2
+        small, *rest = report.records
+        assert "IsolatedSampleError" in small.error
+        assert [r.sigma for r in rest] == [0.1, 1.0]
+        assert all(r.ok and not r.scaled for r in rest)
+        return rest
 
-    def test_unit_width_fit_failure_runs_per_sigma(self, calls, monkeypatch):
-        learn = experiments.learn_scaling
+    def test_unit_width_fit_failure_falls_back_to_unscaled_graphs(self, calls, monkeypatch):
         seen = []
 
-        def failing_first(pencil, *args):
+        def failing(pencil, *args):
             seen.append(pencil)
-            if len(seen) == 1:
-                raise NoScalingError("no candidates at unit width")
-            return learn(pencil, *args)
+            raise NoScalingError("no candidates at unit width")
 
-        monkeypatch.setattr(experiments, "learn_scaling", failing_first)
+        monkeypatch.setattr(experiments, "learn_scaling", failing)
         report, graphs = self.run_one_split(monkeypatch)
-        self.assert_per_sigma_fallback(calls, report, graphs)
-        assert len(seen) == 1 + 3 and calls["learn_scaling"] == 3  # the stub raised once
-        assert calls["build_similarity"] == 3
+        rest = self.assert_unscaled_fallback(calls, report, graphs)
+        assert len(seen) == 1  # no re-fit at any width
+        assert len(graphs) == 3 and calls["build_similarity"] == 3
+        assert all(r.mu is None and r.factors is None for r in rest)
 
-    def test_unit_width_overflow_runs_per_sigma(self, calls, monkeypatch):
+    def test_unit_width_overflow_falls_back_to_unscaled_graphs(self, calls, monkeypatch):
         build = experiments.build_similarity
 
         def overflowing(X, params):
-            if params.sigma == np.sqrt(0.5) and params.scaling is not None:
+            if params.sigma == UNIT_SIGMA and params.scaling is not None:
                 raise NumericalOverflowError("scaled weights overflow")
             return build(X, params)
 
         monkeypatch.setattr(experiments, "build_similarity", overflowing)
         report, graphs = self.run_one_split(monkeypatch)
-        self.assert_per_sigma_fallback(calls, report, graphs)
-        assert graphs == [(np.sqrt(0.5), True), (0.01, True), (0.1, True), (1.0, True)]
-        assert calls["learn_scaling"] == 1 + 3
+        rest = self.assert_unscaled_fallback(calls, report, graphs)
+        assert graphs[0] == (UNIT_SIGMA, True) and len(graphs) == 4
+        assert calls["learn_scaling"] == 1  # no re-fit at any width
         assert calls["build_similarity"] == 3  # the stub raised for the unit-width graph
+        # the pencil diagnostics of the unit-width fit stay on the unscaled rows
+        a, b = rest
+        assert a.mu is not None and a.mu == b.mu and a.residual == b.residual
+        np.testing.assert_allclose(b.factors, (1.0 / 0.1) ** 2 * a.factors, rtol=1e-12, atol=0)
 
     def test_shared_failure_recorded_on_every_row(self, monkeypatch):
         def failing(graph, ell):

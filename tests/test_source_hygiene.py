@@ -1,5 +1,5 @@
 """Static checks of the package source: no unused imports, no unused private
-names, a consistent public surface."""
+names, no orphaned public functions, a consistent public surface."""
 
 import ast
 from pathlib import Path
@@ -67,6 +67,35 @@ def test_module_reads_every_private_name_it_defines(path):
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert sorted(private_definitions(tree) - read) == []
+
+
+def called_names(tree):
+    """Names the module calls, bare (``f(...)``) or as an attribute (``m.f(...)``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def test_every_public_function_is_called_elsewhere_or_exported():
+    # a public helper that no other module calls and the package does not
+    # export is private to its module, or dead
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    orphans = []
+    for stem, tree in trees.items():
+        called = set().union(*(called_names(t) for s, t in trees.items() if s != stem))
+        orphans.extend(
+            f"{stem}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and node.name not in called | set(specscale.__all__) | {"main"}
+        )
+    assert orphans == []
 
 
 def test_public_surface_matches_all():
