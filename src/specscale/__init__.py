@@ -9,6 +9,11 @@ one-nearest-neighbor classification.
 
 __version__ = "0.1.0"
 
+# numpy loads these on first use (np.unique reads np.ma); load them with the
+# package, so that their cost is part of start-up, not of the first call
+import numpy.ma as _ma  # noqa: F401
+import numpy.random as _random  # noqa: F401
+
 from . import errors
 from .clustering import ClusterAssignment, kmeans, nn1_classify
 from .data import (
@@ -20,7 +25,7 @@ from .data import (
     split,
     standardize,
 )
-from .eigensolvers import EigenPair, pencil_residual, rect_pencil_eig, sym_gen_eig
+from .eigensolvers import EigenPair, SymmetricCSR, pencil_residual, rect_pencil_eig, sym_gen_eig
 from .embedding import Embedding, NcutValue, embed, ncut_objective
 from .experiments import (
     DEFAULT_SIGMA_GRID,
@@ -68,6 +73,7 @@ __all__ = [
     "ScalingVector",
     "SimilarityGraph",
     "SplitSpec",
+    "SymmetricCSR",
     "assemble_pencil",
     "build_similarity",
     "embed",

@@ -1,19 +1,19 @@
-"""Eigensolvers: graph Laplacian pairs and rectangular pencils.
+"""Eigensolvers: graph Laplacian pairs and rectangular pencils, in numpy.
 
-Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a graph
-Laplacian L, dense or sparse, and positive diagonal D, deflating exactly one
-trivial eigenvalue per connected component of the graph. Graphs of at most
-``_DENSE_MAX_N`` vertices take a dense subset ``eigh``; larger ones take
-implicitly restarted Lanczos (ARPACK ``eigsh``) on the sparse normalized
-adjacency, with the trivial eigenvectors shifted out of the way.
+Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a
+symmetric L, dense or ``SymmetricCSR``, and positive diagonal D, deflating
+exactly one trivial eigenvalue per connected component of the graph of L's
+off-diagonal entries. Graphs of at most ``_DENSE_MAX_N`` vertices take a dense
+``eigh``; larger ones take Lanczos with full reorthogonalization on the sparse
+normalized adjacency, with the trivial eigenvectors shifted out of the way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
 pencil F - mu G determines, nearest a target eigenvalue first. A wide pencil
 (fewer rows than columns) has an exact pair at every mu; it yields one pair in
 closed form, at mu = target, by a minimum-norm least-squares solve. Any other
-pencil yields the finite QZ pairs of one square reduction onto the row space
-of [F; G], lifted back in one product; with full column rank these are the
-pairs of the least-squares (Galerkin) pencil (G^T F, G^T G). The caller
-certifies the pair it keeps with ``pencil_residual``.
+pencil is reduced onto the row space of [F; G] and whitened by the SVD of G,
+which turns its least-squares (Galerkin) pencil (G^T F, G^T G) into one
+standard eigenproblem. The caller certifies the pair it keeps with
+``pencil_residual``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.csgraph
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import (
     DegenerateDegreeError,
@@ -35,12 +32,59 @@ from .errors import (
 )
 
 _SYM_RESIDUAL_BOUND = 1e-8
-# Largest graph solved by dense subset eigh. On k-NN graphs of the toy data the
-# two solvers break even between n = 300 and 400 for one pair, and between 400
-# and 600 for three.
-_DENSE_MAX_N = 400
+# Largest graph solved by dense eigh. On k-NN graphs of the toy data, with one
+# BLAS thread, it breaks even with Lanczos between n = 200 and 300 for one pair
+# and between 300 and 400 for three.
+_DENSE_MAX_N = 300
 # Fixed Lanczos start vector seed, so that repeated solves are bit-identical.
 _LANCZOS_SEED = 1805
+_LANCZOS_TOL = 1e-12
+_LANCZOS_MAX_STEPS = 500  # the benchmark's graphs converge in 30 to 45 steps
+
+
+@dataclass(frozen=True)
+class SymmetricCSR:
+    """A symmetric n x n matrix in compressed sparse rows (symmetry is not
+    checked). Row i holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``: its diagonal entry first, stored even
+    when zero, so that no row is empty, then its nonzero off-diagonal entries."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_dense(cls, A):
+        """The nonzero entries, and the whole diagonal, of a dense symmetric array."""
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        if A.shape != (n, n) or np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+            raise ValueError("the matrix is not square, or not symmetric to 1e-12 relative")
+        order = np.argsort(~np.eye(n, dtype=bool), axis=1, kind="stable")  # diagonal first
+        rows, slots = np.nonzero(np.take_along_axis((A != 0.0) | np.eye(n, dtype=bool), order, 1))
+        cols = order[rows, slots]
+        return cls(np.searchsorted(rows, np.arange(n + 1)), cols, A[rows, cols])
+
+    @property
+    def shape(self):
+        return (self.indptr.size - 1,) * 2
+
+    @property
+    def nnz(self):
+        return int(np.count_nonzero(self.data))
+
+    @property
+    def rows(self):  # of every stored entry
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        # every row is nonempty, so reduceat sums exactly each row's products
+        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+
+    def toarray(self):
+        out = np.zeros(self.shape)
+        out[self.rows, self.indices] = self.data
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,28 +139,65 @@ def _as_degree_vector(D, n):
     return d
 
 
+def _components(L: SymmetricCSR):
+    """(count, label) of the connected components of the graph of L's nonzero
+    off-diagonal entries. Every vertex takes the smallest label in its closed
+    neighborhood, then that label's label (pointer jumping), until nothing
+    changes; each component then carries its smallest vertex."""
+    keep = L.data != 0.0
+    keep[L.indptr[:-1]] = True  # the diagonal keeps every row nonempty
+    cols, starts = L.indices[keep], np.cumsum(keep)[L.indptr[:-1]] - 1
+    label = np.arange(L.shape[0])
+    while True:
+        hooked = np.minimum.reduceat(label[cols], starts)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            roots, component = np.unique(label, return_inverse=True)
+            return roots.size, component
+        label = hooked
+
+
 def _deflated_lanczos(whitened, root, component, c, k):
     """Pairs c .. c+k-1 of the sparse whitened matrix N by Lanczos on
-    M = I - N - 3 Y Y^T, as lambda = 1 - mu (see ``sym_gen_eig``)."""
+    M = I - N - 3 Y Y^T, as lambda = 1 - mu (see ``sym_gen_eig``). Each step's
+    three-term recurrence is followed by one classical Gram-Schmidt pass
+    against every basis vector. Every 4 steps the Ritz pairs of the tridiagonal
+    T are checked: a pair has converged when its residual |beta_j s_j| is at
+    most ``_LANCZOS_TOL`` times the largest |Ritz value|."""
     n = root.size
     Y = np.zeros((n, c))
     Y[np.arange(n), component] = root
     Y /= np.linalg.norm(Y, axis=0)
-
-    def matvec(x):
-        return x - whitened @ x - 3.0 * (Y @ (Y.T @ x))
-
-    operator = LinearOperator((n, n), matvec=matvec, dtype=float)
+    steps = min(n, _LANCZOS_MAX_STEPS)
+    basis, alpha, beta = np.empty((steps, n)), np.empty(steps), np.empty(steps)
     v0 = np.random.default_rng(np.random.SeedSequence(_LANCZOS_SEED)).uniform(-1.0, 1.0, n)
-    try:
-        mu, y = eigsh(operator, k=k, which="LA", tol=0, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise EigenConvergenceError(
-            f"Lanczos converged on {len(exc.eigenvalues)} of {k} eigenpairs "
-            f"of a {n}-vertex graph"
-        ) from exc
-    order = np.argsort(-mu, kind="stable")
-    return 1.0 - mu[order], y[:, order]
+    basis[0] = v0 / np.linalg.norm(v0)
+    converged = 0
+    for j in range(steps):
+        v = basis[j]
+        w = v - whitened @ v - 3.0 * (Y @ (Y.T @ v))
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        alpha[j] = v @ w
+        w -= alpha[j] * v
+        h = basis[: j + 1] @ w
+        w -= h @ basis[: j + 1]
+        alpha[j] += h[j]
+        beta[j] = np.linalg.norm(w)
+        # a zero beta ends the Krylov space: its Ritz pairs are exact
+        if j + 1 >= k and ((j + 1) % 4 == 0 or j + 1 == steps or beta[j] == 0.0):
+            T = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, s = np.linalg.eigh(T)
+            mu, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            residual = np.abs(beta[j] * s[-1])
+            converged = np.count_nonzero(residual <= _LANCZOS_TOL * np.abs(theta).max())
+            if converged == k:
+                return 1.0 - mu, basis[: j + 1].T @ s
+        if j + 1 < steps:
+            basis[j + 1] = w / beta[j]
+    raise EigenConvergenceError(
+        f"Lanczos converged on {converged} of {k} eigenpairs of a {n}-vertex graph"
+    )
 
 
 def sym_gen_eig(L, D, k):
@@ -124,8 +205,8 @@ def sym_gen_eig(L, D, k):
 
     Parameters
     ----------
-    L : (n, n) symmetric graph Laplacian, a dense array or a scipy sparse
-        matrix; its nonzero off-diagonal entries are the graph's edges.
+    L : (n, n) symmetric graph Laplacian, a dense array or a ``SymmetricCSR``;
+        its nonzero off-diagonal entries are the graph's edges.
     D : (n,) positive degree vector, the diagonal of the degree matrix.
     k : number of eigenpairs to return.
 
@@ -136,16 +217,17 @@ def sym_gen_eig(L, D, k):
     satisfies the zero-mean constraint e^T D x = 0.
 
     Up to ``_DENSE_MAX_N`` vertices the whitened matrix N is densified and
-    solved by subset ``eigh``. Above it, Lanczos (``eigsh``, regular mode, from
-    a fixed start vector) finds the k largest eigenvalues mu of
-    M = I - N - 3 Y Y^T. For L = D - W, I - N is the normalized adjacency
-    D^-1/2 W D^-1/2, with spectrum in [-1, 1]. The columns of Y are the c
-    component indicators times sqrt(d), normalized; they are orthonormal and
-    N Y = 0, so M Y = -2 Y exactly while M acts as I - N on the complement of Y.
-    The shift thus sends the c trivial eigenvalues from 1 to -2, below the
-    spectrum, and leaves the rest in place: lambda = 1 - mu are the same pairs
-    c .. c+k-1. Both paths are deterministic and pass the same residual
-    certificate.
+    solved by ``eigh``. Above it, Lanczos (from a fixed start vector) finds the
+    k largest eigenvalues mu of M = I - N - 3 Y Y^T. For L = D - W, I - N is
+    the normalized adjacency D^-1/2 W D^-1/2, with spectrum in [-1, 1]. The
+    columns of Y are the c component indicators times sqrt(d), normalized;
+    they are orthonormal and N Y = 0, so M Y = -2 Y exactly while M acts as
+    I - N on the complement of Y. The shift thus sends the c trivial
+    eigenvalues from 1 to -2, below the spectrum, and leaves the rest in
+    place: lambda = 1 - mu are the same pairs c .. c+k-1. Both paths are
+    deterministic and pass the same residual certificate. Like any
+    single-vector Krylov method, Lanczos can miss further copies of a multiple
+    eigenvalue.
 
     Returns
     -------
@@ -158,36 +240,33 @@ def sym_gen_eig(L, D, k):
     EigenConvergenceError
         If Lanczos does not converge (sparse path only).
     """
-    L = scipy.sparse.csr_matrix(L, dtype=float)
+    if not isinstance(L, SymmetricCSR):
+        L = SymmetricCSR.from_dense(L)
     n = L.shape[0]
-    if L.shape != (n, n):
-        raise ValueError("L must be square")
-    if abs(L - L.T).max() > 1e-12 * max(1.0, abs(L).max()):
-        raise ValueError("L is not symmetric within 1e-12 relative tolerance")
     d = _as_degree_vector(D, n)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    c, component = scipy.sparse.csgraph.connected_components(L != 0, directed=False)
+    c, component = _components(L)
     if c + k > n:
         raise InsufficientSpectrumError(
             f"{c} connected components leave {n - c} nontrivial eigenvalues, need {k}"
         )
 
     root = np.sqrt(d)
-    inv_root = scipy.sparse.diags(1.0 / root)
-    whitened = inv_root @ L @ inv_root
+    inv_root = 1.0 / root
+    whitened = SymmetricCSR(L.indptr, L.indices, L.data * inv_root[L.rows] * inv_root[L.indices])
     if n <= _DENSE_MAX_N:
-        vals, vecs = scipy.linalg.eigh(
-            whitened.toarray(), subset_by_index=[c, c + k - 1], overwrite_a=True
-        )
+        vals, vecs = np.linalg.eigh(whitened.toarray())
+        vals, vecs = vals[c : c + k], vecs[:, c : c + k]
     else:
         vals, vecs = _deflated_lanczos(whitened, root, component, c, k)
-    vecs = inv_root @ vecs
+    vecs = inv_root[:, None] * vecs
 
     # the certificate is homogeneous in (L, d): evaluate it on L and d divided
     # by the largest |L| entry, so that its norms cannot overflow
     scale = np.max(np.abs(L.data))
-    L_unit, d_unit = L / scale, d / scale
+    L_unit = SymmetricCSR(L.indptr, L.indices, L.data / scale)
+    d_unit = d / scale
     norm_l = np.linalg.norm(L_unit.data)
     norm_d = np.linalg.norm(d_unit)
     pairs = []
@@ -225,28 +304,29 @@ def rect_pencil_eig(F, G, target):
     G, and a column scaling diag(c I, 1) of the pencil maps s to s / c.
 
     Any other pencil is restricted to the row space of the stacked [F; G] (its
-    right singular vectors whose singular value exceeds max(shape) * eps times
-    the largest), giving F_r and G_r; the finite QZ eigenpairs of the square
-    reduction (G_r^T F_r, G_r^T G_r) are lifted back, all of them in one
-    product of the real basis with the real and the imaginary parts of the QZ
-    eigenvectors. A lifted vector has no component
-    in the joint nullspace of F and G, so it is the minimal-norm
-    representative of its class. Directions in that nullspace solve the pencil
-    for every mu and are not reported. With full column rank the pairs are
-    those of the least-squares (Galerkin) pencil (G^T F, G^T G): they solve
-    G^T (F - mu G) w = 0, not F w = mu G w.
+    right singular vectors V_r whose singular value exceeds max(shape) * eps
+    times the largest), giving F_r and G_r; a lifted vector w = V_r z has no
+    component in the joint nullspace of F and G, which solves the pencil for
+    every mu and is not reported. The reduction is solved as its least-squares
+    (Galerkin) pencil G_r^T (F_r - mu G_r) z = 0: with the thin SVD
+    G_r = U S V^T (G^T G = R^T R, R = S V^T) that is the standard eigenproblem
+    U^T F_r V S^-1 y = mu y, z = V S^-1 y. Directions N that G_r annihilates
+    meet F_r z only outside the range of U, and are fixed there by least
+    squares: z = (P - N E^+ K P) a with K = (I - U U^T) F_r, E = K N and P the
+    rest of V, the Schur complement of the normal equations in N. With full
+    column rank the pairs solve G^T (F - mu G) w = 0, not F w = mu G w.
 
     No pair is certified here (``residual`` is None) and nothing is filtered.
     Complex eigenvalues appear together with their conjugates. Vectors have
     unit 2-norm and a deterministic sign. Pairs are ordered by
-    (|Re mu - target|, Re mu, Im mu); equal keys keep QZ's order.
+    (|Re mu - target|, Re mu, Im mu); equal keys keep ``eig``'s order.
 
     Raises
     ------
     DegeneratePencilError
         If G = 0.
     NoEigenpairError
-        If the reduction of a square or tall pencil has no finite eigenvalue.
+        If E is rank-deficient: the reduction is singular and has no eigenvalue.
     """
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -263,32 +343,32 @@ def rect_pencil_eig(F, G, target):
         w = np.append(s, -1.0)
         return [EigenPair(float(target), _sign_normalize(w / np.linalg.norm(w)))]
 
+    eps = np.finfo(float).eps
     stacked = np.vstack([F, G])
     _, sv, vt = np.linalg.svd(stacked, full_matrices=False)
-    rank = np.count_nonzero(sv > max(stacked.shape) * np.finfo(float).eps * sv[0])
-    v_r = vt[:rank].T  # (q, rank); row space of [F; G]
+    v_r = vt[sv > max(stacked.shape) * eps * sv[0]].T  # (q, rank); row space of [F; G]
 
     f_red, g_red = F @ v_r, G @ v_r
-    alpha_beta, vecs = scipy.linalg.eig(
-        g_red.T @ f_red, g_red.T @ g_red, homogeneous_eigvals=True
-    )
-    alphas, betas = alpha_beta
-
-    nonzero = np.flatnonzero(betas != 0)
-    mus = alphas[nonzero] / betas[nonzero]
-    finite = np.isfinite(mus)
-    mus, coeffs = mus[finite], vecs[:, nonzero[finite]]
-    # one lift for every pair; v_r stays real, so no complex copy of it is made
-    lifted = v_r @ coeffs.real + 1j * (v_r @ coeffs.imag)
+    u, sg, vt = np.linalg.svd(g_red, full_matrices=False)
+    rank = np.count_nonzero(sg > max(g_red.shape) * eps * sg[0])
+    u, sg, basis, null = u[:, :rank], sg[:rank], vt[:rank].T, vt[rank:].T
+    if rank < v_r.shape[1]:
+        K = f_red - u @ (u.T @ f_red)
+        E = K @ null
+        cutoff = max(E.shape) * eps * np.linalg.norm(f_red)
+        if np.linalg.svd(E, compute_uv=False).min() <= cutoff:
+            raise NoEigenpairError("the pencil's Galerkin reduction is singular")
+        basis = basis - null @ np.linalg.lstsq(E, K @ basis, rcond=None)[0]
+    mus, ys = np.linalg.eig((u.T @ f_red @ basis) / sg)
+    # one lift for every pair; the basis stays real, so no complex copy of it is made
+    lift, coeffs = v_r @ basis, ys / sg[:, None]
+    lifted = lift @ coeffs.real + 1j * (lift @ coeffs.imag)
 
     pairs = [
         EigenPair(_realify(mu), _sign_normalize(_realify(w / np.linalg.norm(w))))
         for mu, w in zip(mus.tolist(), lifted.T)
     ]
-
-    if not pairs:
-        raise NoEigenpairError("the pencil has no finite eigenpair")
-    # stable sort: equal keys keep QZ's deterministic order
+    # stable sort: equal keys keep eig's deterministic order
     return sorted(
         pairs,
         key=lambda p: (abs(np.real(p.value) - target), np.real(p.value), np.imag(p.value)),

@@ -21,14 +21,14 @@ class Embedding:
 
 
 def embed(graph: SimilarityGraph, ell) -> Embedding:
-    """Embed graph vertices on the eigenvectors of L u = lambda D u (L sparse).
+    """Embed graph vertices on the eigenvectors of L u = lambda D u.
 
     One zero eigenvalue per connected component is deflated before the ``ell``
     smallest remaining pairs are taken, so on a connected graph every returned
     vector satisfies the constraint e^T D u = 0. Eigenvector signs are fixed so
     that the first significant component of each column is positive.
 
-    ``sym_gen_eig`` does the solve: a dense subset ``eigh`` for graphs of up to
+    ``sym_gen_eig`` does the solve: a dense ``eigh`` for graphs of up to
     ``eigensolvers._DENSE_MAX_N`` vertices, Lanczos on the sparse normalized
     adjacency above that. There the trivial eigenvectors sqrt(d) * indicator
     are exact eigenvectors of the adjacency, so subtracting 3 Y Y^T moves them

@@ -24,7 +24,7 @@ class DegeneratePencilError(SpecScaleError):
 
 
 class NoEigenpairError(SpecScaleError):
-    """The pencil has no finite eigenpair."""
+    """The pencil's reduction determines no finite eigenpair: it is singular."""
 
 
 class InsufficientSamplesError(SpecScaleError):

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .clustering import kmeans, nn1_classify
@@ -225,7 +224,6 @@ def reports_to_manifest(reports) -> str:
         "versions": {
             "specscale": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
         "reports": [

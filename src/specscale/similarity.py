@@ -4,7 +4,7 @@ Weights follow w_ij = exp(-delta_s(i, j) / (2 sigma^2)) where delta_s is the
 squared Euclidean distance, per-feature weighted by scaling factors when
 present. Factors may be negative, in which case delta_s is evaluated directly
 (weights can then exceed 1). Each row keeps its k nearest other samples in
-delta_s and the result is symmetrized in CSR as (W + W^T) / 2.
+delta_s and the result is symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
+from .eigensolvers import SymmetricCSR
 from .errors import (
     InsufficientSamplesError,
     IsolatedSampleError,
@@ -126,11 +126,17 @@ def scaled_sqdist(Y, factors=None, rows=slice(None), cols=slice(None)) -> np.nda
 
 @dataclass
 class SimilarityGraph:
-    """Sparse symmetric weight matrix with degrees and Laplacian L = D - W."""
+    """Sparse symmetric weight matrix W (zero diagonal) and its degrees."""
 
-    weights: scipy.sparse.csr_matrix
+    weights: SymmetricCSR
     degrees: np.ndarray
-    laplacian: scipy.sparse.csr_matrix
+
+    @property
+    def laplacian(self) -> SymmetricCSR:
+        """L = D - W, stored at W's entries."""
+        data = -self.weights.data
+        data[self.weights.indptr[:-1]] = self.degrees
+        return SymmetricCSR(self.weights.indptr, self.weights.indices, data)
 
 
 def _nearest(d2, k):
@@ -153,6 +159,25 @@ def _nearest(d2, k):
     return cols[take], vals[take]
 
 
+def _symmetrized(cols, weights) -> SymmetricCSR:
+    """(M + M^T) / 2 for the n x n matrix M whose row i holds ``weights[i]`` at
+    the columns ``cols[i]`` (n x k arrays, no diagonal), without its zeros."""
+    n, k = cols.shape
+    own = np.arange(n)
+    rows = np.concatenate([np.repeat(own, k), cols.ravel(), own])
+    columns = np.concatenate([cols.ravel(), np.repeat(own, k), own])
+    values = np.concatenate([weights.ravel(), weights.ravel(), np.zeros(n)])
+    # row by row, each diagonal entry first, then the others by column
+    key = rows * (n + 1) + np.where(rows == columns, 0, columns + 1)
+    order = np.argsort(key)
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    rows, columns = rows[order[first]], columns[order[first]]
+    data = np.add.reduceat(values[order], first) / 2.0
+    keep = (data != 0.0) | (rows == columns)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+    return SymmetricCSR(indptr, columns[keep], data[keep])
+
+
 def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     """k-NN Gaussian similarity graph of the rows of the array Y.
 
@@ -161,7 +186,7 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     delta_s is evaluated and selected in row blocks of about 4 MB, so memory
     stays O(n k) plus one block whatever n is. The weights
     exp(-delta_s / 2 sigma^2) are evaluated on the n*k kept pairs only, and
-    the kept matrix is symmetrized as (M + M^T) / 2 in CSR.
+    the kept matrix M is symmetrized as (M + M^T) / 2 by one sort of its entries.
 
     Raises
     ------
@@ -198,13 +223,8 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
             "kernel weights overflowed; negative scaled distances are too large "
             f"for sigma={params.sigma}"
         )
-    kept = scipy.sparse.csr_matrix(
-        (weights.ravel(), cols.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
-    )
-    W = (kept + kept.T) / 2.0
-    W.eliminate_zeros()
-    W.sort_indices()
-    degrees = np.asarray(W.sum(axis=1)).ravel()
+    W = _symmetrized(cols, weights)
+    degrees = W @ np.ones(n)
     isolated = np.flatnonzero(degrees == 0.0)
     if isolated.size:
         # most isolated first: farthest from its nearest other sample (stable)
@@ -214,5 +234,4 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
             f"({isolated.size} isolated in total)",
             samples=isolated,
         )
-    laplacian = (scipy.sparse.diags(degrees) - W).tocsr()
-    return SimilarityGraph(weights=W, degrees=degrees, laplacian=laplacian)
+    return SimilarityGraph(weights=W, degrees=degrees)

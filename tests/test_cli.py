@@ -432,14 +432,10 @@ def test_k_neighbors_beyond_the_samples_is_a_recorded_error(tmp_path, capsys, co
 
 
 def test_lanczos_failure_is_a_recorded_row(tmp_path, monkeypatch, capsys):
-    from scipy.sparse.linalg import ArpackNoConvergence
-
     from specscale import eigensolvers
 
-    def stalled(A, k, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((A.shape[0], 0)))
-
-    monkeypatch.setattr(eigensolvers, "eigsh", stalled)
+    # two basis vectors leave the wanted Ritz pair far from converged
+    monkeypatch.setattr(eigensolvers, "_LANCZOS_MAX_STEPS", 2)
     data = tmp_path / "toy.csv"
     assert main(["generate", "--samples", "420", "--seed", "0", "--out", str(data)]) == 0
     outdir = tmp_path / "run"

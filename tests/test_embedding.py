@@ -3,18 +3,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
-from specscale import SimilarityGraph, embed, ncut_objective
+from specscale import SimilarityGraph, SymmetricCSR, embed, ncut_objective
 from specscale.errors import DegenerateVectorError, InsufficientSpectrumError
 
 
 def graph_from_weights(W):
-    """A hand graph: CSR weights W, degrees d and Laplacian diags(d) - W."""
-    W = scipy.sparse.csr_matrix(W)
-    degrees = np.asarray(W.sum(axis=1)).ravel()
-    laplacian = (scipy.sparse.diags(degrees) - W).tocsr()
-    return SimilarityGraph(weights=W, degrees=degrees, laplacian=laplacian)
+    """A hand graph: the dense weights W in CSR, with their row sums as degrees."""
+    return SimilarityGraph(weights=SymmetricCSR.from_dense(W), degrees=W.sum(axis=1))
 
 
 def two_cliques(eps=0.0):

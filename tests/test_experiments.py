@@ -445,6 +445,28 @@ class TestSweep:
         assert "0.25" in reports_to_csv(reports)
 
 
+class TestPaperClaim:
+    """The paper's toy claim: more supervision helps, and the learned scaling
+    beats the unscaled graph.
+
+    On the benchmark's toy (n = 800, seed 0, standardized), with sigma = 1,
+    2 splits (split seed 0, k-means seed 0) and every other default, the mean
+    RI at training fraction 0.5 exceeds that at 0.05, and at 0.5 the scaled
+    pipeline's exceeds the unscaled one's, each by at least 0.1. Measured:
+    cluster 0.997 (0.5), 0.698 (0.05), 0.578 (unscaled); classify 0.996,
+    0.747, 0.723.
+    """
+
+    @pytest.mark.parametrize("task", ["cluster", "classify"])
+    def test_supervision_and_scaling_raise_ri(self, task):
+        data = standardize(generate_toy(800, seed=0))
+        cfg = ExperimentConfig(task=task, sigma_grid=(1.0,), split=SplitSpec(0.5, repetitions=2))
+        sparse, rich = (r.summaries()[0].ri_mean for r in sweep(cfg, [0.05, 0.5], data))
+        unscaled = run_pipeline(dataclasses.replace(cfg, feature_scaling=False), data)
+        assert rich >= sparse + 0.1
+        assert rich >= unscaled.summaries()[0].ri_mean + 0.1
+
+
 class TestLoocv:
     def test_small_loocv(self):
         data = standardize(generate_toy(60, seed=0))

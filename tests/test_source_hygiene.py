@@ -1,7 +1,12 @@
 """Static checks of the package source: no unused imports, no unused private
-names, no orphaned public functions, a consistent public surface."""
+names, no orphaned public functions, a consistent public surface, and no scipy
+on the import path."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -104,3 +109,42 @@ def test_public_surface_matches_all():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     public = {name for name in imported_names(tree) if not name.startswith("_")}
     assert sorted(public - set(specscale.__all__)) == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test oracle only; numpy carries the whole pipeline
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders.extend(f"{path.name}: {m}" for m in modules if m.split(".")[0] == "scipy")
+    assert offenders == []
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # 420 samples is above the dense limit, so the embedding takes Lanczos
+    script = textwrap.dedent(
+        """
+        import sys
+        from specscale.cli import main
+        data, out = sys.argv[1], sys.argv[2]
+        assert main(["generate", "--samples", "420", "--seed", "0", "--out", data]) == 0
+        for task in ("cluster", "classify"):
+            argv = [task, "--data", data, "--output-dir", out, "--sigma-grid", "1",
+                    "--repetitions", "1"]
+            assert main(argv) == 0
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "toy.csv"), str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
