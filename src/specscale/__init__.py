@@ -3,8 +3,9 @@ transductive classification.
 
 The toolkit learns per-feature scaling factors from partially labeled data by
 solving an eigenproblem of a rectangular matrix pencil, rescales the data,
-then runs normalized-cut spectral embedding followed by k-means clustering or
-one-nearest-neighbor classification.
+then runs normalized-cut spectral embedding followed by exact two-means
+clustering of the one-dimensional embedding or one-nearest-neighbor
+classification.
 """
 
 __version__ = "0.1.0"

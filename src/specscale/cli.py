@@ -83,7 +83,6 @@ _SHARED = {
     "--fraction": {"type": float, "default": 0.5, "help": "training fraction"},
     "--repetitions": {"type": int, "default": 10},
     "--seed": {"type": int, "default": 0},
-    "--kmeans-restarts": {"type": int, "default": 20},
     "--ell": {"type": int, "default": 1, "choices": (1, 2, 3), "help": "embedding dimension"},
     "--no-standardize": {"action": "store_true",
                          "help": "skip the mean-0 / variance-1 normalization"},
@@ -172,7 +171,7 @@ def _build_config(args, task):
             k_neighbors=args.k_neighbors,
             fiedler_negative=args.fiedler_negative,
             feature_scaling=not args.no_feature_scaling,
-            **_declared(args, ell="ell", kmeans_restarts="kmeans_restarts", seed="seed"),
+            **_declared(args, ell="ell"),
         )
         spec = _declared(args, train_fraction="fraction", seed="seed", repetitions="repetitions")
         return dataclasses.replace(config, split=dataclasses.replace(config.split, **spec))
@@ -251,11 +250,11 @@ def _build_parser():
                   "--delimiter": {"type": _parse_delimiter, "default": ",",
                                   "help": "',' (default) or a tab"}})
     _add_command(sub, "cluster", "spectral clustering with learned scaling", _cmd_pipeline,
-                 _PIPELINE + ("--fraction", "--repetitions", "--seed", "--kmeans-restarts"))
+                 _PIPELINE + ("--fraction", "--repetitions", "--seed"))
     _add_command(sub, "classify", "transductive 1-NN classification", _cmd_pipeline,
                  _PIPELINE + ("--fraction", "--repetitions", "--seed", "--ell"))
     _add_command(sub, "sweep", "repeat a task over several training fractions", _cmd_sweep,
-                 _PIPELINE + ("--repetitions", "--seed", "--kmeans-restarts", "--ell"),
+                 _PIPELINE + ("--repetitions", "--seed", "--ell"),
                  {"--task": {"choices": ("cluster", "classify"), "default": "classify"},
                   "--fractions": {"type": _parse_float_list,
                                   "default": [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,

@@ -1,4 +1,4 @@
-"""Label assignment on embedded samples: k-means with restarts and 1-NN."""
+"""Label assignment on embedded samples: exact two-means on a line, and 1-NN."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError
 from .similarity import row_blocks
-
-# Lloyd iterations per restart; each stops earlier once its labels repeat
-_MAX_ITER = 300
 
 
 @dataclass
@@ -19,59 +15,34 @@ class ClusterAssignment:
     inertia: float
 
 
-def _lloyd(points, k, rng):
-    n = points.shape[0]
-    centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    labels = None
-    prev_inertia = np.inf
-    for _ in range(_MAX_ITER):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        # empty-cluster policy: reseed at the point farthest from its centroid
-        for c in range(k):
-            if not np.any(new_labels == c):
-                own = d2[np.arange(n), new_labels]
-                p = int(np.argmax(own))
-                centroids[c] = points[p]
-                new_labels[p] = c
-                d2[:, c] = ((points - centroids[c]) ** 2).sum(axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            centroids[c] = points[labels == c].mean(axis=0)
-        inertia = float(((points - centroids[labels]) ** 2).sum())
-        if inertia > prev_inertia + 1e-9 * (1.0 + abs(prev_inertia)):
-            raise InternalConsistencyError(
-                f"inertia increased across a Lloyd iteration: {prev_inertia} -> {inertia}"
-            )
-        prev_inertia = inertia
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return labels, inertia
+def kmeans(values) -> ClusterAssignment:
+    """Exact two-means of the 1-D array ``values``.
 
-
-def kmeans(points, k, restarts=20, seed=0) -> ClusterAssignment:
-    """Lloyd's algorithm on the rows of the 2-D array ``points`` from random
-    point initializations, best of ``restarts``.
-
-    Each restart seeds its own generator from (seed, restart index), so the
-    winner is independent of evaluation order; ties go to the earlier restart.
+    The optimal two clusters of points on a line are split by one cut of the
+    sorted values (Gronlund et al., "Fast exact k-means, k-medians and Bregman
+    divergence clustering in 1D", 2017), so one sort and one prefix sum find
+    it. The cut taken has the least within-cluster sum of squares, that is the
+    largest n_L n_R (mean_L - mean_R)^2, among the cuts between distinct
+    values; a tie goes to the lower cut. The cluster holding the smallest value
+    is labelled 0. Values that are all equal admit no cut: every label is 0 and
+    the inertia is 0. Everything is computed from the sorted, centered values,
+    so the result does not depend on the order of the input.
     """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        labels, inertia = _lloyd(points, k, rng)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return ClusterAssignment(labels=best_labels, inertia=best_inertia)
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("two-means needs a 1-D array of at least two values")
+    xs = np.sort(x)
+    if xs[0] == xs[-1]:
+        return ClusterAssignment(labels=np.zeros(x.size, dtype=np.intp), inertia=0.0)
+    c = xs - xs.mean()
+    n = c.size
+    left = np.arange(1, n)
+    sums = np.cumsum(c[:-1])
+    between = left * (n - left) * (sums / left - (c.sum() - sums) / (n - left)) ** 2
+    between[xs[1:] == xs[:-1]] = -np.inf
+    cut = int(np.argmax(between)) + 1
+    inertia = sum(float(np.square(part - part.mean()).sum()) for part in (c[:cut], c[cut:]))
+    return ClusterAssignment(labels=(x > xs[cut - 1]).astype(np.intp), inertia=inertia)
 
 
 def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndarray:

@@ -53,7 +53,8 @@ class NumericalOverflowError(SpecScaleError):
 
 
 class DegenerateSupervisionError(SpecScaleError):
-    """Training labels contain only a single class."""
+    """The training labels give no two-valued target: they hold a single class,
+    or the auto target's negative value is below machine epsilon."""
 
 
 class InternalConsistencyError(SpecScaleError):

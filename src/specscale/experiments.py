@@ -4,9 +4,9 @@
 a kernel-width grid. Every pencil is solved, and every scaled graph built, at
 unit width (2 sigma^2 = 1); the row at width sigma records the factors
 s = 2 sigma^2 t. A kernel is one graph, one embedding and one assignment
-(k-means or 1-NN); every (repetition, sigma) row copies the scores and pencil
-diagnostics of the kernel that serves it, and the report aggregates per-sigma
-statistics. ``sweep`` varies the training fraction and ``loocv`` runs
+(exact two-means or 1-NN); every (repetition, sigma) row copies the scores and
+pencil diagnostics of the kernel that serves it, and the report aggregates
+per-sigma statistics. ``sweep`` varies the training fraction and ``loocv`` runs
 leave-one-out classification. Reports serialize to a tidy CSV plus a JSON
 manifest and are byte-identical across reruns with the same configuration and
 data.
@@ -57,8 +57,6 @@ class ExperimentConfig:
     k_neighbors: int = 7
     fiedler_negative: object = -0.2  # float or "auto"
     split: SplitSpec = field(default_factory=lambda: SplitSpec(train_fraction=0.5))
-    kmeans_restarts: int = 20
-    seed: int = 0
     feature_scaling: bool = True  # False runs the unsupervised baseline (s = e)
 
     def __post_init__(self):
@@ -66,14 +64,14 @@ class ExperimentConfig:
             raise ValueError(f"task must be one of {TASKS}")
         if not 1 <= self.ell <= 3:
             raise ValueError("ell must be between 1 and 3")
+        if self.task == "cluster" and self.ell != 1:
+            raise ValueError("cluster embeds in one dimension: ell must be 1")
         if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
             raise ValueError("sigma_grid must hold positive values")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.fiedler_negative != "auto":
             self.fiedler_negative = float(self.fiedler_negative)
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be at least 1")
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -241,21 +239,11 @@ def reports_to_manifest(reports) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _kmeans_seed(config_seed, repetition, sigma_index):
-    ss = np.random.SeedSequence([int(config_seed), int(repetition), int(sigma_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _scores(config, data, vectors, train, test, repetition, sigma_index):
-    """(RI, NMI) of k-means over all samples, or (RI, None) of 1-NN on the test
-    rows, from the embedded samples ``vectors``."""
+def _scores(config, data, vectors, train, test):
+    """(RI, NMI) of two-means over all samples, or (RI, None) of 1-NN on the
+    test rows, from the embedded samples ``vectors``."""
     if config.task == "cluster":
-        labels = kmeans(
-            vectors,
-            k=2,
-            restarts=config.kmeans_restarts,
-            seed=_kmeans_seed(config.seed, repetition, sigma_index),
-        ).labels
+        labels = kmeans(vectors[:, 0]).labels
         return rand_index(data.labels, labels, align=True), nmi_score(data.labels, labels)
     if test.size == 0:
         raise SpecScaleError("classification needs a nonempty test set")
@@ -308,16 +296,13 @@ def _fit(config, X, labels, diffs, sigma, repetition):
     return record
 
 
-def _assign(config, data, train, test, record, sigma, sigma_index):
+def _assign(config, data, train, test, record, sigma):
     """Build the graph at width ``sigma``, with ``record.factors`` when the
-    record is scaled, embed and assign it, and write the scores to ``record``;
-    ``sigma_index`` seeds the k-means."""
+    record is scaled, embed and assign it, and write the scores to ``record``."""
     factors = record.factors if record.scaled else None
     graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
     vectors = embed(graph, config.ell).vectors
-    record.ri, record.nmi = _scores(
-        config, data, vectors, train, test, record.repetition, sigma_index
-    )
+    record.ri, record.nmi = _scores(config, data, vectors, train, test)
 
 
 def _row(kernel, sigma):
@@ -338,29 +323,27 @@ def _split_rows(config, data, train, test, repetition):
     X, labels = data.values[train], data.labels[train]
     # only a fit reads the pair moments; they hold no width, so one serves every fit
     diffs = pairwise_sqdiff(X) if config.feature_scaling else None
-    widths = list(enumerate(config.sigma_grid))
     # a fixed target's fit and scaled kernel hold no width: one serves every row
     fixed = config.feature_scaling and config.fiedler_negative != "auto"
-    groups = [widths] if fixed else [[width] for width in widths]
+    groups = [config.sigma_grid] if fixed else [[sigma] for sigma in config.sigma_grid]
     rows = []
     for group in groups:
-        sigma_index, sigma = group[0]
         try:
-            kernel = _fit(config, X, labels, diffs, sigma, repetition)
+            kernel = _fit(config, X, labels, diffs, group[0], repetition)
             if kernel.scaled:
                 try:
-                    _assign(config, data, train, test, kernel, _UNIT_SIGMA, sigma_index)
+                    _assign(config, data, train, test, kernel, _UNIT_SIGMA)
                 except NumericalOverflowError:
                     # only negative learned factors can overflow the kernel
                     kernel.scaled = False
         except SpecScaleError as exc:
-            rows.extend(_failed_run(s, repetition, exc) for _, s in group)
+            rows.extend(_failed_run(s, repetition, exc) for s in group)
             continue
-        for sigma_index, sigma in group:
+        for sigma in group:
             row = _row(kernel, sigma)
             if not row.scaled:  # the unscaled graph at this width
                 try:
-                    _assign(config, data, train, test, row, sigma, sigma_index)
+                    _assign(config, data, train, test, row, sigma)
                 except SpecScaleError as exc:
                     row = _failed_run(sigma, repetition, exc)
             rows.append(row)
@@ -382,9 +365,9 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     training rows (the "auto" target from their unscaled graph at sigma), then
     assembles and solves the scaling pencil at unit width for factors t. The
     scaled kernel builds the graph exp(-t^T x) over all samples, which is
-    exp(-s^T x / 2 sigma^2) at every width, embeds it and assigns once: k-means
-    (RI/NMI over all samples, seeded by the first grid row the kernel serves)
-    or transductive 1-NN (RI over the test rows). A fixed target is fitted
+    exp(-s^T x / 2 sigma^2) at every width, embeds it and assigns once: exact
+    two-means of the one-dimensional embedding (RI/NMI over all samples) or
+    transductive 1-NN (RI over the test rows). A fixed target is fitted
     once per split and its one scaled kernel serves every row; the "auto"
     target is fitted once per sigma. Without feature scaling, or when the
     pencil yields no usable factors or the factors overflow the kernel
@@ -411,7 +394,7 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
 
 
 def sweep(config: ExperimentConfig, fractions, data: DataMatrix):
-    """One report per training fraction (shared seed and repetitions)."""
+    """One report per training fraction (shared split seed and repetitions)."""
     reports = []
     for fraction in fractions:
         cfg = dataclasses.replace(

@@ -68,8 +68,10 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
 
     ``negative_value="auto"`` computes -b with b the ratio of degree sums of
     the two groups, which makes the zero-mean constraint e^T D v = 0 hold
-    exactly for the supplied degrees. The positive class is the smaller label
-    value.
+    exactly for the supplied degrees. A b at or below machine epsilon raises
+    DegenerateSupervisionError: the -b entries are then rounding noise next to
+    the 1 entries, and the target is one class's indicator. The positive class
+    is the smaller label value.
     """
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -84,8 +86,12 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
         degrees = np.asarray(degrees, dtype=float)
         if degrees.shape != labels.shape or np.any(degrees <= 0):
             raise ValueError("degrees must be positive and match the labels")
-        b = degrees[positive_mask].sum() / degrees[~positive_mask].sum()
-        neg = -float(b)
+        b = float(degrees[positive_mask].sum() / degrees[~positive_mask].sum())
+        if b <= np.finfo(float).eps:
+            raise DegenerateSupervisionError(
+                f"the auto target collapsed: degree ratio {b:.3e} is below machine epsilon"
+            )
+        neg = -b
     else:
         neg = float(negative_value)
     return np.where(positive_mask, 1.0, neg)
@@ -175,9 +181,10 @@ def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> Pe
 class ScalingVector:
     """Learned factors with the selected eigenvalue and its certificates.
 
-    ``residual`` is ||(F - mu G) [s; -1]|| / (||F||_F + |mu| ||G||_F), and
-    ``certified`` whether it meets 1e-6: whether (mu, [s; -1]) is an exact pair
-    of F - mu G, which only wide pencils have (see the module docstring).
+    ``residual`` is ||(F - mu G) [s; -1]|| / (||F||_F + |mu| ||G||_F) of the
+    selected pair alone, and ``certified`` whether it meets 1e-6: whether
+    (mu, [s; -1]) is an exact pair of F - mu G, which only wide pencils have
+    (see the module docstring).
     """
 
     factors: np.ndarray
@@ -201,9 +208,9 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     1/(2 sigma^2) and s carries 2 sigma^2; it drops the exact pair s = 0 at
     mu = -1/(n_train - 1) of a target that sums to zero.
 
-    The rest are certified in the solver's order: the first whose residual
-    meets 1e-6 is returned with ``certified=True``, else the first one with
-    ``certified=False`` (the generic case for tall pencils).
+    The first survivor, the one nearest mu = 1, is returned with its residual,
+    and ``certified`` says whether that residual meets 1e-6: true for the
+    wide pencil's exact pair, false in general for a tall pencil's reduction.
     """
     F, G = ps.F(), ps.G()
     try:
@@ -225,22 +232,16 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     candidates = [c for c, e in zip(candidates, effect) if e > floor]
     if not candidates:
         raise NoScalingError("every normalizable candidate has factors that do nothing")
-
-    inspected = []
-    for mu, s in candidates:
-        s = np.ascontiguousarray(s)
-        res = pencil_residual(F, G, mu, np.concatenate([s, [-1.0]]))
-        result = ScalingVector(
-            factors=s,
-            eigenvalue=mu,
-            residual=res,
-            constraint_violation=abs(float(ps.gamma @ s - ps.rho)),
-            certified=bool(res <= _RESIDUAL_TOL),
-        )
-        if result.certified:
-            return result
-        inspected.append(result)
-    return inspected[0]
+    mu, s = candidates[0]
+    s = np.ascontiguousarray(s)
+    res = pencil_residual(F, G, mu, np.concatenate([s, [-1.0]]))
+    return ScalingVector(
+        factors=s,
+        eigenvalue=mu,
+        residual=res,
+        constraint_violation=abs(float(ps.gamma @ s - ps.rho)),
+        certified=bool(res <= _RESIDUAL_TOL),
+    )
 
 
 def scaling_table(factors, feature_names) -> str:

@@ -70,7 +70,6 @@ def test_cluster_runs(toy_file, tmp_path):
             "--output-dir", str(outdir),
             "--sigma-grid", "1",
             "--repetitions", "1",
-            "--kmeans-restarts", "5",
         ]
     )
     assert code == 0
@@ -110,7 +109,7 @@ def test_config_file_overrides_flags(toy_file, tmp_path):
     )
     assert code == 0
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["reports"][0]["config"]["seed"] == 11
+    assert manifest["reports"][0]["config"]["split"]["seed"] == 11
     assert manifest["reports"][0]["config"]["split"]["repetitions"] == 1
 
 
@@ -244,7 +243,7 @@ REQUIRED = {
 NON_DEFAULT = {
     "data": "other.csv", "output_dir": "elsewhere", "sigma_grid": "0.5,2",
     "k_neighbors": "3", "fiedler_negative": "auto", "fraction": "0.25", "repetitions": "3",
-    "seed": "4", "kmeans_restarts": "5", "ell": "2", "task": "cluster",
+    "seed": "4", "ell": "2", "task": "cluster",
     "fractions": "0.2,0.4", "samples": "64", "out": "other-out.csv", "delimiter": "\t",
     "sigma": "2.5", "no_standardize": None, "no_feature_scaling": None,
 }
@@ -301,8 +300,8 @@ def test_sweep_config_task_runs_that_task(toy_file, tmp_path):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("classify", "--kmeans-restarts"), ("loocv", "--seed"), ("loocv", "--fraction"),
-     ("loocv", "--repetitions"), ("loocv", "--kmeans-restarts"), ("sweep", "--fraction")],
+    [("classify", "--samples"), ("loocv", "--seed"), ("loocv", "--fraction"),
+     ("loocv", "--repetitions"), ("loocv", "--task"), ("sweep", "--fraction")],
 )
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(toy_file, tmp_path, capsys,
                                                             command, flag):
@@ -334,7 +333,7 @@ def test_usage_error_exit_code(capsys):
         ("classify", ["--repetitions", "0"], None),
         ("classify", ["--fraction", "0"], None),
         ("classify", ["--k-neighbors", "0"], None),
-        ("cluster", ["--kmeans-restarts", "0"], None),
+        ("sweep", ["--task", "cluster", "--ell", "2"], None),
         ("classify", ["--sigma-grid", "0"], None),
         ("classify", [], "ell=4"),
         ("classify", [], "k_neighbors=x"),
@@ -345,7 +344,7 @@ def test_usage_error_exit_code(capsys):
         ("inspect-scaling", ["--sigma", "nan"], None),
     ],
     ids=[
-        "repetitions", "fraction", "k-neighbors", "kmeans-restarts", "sigma-grid",
+        "repetitions", "fraction", "k-neighbors", "sweep-cluster-ell", "sigma-grid",
         "config-ell", "config-k-neighbors", "config-bool", "sweep-fractions",
         "inspect-fraction", "inspect-sigma-zero", "inspect-sigma-nan",
     ],

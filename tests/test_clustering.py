@@ -1,9 +1,9 @@
-"""k-means and nearest-neighbor assignment tests."""
-
-import itertools
+"""Two-means and nearest-neighbor assignment tests."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specscale import kmeans, nn1_classify, similarity
 
@@ -22,60 +22,100 @@ def exhaustive_two_means(points):
     return best
 
 
+def cut_inertias(values):
+    """Within-cluster sum of squares of every cut between distinct sorted values."""
+    xs = np.sort(values)
+    return [
+        sum(((part - part.mean()) ** 2).sum() for part in (xs[:i], xs[i:]))
+        for i in range(1, xs.size)
+        if xs[i - 1] < xs[i]
+    ]
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
 class TestKmeans:
+    """Exact two-means on a line: the best cut of the sorted values."""
+
     def test_two_blobs_recovered(self):
         rng = np.random.default_rng(0)
-        pts = np.vstack(
-            [rng.normal(10.0, 0.1, size=(4, 2)), rng.normal(-10.0, 0.1, size=(4, 2))]
-        )
-        got = kmeans(pts, k=2, restarts=10, seed=0)
-        labels = got.labels
-        assert len(set(labels[:4])) == 1 and len(set(labels[4:])) == 1
-        assert labels[0] != labels[4]
-        assert got.inertia == pytest.approx(exhaustive_two_means(pts), rel=1e-12)
-
-    def test_single_cluster_is_mean(self):
-        rng = np.random.default_rng(1)
-        pts = rng.normal(size=(10, 3))
-        got = kmeans(pts, k=1, restarts=3, seed=0)
-        scatter = ((pts - pts.mean(axis=0)) ** 2).sum()
-        assert got.inertia == pytest.approx(scatter, rel=1e-12)
-        assert np.all(got.labels == 0)
+        pts = np.concatenate([rng.normal(10.0, 0.1, 4), rng.normal(-10.0, 0.1, 4)])
+        got = kmeans(pts)
+        # the cluster holding the smallest value is labelled 0
+        np.testing.assert_array_equal(got.labels, [1, 1, 1, 1, 0, 0, 0, 0])
+        assert got.inertia == pytest.approx(exhaustive_two_means(pts[:, None]), rel=1e-12)
 
     def test_identical_points(self):
-        pts = np.ones((6, 2))
-        a = kmeans(pts, k=2, restarts=5, seed=42)
-        b = kmeans(pts, k=2, restarts=5, seed=42)
-        assert a.inertia == 0.0
-        np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(2)
-        pts = rng.normal(size=(30, 2))
-        a = kmeans(pts, k=2, restarts=7, seed=5)
-        b = kmeans(pts, k=2, restarts=7, seed=5)
-        np.testing.assert_array_equal(a.labels, b.labels)
-        assert a.inertia == b.inertia
-
-    def test_matches_exhaustive_optimum_small(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            n = int(rng.integers(4, 9))
-            pts = rng.normal(size=(n, 2))
-            got = kmeans(pts, k=2, restarts=60, seed=0)
-            assert got.inertia == pytest.approx(exhaustive_two_means(pts), rel=1e-9)
+        # no cut lies between distinct values: one cluster, stated as all 0
+        got = kmeans(np.ones(6))
+        assert got.inertia == 0.0
+        np.testing.assert_array_equal(got.labels, np.zeros(6))
 
     def test_one_dimensional_input(self):
-        pts = np.array([[0.0], [0.1], [5.0], [5.1]])
-        got = kmeans(pts, k=2, restarts=5, seed=0)
-        assert got.labels[0] == got.labels[1]
-        assert got.labels[2] == got.labels[3]
+        got = kmeans(np.array([5.1, 0.0, 5.0, 0.1]))
+        np.testing.assert_array_equal(got.labels, [1, 0, 1, 0])
+
+    def test_tie_goes_to_the_lower_cut(self):
+        # {0} | {1, 1, 2} and {0, 1, 1} | {2} both leave 2/3
+        got = kmeans(np.array([2.0, 1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(got.labels, [1, 1, 0, 1])
+        assert got.inertia == pytest.approx(2 / 3, rel=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), k=4)
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 2)), k=1, restarts=0)
+        for bad in (np.zeros((3, 2)), np.zeros((3, 1)), np.array([1.0]), np.array([])):
+            with pytest.raises(ValueError):
+                kmeans(bad)
+
+    @settings(max_examples=100)
+    # small integers make duplicates common
+    @given(values=st.lists(st.one_of(st.integers(-3, 3).map(float), finite),
+                           min_size=2, max_size=10))
+    def test_matches_exhaustive_optimum_small(self, values):
+        x = np.array(values)
+        best = exhaustive_two_means(x[:, None])
+        scatter = ((x - x.mean()) ** 2).sum()
+        got = kmeans(x)
+        # the floor absorbs rounding when the optimum is 0
+        assert got.inertia == pytest.approx(best, rel=1e-9, abs=1e-12 * scatter)
+        # the inertia is that of the labels returned
+        parts = [x[got.labels == c] for c in np.unique(got.labels)]
+        labelled = sum(((part - part.mean()) ** 2).sum() for part in parts)
+        assert got.inertia == pytest.approx(labelled, rel=1e-9, abs=1e-12 * scatter)
+
+    @settings(max_examples=100)
+    @given(values=st.lists(st.one_of(st.integers(-5, 5).map(float), finite),
+                           min_size=2, max_size=30),
+           perm_seed=st.integers(0, 2**32 - 1))
+    def test_partition_does_not_depend_on_input_order(self, values, perm_seed):
+        x = np.array(values)
+        perm = np.random.default_rng(perm_seed).permutation(x.size)
+        got = kmeans(x)
+        moved = kmeans(x[perm])
+        np.testing.assert_array_equal(moved.labels, got.labels[perm])
+        assert moved.inertia == got.inertia
+
+    @settings(max_examples=100)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(-1000, 1000).map(float), min_size=2, max_size=30),
+            # m zeros, m twos and a middle value 1 + delta: the two cuts next to
+            # it differ by about 4 |delta|, which an uncentered sum of squares
+            # over a large shift cannot resolve
+            st.builds(lambda m, delta: [0.0] * m + [1.0 + delta] + [2.0] * m,
+                      st.integers(100, 500), st.sampled_from([-1e-8, -3e-9, 3e-9, 1e-8])),
+        ),
+        shift=st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    def test_partition_does_not_depend_on_a_shift(self, values, shift):
+        x = np.array(values)
+        spread = np.ptp(x)
+        inertias = sorted(cut_inertias(x))
+        # a partition is pinned only where no other cut is within rounding of it
+        assume(spread > 0)
+        assume(len(inertias) == 1 or inertias[1] - inertias[0] > 1e-9 * inertias[1])
+        got = kmeans(x + shift * spread)
+        np.testing.assert_array_equal(got.labels, kmeans(x).labels)
 
 
 class TestNN1Classify:

@@ -1,8 +1,9 @@
 """Static checks of the package source: no unused imports, no unused private
-names, no orphaned public functions, a consistent public surface, and no scipy
-on the import path."""
+names, no orphaned public functions, no unread config fields, a consistent
+public surface, and no scipy on the import path."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -101,6 +102,34 @@ def test_every_public_function_is_called_elsewhere_or_exported():
             and node.name not in called | set(specscale.__all__) | {"main"}
         )
     assert orphans == []
+
+
+def test_every_experiment_config_field_is_read():
+    # a field that only its own dataclass reads, to validate it or echo it into
+    # the manifest, changes nothing a run does. The package names an
+    # ExperimentConfig ``config``, so a read is ``config.<field>`` outside
+    # ``__post_init__`` and ``to_dict``.
+    fields = {f.name for f in dataclasses.fields(specscale.ExperimentConfig)}
+    read = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "ExperimentConfig"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef)
+            and method.name in ("__post_init__", "to_dict")
+            for node in ast.walk(method)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "config"
+            and id(node) not in own
+        }
+    assert sorted(fields - read) == []
 
 
 def test_public_surface_matches_all():
