@@ -296,13 +296,25 @@ def _fit(config, X, labels, diffs, sigma, repetition):
     return record
 
 
-def _assign(config, data, train, test, record, sigma):
+def _assign(config, data, train, test, record, sigma, kernels):
     """Build the graph at width ``sigma``, with ``record.factors`` when the
-    record is scaled, embed and assign it, and write the scores to ``record``."""
-    factors = record.factors if record.scaled else None
-    graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
-    vectors = embed(graph, config.ell).vectors
-    record.ri, record.nmi = _scores(config, data, vectors, train, test)
+    record is scaled, embed and assign it, and write the scores to ``record``.
+    ``kernels`` keeps by width each graph's embedding (for cluster its scores,
+    which hold no split either) or typed error, so no graph is built twice."""
+    if sigma not in kernels:
+        try:
+            factors = record.factors if record.scaled else None
+            graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
+            kernels[sigma] = embed(graph, config.ell).vectors
+            if config.task == "cluster":
+                kernels[sigma] = _scores(config, data, kernels[sigma], train, test)
+        except SpecScaleError as exc:
+            kernels[sigma] = exc
+    kept = kernels[sigma]
+    if isinstance(kept, SpecScaleError):
+        raise kept.with_traceback(None)
+    cluster = config.task == "cluster"
+    record.ri, record.nmi = kept if cluster else _scores(config, data, kept, train, test)
 
 
 def _row(kernel, sigma):
@@ -318,8 +330,8 @@ def _failed_run(sigma, repetition, exc):
     )
 
 
-def _split_rows(config, data, train, test, repetition):
-    """The rows of one split, one per grid width."""
+def _split_rows(config, data, train, test, repetition, unscaled):
+    """The rows of one split, one per grid width (``unscaled``: see ``_assign``)."""
     X, labels = data.values[train], data.labels[train]
     # only a fit reads the pair moments; they hold no width, so one serves every fit
     diffs = pairwise_sqdiff(X) if config.feature_scaling else None
@@ -332,7 +344,7 @@ def _split_rows(config, data, train, test, repetition):
             kernel = _fit(config, X, labels, diffs, group[0], repetition)
             if kernel.scaled:
                 try:
-                    _assign(config, data, train, test, kernel, _UNIT_SIGMA)
+                    _assign(config, data, train, test, kernel, _UNIT_SIGMA, {})
                 except NumericalOverflowError:
                     # only negative learned factors can overflow the kernel
                     kernel.scaled = False
@@ -343,7 +355,7 @@ def _split_rows(config, data, train, test, repetition):
             row = _row(kernel, sigma)
             if not row.scaled:  # the unscaled graph at this width
                 try:
-                    _assign(config, data, train, test, row, sigma)
+                    _assign(config, data, train, test, row, sigma, unscaled)
                 except SpecScaleError as exc:
                     row = _failed_run(sigma, repetition, exc)
             rows.append(row)
@@ -351,9 +363,9 @@ def _split_rows(config, data, train, test, repetition):
 
 
 def _run_over_splits(config, data, index_pairs):
-    records = []
+    records, unscaled = [], {}
     for repetition, (train, test) in enumerate(index_pairs):
-        records.extend(_split_rows(config, data, train, test, repetition))
+        records.extend(_split_rows(config, data, train, test, repetition, unscaled))
     return records
 
 
@@ -371,9 +383,9 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     once per split and its one scaled kernel serves every row; the "auto"
     target is fitted once per sigma. Without feature scaling, or when the
     pencil yields no usable factors or the factors overflow the kernel
-    weights, each row gets the unscaled graph at its own sigma with
-    ``scaled=False``, and nothing is re-fitted; after an overflow the pencil
-    diagnostics stay. Each row copies its kernel's RI, NMI, mu, ``residual``,
+    weights, each row gets the unscaled graph at its own sigma, built once per
+    run, with ``scaled=False``, and nothing is re-fitted; after an overflow the
+    pencil diagnostics stay. Each row copies its kernel's RI, NMI, mu, ``residual``,
     ``certified``, ``constraint_violation`` and linearization share, and
     records the factors s = 2 sigma^2 t. A typed error while a kernel is built
     is recorded, not fatal, on every row that kernel would serve.

@@ -5,6 +5,7 @@ squared Euclidean distance, per-feature weighted by scaling factors when
 present. Factors may be negative, in which case delta_s is evaluated directly
 (weights can then exceed 1). Each row keeps its k nearest other samples in
 delta_s and the result is symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
+Selection sorts only the entries up to each row's k-th smallest group minimum.
 """
 
 from __future__ import annotations
@@ -66,11 +67,14 @@ def pairwise_sqdiff(X) -> PairwiseDifferences:
 
 
 # float64 entries (4 MB) per row block of an n x n pairwise array, so that no
-# layer holds O(n^2) memory. Measured at n = 3200 with one BLAS thread: 1 to
-# 4 MB blocks build the k-NN graph fastest (0.13 to 0.15 s, against 0.20 s at
-# 128 kB and 0.17 to 0.19 s at 8 MB and up), and of those the largest keeps
-# the most rows per block as n grows.
+# layer holds O(n^2) memory. Unscaled toy graphs, one BLAS thread: at n = 3200
+# 4 MB blocks build fastest (54 ms; 56 at 2 and 8 MB, 59 at 1 MB, 65 at 16 MB);
+# at n = 800 all of 1 to 16 MB are within 5%, and at n = 12.8k 4 MB is within
+# 4% of 8 MB (0.93 against 0.89 s; 1.40 s at 1 MB).
 _BLOCK_ENTRIES = 1 << 19
+# Columns per group of the bound in ``_nearest``: 16 was within 3% of the
+# fastest of 8, 16 and 32 at n = 800, 3200 and 12.8k (same graphs).
+_GROUP_SIZE = 16
 
 
 def row_blocks(n_rows, n_cols):
@@ -142,19 +146,22 @@ class SimilarityGraph:
 def _nearest(d2, k):
     """Each row's k smallest entries of a row block d2, ties to the smaller column.
 
-    Selects without sorting whole rows: every entry at most the row's k-th
-    smallest value (from ``np.partition``) is a candidate, k or more per row.
-    The candidates are found in one pass over the flat block, their (row,
-    column) recovered from the flat index, and only they are ordered by (row,
-    value, column). Returns (n, k) columns and values, nearest first; the same
-    as the first k columns of a stable row argsort.
+    Neither sorts nor partitions whole rows. Column j < n // c * c is in group
+    j mod G of G = n // c >= k groups of c <= n // k columns. k groups hold an
+    entry at most the k-th smallest group minimum tau, so the row does too, and
+    only its entries not above tau (NaN too) are stably ordered by (row, value).
+    Returns (rows, k) columns and values, nearest first: the first k columns of
+    a stable row argsort (NaN last), also where fewer than k groups hold a number.
     """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-    flat = np.flatnonzero(d2 <= kth[:, None])
-    rows, cols = np.divmod(flat, d2.shape[1])
+    r, n = d2.shape
+    c = min(_GROUP_SIZE, n // k)
+    lowest = np.fmin.reduce(d2[:, : n // c * c].reshape(r, c, n // c), axis=1)
+    tau = np.partition(lowest, k - 1, axis=1)[:, k - 1]
+    flat = np.flatnonzero(~(d2 > tau[:, None]))
+    rows, cols = np.divmod(flat, n)
     vals = d2.ravel()[flat]
-    order = np.lexsort((cols, vals, rows))
-    starts = np.searchsorted(rows, np.arange(d2.shape[0]))  # rows come sorted
+    order = np.lexsort((vals, rows))
+    starts = np.searchsorted(rows, np.arange(r))  # rows come sorted
     take = order[starts[:, None] + np.arange(k)]
     return cols[take], vals[take]
 
@@ -182,7 +189,7 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     """k-NN Gaussian similarity graph of the rows of the array Y.
 
     Each row keeps its k nearest other samples in delta_s (ties go to the
-    smaller sample index), selected by partition rather than a full-row sort.
+    smaller sample index), selected below a bound (``_nearest``), not by sort.
     delta_s is evaluated and selected in row blocks of about 4 MB, so memory
     stays O(n k) plus one block whatever n is. The weights
     exp(-delta_s / 2 sigma^2) are evaluated on the n*k kept pairs only, and

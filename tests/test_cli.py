@@ -271,7 +271,7 @@ def test_config_entries_parse_as_their_flags(tmp_path, command):
 
 @pytest.mark.parametrize(
     "command, entry",
-    [("cluster", "ell=2"), ("classify", "kmeans-restarts=5"), ("loocv", "seed=1"),
+    [("cluster", "ell=2"), ("classify", "samples=5"), ("loocv", "seed=1"),
      ("sweep", "fraction=0.3"), ("classify", "config=other.conf"), ("classify", "help=yes")],
 )
 def test_config_key_the_subcommand_does_not_declare_fails(toy_file, tmp_path, capsys,

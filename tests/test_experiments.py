@@ -399,6 +399,46 @@ class TestSharedSplit:
         assert all("InsufficientSpectrumError" in r.error for r in report.records)
 
 
+class TestUnscaledKernels:
+    """The unscaled graph over all samples, its embedding and, for cluster, its
+    two-means scores hold no split: a run builds one per width."""
+
+    def config(self, task, **kw):
+        return ExperimentConfig(task=task, split=SplitSpec(0.5, seed=0, repetitions=4), **kw)
+
+    @pytest.mark.parametrize("task", ["cluster", "classify"])
+    def test_one_graph_per_width(self, calls, task):
+        data = standardize(generate_toy(800, seed=0))
+        report = run_pipeline(self.config(task, feature_scaling=False), data)
+        assert len(report.records) == 20
+        assert calls["build_similarity"] == 5  # one per split and width before
+        assert calls["embed"] == 4  # the sigma = 0.01 graph has an isolated sample
+        assert calls["kmeans"] == (4 if task == "cluster" else 0)
+        assert calls["nn1_classify"] == (16 if task == "classify" else 0)
+        small = [r for r in report.records if r.sigma == 0.01]
+        assert len({r.error for r in small}) == 1 and "IsolatedSampleError" in small[0].error
+
+    def test_fallback_rows_share_the_run_graphs(self, calls, monkeypatch):
+        def failing(pencil, *args):
+            raise NoScalingError("no candidates at unit width")
+
+        monkeypatch.setattr(experiments, "learn_scaling", failing)
+        cfg = self.config("cluster", sigma_grid=(0.1, 1.0, 10.0))
+        report = run_pipeline(cfg, standardize(generate_toy(200, seed=0)))
+        assert calls["assemble_pencil"] == 4 and calls["build_similarity"] == 3
+        assert all(r.ok and not r.scaled for r in report.records)
+        for sigma in cfg.sigma_grid:
+            assert len({r.ri for r in report.records if r.sigma == sigma}) == 1
+
+    def test_loocv_builds_one_graph_per_width(self, calls):
+        data = separated_clusters(n_per=5)
+        cfg = ExperimentConfig(task="classify", sigma_grid=(1.0, 10.0), k_neighbors=3,
+                               feature_scaling=False)
+        report = loocv(cfg, data)
+        assert len(report.records) == 20 and all(r.ok for r in report.records)
+        assert calls["build_similarity"] == 2 and calls["nn1_classify"] == 20
+
+
 def spread_signal_data(seed, n_per=(24, 48), n_features=500, n_informative=100, gap=0.7):
     """Wide data whose class signal is spread over many features: class 1 is
     shifted by ``gap`` on the first ``n_informative`` of them. Unscaled 1-NN

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specscale import (
     KernelParams,
@@ -58,6 +59,82 @@ def reference_knn_weights(Y, k, factors, sigma):
         order = np.lexsort((index, row))[:k]
         M[i, order] = raw[i, order]
     return (M + M.T) / 2.0
+
+
+@st.composite
+def selection_blocks(draw, nan=False):
+    """A row block of a pairwise array and a k. Few distinct integer values make
+    ties common, at the k-th value and across group edges; entries may be
+    negative, as from signed factors; the width n runs from k + 1 to 20 k, so
+    it is often no multiple of the group size; each row may hold +inf at its
+    own column; and with ``nan`` some entries are NaN."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k + 1, 20 * k))
+    r = draw(st.integers(1, min(n, 5)))
+    top = draw(st.integers(-3, 2 * n))
+    d2 = draw(arrays(np.int64, (r, n), elements=st.integers(-3, top))).astype(float)
+    if draw(st.booleans()):
+        own = draw(st.integers(0, n - r)) + np.arange(r)
+        d2[np.arange(r), own] = np.inf
+    if nan:
+        d2[draw(arrays(np.bool_, (r, n)))] = np.nan
+    return d2, k
+
+
+def stable_argsort_nearest(d2, k):
+    """The first k columns of a stable row argsort (NaN last) and their values."""
+    cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return cols, np.take_along_axis(d2, cols, axis=1)
+
+
+class TestNearest:
+    @settings(max_examples=400)
+    @given(selection_blocks())
+    def test_matches_stable_row_argsort(self, block):
+        d2, k = block
+        cols, vals = similarity._nearest(d2, k)
+        expected_cols, expected_vals = stable_argsort_nearest(d2, k)
+        np.testing.assert_array_equal(cols, expected_cols)
+        np.testing.assert_array_equal(vals, expected_vals)
+
+    @settings(max_examples=300)
+    @given(selection_blocks(nan=True))
+    def test_nan_ranks_after_every_number(self, block):
+        # a row with k numbers keeps its k smallest; a row with fewer (where
+        # fewer than k groups hold a number, the bound is NaN) keeps all its
+        # numbers, then its NaN columns in column order
+        d2, k = block
+        cols, vals = similarity._nearest(d2, k)
+        expected_cols, expected_vals = stable_argsort_nearest(d2, k)
+        np.testing.assert_array_equal(cols, expected_cols)
+        np.testing.assert_array_equal(vals, expected_vals)
+
+    def test_tail_columns_are_candidates(self):
+        # n = 35, k = 2: groups of 16 columns cover 0-31, and the nearest
+        # entries sit in the tail 32-34, outside every group
+        d2 = np.full((1, 35), 5.0)
+        d2[0, 32:] = [1.0, 0.0, 1.0]
+        cols, vals = similarity._nearest(d2, 2)
+        np.testing.assert_array_equal(cols, [[33, 32]])
+        np.testing.assert_array_equal(vals, [[0.0, 1.0]])
+
+    def test_nan_in_every_group_does_not_widen_the_bound(self, monkeypatch):
+        # k = 4, n = 64: columns 0-3 open the 4 groups of 16. Each group's
+        # minimum is its smallest number, so only the entries up to the 4th
+        # smallest number and the NaN themselves are ordered
+        d2 = np.arange(64.0)[None, :]
+        d2[0, :4] = np.nan
+        ordered = []
+        lexsort = np.lexsort
+
+        def recording(keys):
+            ordered.append(keys[0].size)
+            return lexsort(keys)
+
+        monkeypatch.setattr(similarity.np, "lexsort", recording)
+        cols, vals = similarity._nearest(d2, 4)
+        assert ordered == [8]
+        np.testing.assert_array_equal(cols, [[4, 5, 6, 7]])
 
 
 class TestPairwiseSqdiff:
