@@ -146,12 +146,12 @@ class SimilarityGraph:
 def _nearest(d2, k):
     """Each row's k smallest entries of a row block d2, ties to the smaller column.
 
-    Neither sorts nor partitions whole rows. Column j < n // c * c is in group
-    j mod G of G = n // c >= k groups of c <= n // k columns. k groups hold an
-    entry at most the k-th smallest group minimum tau, so the row does too, and
-    only its entries not above tau (NaN too) are stably ordered by (row, value).
-    Returns (rows, k) columns and values, nearest first: the first k columns of
-    a stable row argsort (NaN last), also where fewer than k groups hold a number.
+    Neither sorts nor partitions whole rows. With c = min(16, n // k) and
+    G = n // c >= k, column j < G c is in group j mod G (the tail is in none).
+    k groups each hold an entry at most tau, the k-th smallest group minimum
+    (NaN skipped), so the row does too; only its entries not above tau, NaN
+    included, are stably ordered by (row, value). Returns (rows, k) columns and
+    values, nearest first: the first k of a stable row argsort (NaN last).
     """
     r, n = d2.shape
     c = min(_GROUP_SIZE, n // k)

@@ -62,12 +62,12 @@ def reference_knn_weights(Y, k, factors, sigma):
 
 
 @st.composite
-def selection_blocks(draw, nan=False):
+def selection_blocks(draw):
     """A row block of a pairwise array and a k. Few distinct integer values make
     ties common, at the k-th value and across group edges; entries may be
     negative, as from signed factors; the width n runs from k + 1 to 20 k, so
     it is often no multiple of the group size; each row may hold +inf at its
-    own column; and with ``nan`` some entries are NaN."""
+    own column; and some blocks hold NaN entries."""
     k = draw(st.integers(1, 6))
     n = draw(st.integers(k + 1, 20 * k))
     r = draw(st.integers(1, min(n, 5)))
@@ -76,38 +76,23 @@ def selection_blocks(draw, nan=False):
     if draw(st.booleans()):
         own = draw(st.integers(0, n - r)) + np.arange(r)
         d2[np.arange(r), own] = np.inf
-    if nan:
+    if draw(st.booleans()):
         d2[draw(arrays(np.bool_, (r, n)))] = np.nan
     return d2, k
 
 
-def stable_argsort_nearest(d2, k):
-    """The first k columns of a stable row argsort (NaN last) and their values."""
-    cols = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return cols, np.take_along_axis(d2, cols, axis=1)
-
-
 class TestNearest:
-    @settings(max_examples=400)
+    @settings(max_examples=600)
     @given(selection_blocks())
     def test_matches_stable_row_argsort(self, block):
+        # the first k columns of a stable row argsort, which ranks NaN after
+        # every number: a row with fewer than k numbers (where fewer than k
+        # groups hold one) keeps all its numbers, then NaN columns in order
         d2, k = block
         cols, vals = similarity._nearest(d2, k)
-        expected_cols, expected_vals = stable_argsort_nearest(d2, k)
-        np.testing.assert_array_equal(cols, expected_cols)
-        np.testing.assert_array_equal(vals, expected_vals)
-
-    @settings(max_examples=300)
-    @given(selection_blocks(nan=True))
-    def test_nan_ranks_after_every_number(self, block):
-        # a row with k numbers keeps its k smallest; a row with fewer (where
-        # fewer than k groups hold a number, the bound is NaN) keeps all its
-        # numbers, then its NaN columns in column order
-        d2, k = block
-        cols, vals = similarity._nearest(d2, k)
-        expected_cols, expected_vals = stable_argsort_nearest(d2, k)
-        np.testing.assert_array_equal(cols, expected_cols)
-        np.testing.assert_array_equal(vals, expected_vals)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(cols, expected)
+        np.testing.assert_array_equal(vals, np.take_along_axis(d2, expected, axis=1))
 
     def test_tail_columns_are_candidates(self):
         # n = 35, k = 2: groups of 16 columns cover 0-31, and the nearest
