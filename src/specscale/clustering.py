@@ -51,8 +51,8 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
 
     The embedding covers training and test samples together (it was computed
     once over all rows), so classification is transductive. Ties go to the
-    smaller training index. Test rows are handled in blocks of about 4 MB of
-    squared distances, accumulated one embedding dimension at a time, so no
+    smaller training index. Squared distances are summed one embedding dimension
+    at a time in row blocks whose two arrays fill about 4 MB together, so no
     n_test x n_train (or n_test x n_train x ell) array is held.
     """
     points = np.asarray(embedded, dtype=float)
@@ -73,13 +73,11 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     train_points = points[train_indices[order]]
     test_points = points[test_indices]
     nearest = np.empty(test_indices.size, dtype=np.intp)
-    for rows in row_blocks(test_indices.size, train_indices.size):
+    for rows in row_blocks(test_indices.size, 2 * train_indices.size):
         block = test_points[rows]
-        # (t_j - r_j)^2 summed one dimension at a time from the first: for
-        # ell <= 3 the same order, and so the same bits, as .sum(axis=2) over
-        # the dimensions
-        d2 = np.subtract.outer(block[:, 0], train_points[:, 0])
-        np.square(d2, out=d2)
+        # (t_j - r_j)^2 summed one dimension at a time from the first: for ell
+        # <= 3 the same order, and so the same bits, as .sum(axis=2) over them
+        d2 = np.square(np.subtract.outer(block[:, 0], train_points[:, 0]))
         for t, r in zip(block.T[1:], train_points.T[1:]):
             sq = np.subtract.outer(t, r)
             d2 += np.square(sq, out=sq)

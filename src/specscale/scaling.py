@@ -54,7 +54,7 @@ from .errors import (
     NonNormalizableError,
     NoScalingError,
 )
-from .similarity import PairwiseDifferences, pairwise_sqdiff, row_blocks, scaled_sqdist
+from .similarity import PairwiseDifferences, pairwise_sqdiff, row_blocks, sqdist_blocks
 
 # Certifies a residual, and tells factors from s = 0 (see ``learn_scaling``):
 # on toy splits at widths 0.01 to 100, s = 0 reads <= 2.6e-9, other pairs >= 0.029.
@@ -259,16 +259,16 @@ def linearization_violation_fraction(X, factors, sigma) -> float:
     validity region under the factor array ``factors``.
 
     The first-order form of the kernel assumes 0 < s^T x_ij / (2 sigma^2) < 1
-    for each pair; this reports how often that fails (over unordered pairs).
-    The violations are counted over the upper triangle of delta_s in row
-    blocks, so no n x n array is held. Each block evaluates only the columns
-    at and past its first row, about half of the matrix in all.
+    for each pair; this reports how often that fails (over pairs i < j). Each row
+    block of delta_s covers the columns at and past its first row (about half the
+    matrix in all, never n x n) and is counted whole, less its leading square's j <= i.
     """
-    values = np.asarray(X, dtype=float)
-    n = values.shape[0]
+    n = np.shape(X)[0]
+    sqdist = sqdist_blocks(X, factors)
     violations = 0
     for rows in row_blocks(n, n):
-        t = scaled_sqdist(values, factors, rows, slice(rows.start, n)) / (2.0 * sigma**2)
+        t = sqdist(rows, slice(rows.start, n))
+        t /= 2.0 * sigma**2
         outside = (t <= 0.0) | (t >= 1.0)
-        violations += np.count_nonzero(np.triu(outside, k=1))
+        violations += np.count_nonzero(outside) - np.count_nonzero(np.tril(outside[:, : len(t)]))
     return float(violations / (n * (n - 1) // 2))

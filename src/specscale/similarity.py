@@ -2,10 +2,10 @@
 
 Weights follow w_ij = exp(-delta_s(i, j) / (2 sigma^2)) where delta_s is the
 squared Euclidean distance, per-feature weighted by scaling factors when
-present. Factors may be negative, in which case delta_s is evaluated directly
-(weights can then exceed 1). Each row keeps its k nearest other samples in
-delta_s and the result is symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
-Selection sorts only the entries up to each row's k-th smallest group minimum.
+present; negative factors make it indefinite (weights can then exceed 1). It is
+made in row blocks, one GEMM of lifted rows each. Each row keeps its k nearest
+other samples, sorting only the entries up to its k-th smallest group minimum,
+and the result is symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ def pairwise_sqdiff(X) -> PairwiseDifferences:
 
 
 # float64 entries (4 MB) per row block of an n x n pairwise array, so that no
-# layer holds O(n^2) memory. Unscaled toy graphs, one BLAS thread: at n = 3200
-# 4 MB blocks build fastest (54 ms; 56 at 2 and 8 MB, 59 at 1 MB, 65 at 16 MB);
-# at n = 800 all of 1 to 16 MB are within 5%, and at n = 12.8k 4 MB is within
-# 4% of 8 MB (0.93 against 0.89 s; 1.40 s at 1 MB).
+# layer holds O(n^2) memory. Unscaled toy graphs, one BLAS thread, two runs: no
+# size of 1 to 16 MB was fastest at every n. At n = 800 all are within 10%; at
+# 3200, 1 to 4 MB are within 10% (38 to 44 ms) and 16 MB is slowest; at 12.8k,
+# 4 and 8 MB are within 7% (0.58 to 0.64 s) and 1 MB takes 0.70 to 0.80 s.
 _BLOCK_ENTRIES = 1 << 19
-# Columns per group of the bound in ``_nearest``: 16 was within 3% of the
-# fastest of 8, 16 and 32 at n = 800, 3200 and 12.8k (same graphs).
+# Columns per group of the bound in ``_nearest``: 16 was the fastest of 8, 16
+# and 32 at n = 800, 3200 and 12.8k (same graphs; 4.7, 53 and 563 ms).
 _GROUP_SIZE = 16
 
 
@@ -95,37 +95,39 @@ def _own_entries(n, rows, cols=slice(None)):
     return inside, own[inside] - start
 
 
-def scaled_sqdist(Y, factors=None, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """(Optionally per-feature weighted) squared distances from the rows
-    ``rows`` of the array Y to its rows ``cols`` (slices of step 1, default
-    all); ``factors`` is None or an array of one weight per feature.
+def sqdist_blocks(Y, factors=None):
+    """delta_s of the rows of the array Y (``factors``: None or one weight per
+    feature) as a function of a row and a column slice that returns that block.
 
-    Entry (i, j) is delta_s between samples rows[i] and cols[j], and 0 on each
-    row's own sample. A block is the same formula as the whole matrix (the
-    default), so callers evaluate n x n quantities block by block
-    (``row_blocks``) without ever holding the whole matrix.
+    With q = (Y o Y) s, the rows [-2 s o y_i, q_i, 1] and [y_j, 1, q_j] have the
+    inner product q_i + q_j - 2 (s o y_i)^T y_j: one GEMM per block, 0 on each
+    row's own sample and, for factors nonnegative or None, clamped at 0.
     """
     values = np.asarray(Y, dtype=float)
-    block = values[rows]
-    if factors is None:
-        norms = (values**2).sum(axis=1)
-    else:
-        if factors.shape != (values.shape[1],):
-            raise ValueError(
-                f"scaling has {factors.shape[0]} factors for {values.shape[1]} features"
-            )
-        norms = (values**2) @ factors
-        block = block * factors
-    # (norm_i + norm_j) - 2 cross, in two block-sized arrays; doubling is
-    # exact, so doubling the rows before the product gives the same bits as
-    # doubling the product
-    cross = (2.0 * block) @ values[cols].T
-    d2 = norms[rows, None] + norms[None, cols]
-    d2 -= cross
-    if factors is None or np.all(factors >= 0.0):
-        np.maximum(d2, 0.0, out=d2)
-    d2[_own_entries(values.shape[0], rows, cols)] = 0.0
-    return d2
+    n, m = values.shape
+    s = np.ones(m) if factors is None else factors
+    if s.shape != (m,):
+        raise ValueError(f"scaling has {s.size} factors for {m} features")
+    q = np.einsum("ij,ij,j->i", values, values, s)
+    right = np.column_stack([values, np.ones(n), q])
+    clamp = bool(np.all(s >= 0.0))
+
+    def block(rows, cols=slice(None)):
+        left = np.empty((q[rows].size, m + 2))  # per block: one O(n m) array lives on
+        np.multiply(values[rows], -2.0 * s, out=left[:, :m])
+        left[:, m], left[:, m + 1] = q[rows], 1.0
+        d2 = left @ right[cols].T
+        if clamp:
+            np.maximum(d2, 0.0, out=d2)
+        d2[_own_entries(n, rows, cols)] = 0.0
+        return d2
+
+    return block
+
+
+def scaled_sqdist(Y, factors=None, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Block (rows, cols), slices of step 1 that default to all, of ``sqdist_blocks``."""
+    return sqdist_blocks(Y, factors)(rows, cols)
 
 
 @dataclass
@@ -189,11 +191,10 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     """k-NN Gaussian similarity graph of the rows of the array Y.
 
     Each row keeps its k nearest other samples in delta_s (ties go to the
-    smaller sample index), selected below a bound (``_nearest``), not by sort.
-    delta_s is evaluated and selected in row blocks of about 4 MB, so memory
-    stays O(n k) plus one block whatever n is. The weights
-    exp(-delta_s / 2 sigma^2) are evaluated on the n*k kept pairs only, and
-    the kept matrix M is symmetrized as (M + M^T) / 2 by one sort of its entries.
+    smaller sample index), selected below a bound (``_nearest``), not by sort,
+    in row blocks of about 4 MB: memory stays O(n (k + m)) plus one block. The
+    weights exp(-delta_s / 2 sigma^2) are evaluated on the n*k kept pairs only,
+    and the kept matrix M is symmetrized as (M + M^T) / 2 by one sort of it.
 
     Raises
     ------
@@ -217,12 +218,13 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     if k >= n:
         raise InsufficientSamplesError(f"k_neighbors={k} needs more than {n} samples")
 
-    cols = np.empty((n, k), dtype=np.intp)
-    near = np.empty((n, k))
+    sqdist = sqdist_blocks(values, params.scaling)
+    cols, near = np.empty((n, k), dtype=np.intp), np.empty((n, k))
     for rows in row_blocks(n, n):
-        d2 = scaled_sqdist(values, params.scaling, rows)
+        d2 = sqdist(rows)
         d2[_own_entries(n, rows)] = np.inf
         cols[rows], near[rows] = _nearest(d2, k)
+    del sqdist  # the lifted rows, O(n m), are not needed past the blocks
     with np.errstate(over="ignore", under="ignore"):
         weights = np.exp(-near / (2.0 * params.sigma**2))
     if not np.all(np.isfinite(weights)):

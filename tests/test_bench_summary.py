@@ -12,6 +12,11 @@ DECLARED = {
         {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
         {"name": "ri", "unit": "1", "better": "higher", "bound": 0.25},
     ],
+    "per_layer": [
+        {"name": "similarity.graph_s", "unit": "s", "better": "lower"},
+        {"name": "similarity.graph_calls", "unit": "count", "better": "lower"},
+        {"name": "similarity.graph_edges", "unit": "count", "better": "lower"},
+    ],
 }
 
 
@@ -75,3 +80,39 @@ def test_missing_run_is_an_error(bench_summary, tmp_path):
     change = write_tree(tmp_path / "change", "bbb", [1.0], [0.9])
     with pytest.raises(SystemExit, match="toy-seed2-trace0.json"):
         bench_summary.main([str(parent), str(change), "--seeds", "1-2"])
+
+
+def write_traced(root, seed, graph_s, edges):
+    """A traced toy run at ``seed`` in the result directory of a tree."""
+    metrics = {"similarity.graph_s": graph_s, "similarity.graph_calls": 2.0,
+               "similarity.graph_edges": edges}
+    run = {"result": {"correct": True,
+                      "metrics": {name: {"value": value} for name, value in metrics.items()}}}
+    (root / ".bench_results" / f"toy-seed{seed}-trace1.json").write_text(json.dumps(run))
+
+
+def test_layers_from_the_traced_runs_both_trees_hold(bench_summary, tmp_path):
+    parent = write_tree(tmp_path / "parent", "aaa", [1.0] * 3, [0.9] * 3)
+    change = write_tree(tmp_path / "change", "bbb", [0.9] * 3, [0.9] * 3)
+    assert "layers" not in bench_summary.summarize(parent, change, [1, 2, 3])
+    for seed, (p, c) in {1: (0.08, 0.07), 2: (0.10, 0.06), 3: (0.12, 0.05)}.items():
+        write_traced(parent, seed, p, 100.0 + seed)
+        if seed != 3:
+            write_traced(change, seed, c, 100.0 + seed)
+    layers = bench_summary.summarize(parent, change, [1, 2, 3])["layers"]
+    # seed 3 has no traced change run, so the medians are over seeds 1 and 2
+    assert layers["seeds"] == [1, 2]
+    toy = layers["workloads"]["toy"]
+    assert set(toy) == {"similarity.graph_s", "similarity.graph_edges"}  # no counts of calls
+    assert toy["similarity.graph_s"]["parent"] == pytest.approx(0.09)
+    assert toy["similarity.graph_s"]["change"] == pytest.approx(0.065)
+    assert toy["similarity.graph_edges"] == {"parent": 101.5, "change": 101.5}
+
+
+def test_edge_counts_that_differ_are_an_error(bench_summary, tmp_path):
+    parent = write_tree(tmp_path / "parent", "aaa", [1.0], [0.9])
+    change = write_tree(tmp_path / "change", "bbb", [1.0], [0.9])
+    write_traced(parent, 1, 0.1, 100.0)
+    write_traced(change, 1, 0.1, 98.0)
+    with pytest.raises(SystemExit, match="toy seed 1: similarity.graph_edges differ"):
+        bench_summary.summarize(parent, change, [1])

@@ -169,7 +169,8 @@ class TestNN1Classify:
         expected = labels[order][d2.argmin(axis=1)]
         assert np.any((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(similarity, "_BLOCK_ENTRIES", n_rows * train.size)
+            # a block of n_rows test rows holds two n_rows x n_train arrays
+            patch.setattr(similarity, "_BLOCK_ENTRIES", 2 * n_rows * train.size)
             np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
 
     def test_partition_validation(self):

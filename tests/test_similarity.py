@@ -61,6 +61,25 @@ def reference_knn_weights(Y, k, factors, sigma):
     return (M + M.T) / 2.0
 
 
+def direct_sqdist(Y, factors, rows=slice(None), cols=slice(None)):
+    """delta_s summed term by term, sum_k s_k (y_ik - y_jk)^2, in extended
+    precision: an oracle independent of the package's kernel."""
+    Y = np.asarray(Y, dtype=np.longdouble)
+    s = np.ones(Y.shape[1]) if factors is None else factors
+    d2 = np.zeros((Y[rows].shape[0], Y[cols].shape[0]), dtype=np.longdouble)
+    for column, weight in zip(Y.T, s.astype(np.longdouble)):
+        d2 += weight * np.square(np.subtract.outer(column[rows], column[cols]))
+    return d2
+
+
+def rounding_bound(Y, factors, rows=slice(None), cols=slice(None)):
+    """c (m + 2) eps sum_k |s_k| (y_ik^2 + y_jk^2), with c = 4: what a sum of
+    m + 2 lifted terms may lose to rounding. It scales with the data."""
+    s = np.ones(Y.shape[1]) if factors is None else np.abs(factors)
+    size = np.square(Y) @ s
+    return 4 * (Y.shape[1] + 2) * np.finfo(float).eps * np.add.outer(size[rows], size[cols])
+
+
 @st.composite
 def selection_blocks(draw):
     """A row block of a pairwise array and a k. Few distinct integer values make
@@ -256,6 +275,41 @@ class TestBuildSimilarity:
             g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
+    @settings(max_examples=20)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 10),
+        st.sampled_from(["unscaled", "nonnegative", "signed"]),
+    )
+    def test_knn_matches_direct_differences(self, seed, m, k, kind):
+        # an oracle that does not use scaled_sqdist: rank every row by direct
+        # differences in extended precision, on continuous data where the k-th
+        # and (k+1)-th values are further apart than rounding can move them.
+        # n = 800 spans two row blocks (655 and 145 rows)
+        rng = np.random.default_rng(seed)
+        n, sigma = 800, 3.0
+        Y = rng.normal(size=(n, m))
+        factors = {
+            "unscaled": None,
+            "nonnegative": rng.uniform(0.0, 2.0, m),
+            "signed": rng.normal(size=m),
+        }[kind]
+        d2 = direct_sqdist(Y, factors)
+        np.fill_diagonal(d2, np.inf)
+        nearest = np.argsort(d2, axis=1)[:, : k + 1]
+        ranked = np.take_along_axis(d2, nearest, axis=1)
+        slack = rounding_bound(Y, factors).max(axis=1)
+        assume(np.all(ranked[:, k] - ranked[:, k - 1] > 2 * slack))
+        M = np.zeros((n, n))
+        rows = np.arange(n)[:, None]
+        M[rows, nearest[:, :k]] = np.exp(-ranked[:, :k].astype(float) / (2.0 * sigma**2))
+        expected = (M + M.T) / 2.0
+        g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
+        W = g.weights.toarray()
+        np.testing.assert_array_equal(W != 0.0, expected != 0.0)
+        np.testing.assert_allclose(W, expected, rtol=1e-9)
+
     def test_k_too_large_rejected(self):
         # a typed error, so a pipeline run records it on the row instead of crashing
         with pytest.raises(InsufficientSamplesError, match="k_neighbors=3 needs more than 3"):
@@ -294,6 +348,36 @@ class TestScaledSqdist:
         s = rng.normal(size=4)
         direct = pair_tensor(Y) @ s
         np.testing.assert_allclose(scaled_sqdist(Y, s), direct, atol=1e-12)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(1, 6),
+        st.integers(-3, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_error_scales_with_the_data(self, seed, n, m, exponent, duplicate, data):
+        # signed factors on inputs scaled by 10^-3 to 10^3: against the direct
+        # sum, every entry of the full matrix and of a row and column block is
+        # within a bound proportional to the size of its terms. A duplicated
+        # row puts an exact 0 among entries of that size
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(n, m)) * 10.0**exponent
+        if duplicate:
+            Y[-1] = Y[0]
+        factors = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        for rows, cols in [
+            (slice(None), slice(None)),
+            (slice(start, stop), slice(None)),
+            (slice(start, stop), slice(start, n)),
+            (slice(None), slice(start, stop)),
+        ]:
+            error = np.abs(scaled_sqdist(Y, factors, rows, cols) - direct_sqdist(Y, factors, rows, cols))
+            assert np.all(error <= rounding_bound(Y, factors, rows, cols))
 
     def test_kernel_params_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,12 @@ change won, lost and tied, and the two tests the benchmark applies:
   the metric's bound, as a share of the parent's median.
 
 It also records ``src_lines`` and the commit of each side, as the result files
-give them. Without ``--out`` the JSON goes to standard output.
+give them. Where both trees also hold ``<workload>-seed<seed>-trace1.json`` for
+every workload at some of the seeds (``--trace 1`` runs), a ``layers`` section
+gives each side's median over those seeds of every per-layer ``_s`` metric and
+of ``similarity.graph_edges``; the summary fails if a seed's edge counts differ
+between the sides, since a speed-up must not change the graphs. Without
+``--out`` the JSON goes to standard output.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from pathlib import Path
 
 from report_drift import parse_seeds
 
+EDGES = "similarity.graph_edges"
+
 
 def quartiles(values):
     """Median and quartiles as ``benchmarks/run.py`` computes them."""
@@ -41,11 +48,15 @@ def quartiles(values):
     return {"median": float(statistics.median(values)), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def load_runs(tree, workload, seeds):
-    """The result file of each seed's untraced run of ``workload`` in ``tree``."""
+def result_path(tree, workload, seed, trace):
+    return tree / ".bench_results" / f"{workload}-seed{seed}-trace{trace}.json"
+
+
+def load_runs(tree, workload, seeds, trace=0):
+    """The result file of each seed's run of ``workload`` in ``tree``."""
     runs = []
     for seed in seeds:
-        path = tree / ".bench_results" / f"{workload}-seed{seed}-trace0.json"
+        path = result_path(tree, workload, seed, trace)
         if not path.exists():
             raise SystemExit(f"missing {path}")
         runs.append(json.loads(path.read_text(encoding="utf-8")))
@@ -82,6 +93,32 @@ def compare(parent, change, better, bound):
     }
 
 
+def layers(trees, names, metrics, seeds):
+    """Each side's median per-layer metrics over the traced runs at ``seeds``."""
+    runs = {side: {name: load_runs(tree, name, seeds, trace=1) for name in names}
+            for side, tree in trees.items()}
+    for name in names:
+        for seed, parent, change in zip(seeds, runs["parent"][name], runs["change"][name]):
+            edges = [run["result"]["metrics"][EDGES]["value"] for run in (parent, change)]
+            if edges[0] != edges[1]:
+                raise SystemExit(f"{name} seed {seed}: {EDGES} differ, {edges[0]} against {edges[1]}")
+    return {
+        "seeds": seeds,
+        "workloads": {
+            name: {
+                metric: {
+                    side: float(statistics.median(
+                        run["result"]["metrics"][metric]["value"] for run in runs[side][name]
+                    ))
+                    for side in trees
+                }
+                for metric in metrics
+            }
+            for name in names
+        },
+    }
+
+
 def summarize(parent_tree, change_tree, seeds):
     declared = json.loads((change_tree / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [workload["name"] for workload in declared["workloads"]]
@@ -108,7 +145,17 @@ def summarize(parent_tree, change_tree, seeds):
         }
         for name in names
     }
-    return {"seeds": seeds, "sides": sides, "workloads": workloads}
+    summary = {"seeds": seeds, "sides": sides, "workloads": workloads}
+    trees = {"parent": parent_tree, "change": change_tree}
+    traced = [
+        seed for seed in seeds
+        if all(result_path(tree, name, seed, 1).exists() for tree in trees.values() for name in names)
+    ]
+    if traced:
+        metrics = [metric["name"] for metric in declared["per_layer"]
+                   if metric["name"].endswith("_s") or metric["name"] == EDGES]
+        summary["layers"] = layers(trees, names, metrics, traced)
+    return summary
 
 
 def main(argv=None):
