@@ -67,13 +67,13 @@ def pairwise_sqdiff(X) -> PairwiseDifferences:
 
 
 # float64 entries (4 MB) per row block of an n x n pairwise array, so that no
-# layer holds O(n^2) memory. Unscaled toy graphs, one BLAS thread, two runs: no
-# size of 1 to 16 MB was fastest at every n. At n = 800 all are within 10%; at
-# 3200, 1 to 4 MB are within 10% (38 to 44 ms) and 16 MB is slowest; at 12.8k,
-# 4 and 8 MB are within 7% (0.58 to 0.64 s) and 1 MB takes 0.70 to 0.80 s.
+# layer holds O(n^2) memory. Unscaled toy graphs, one BLAS thread, three runs:
+# no size of 1 to 16 MB was fastest at every n. At n = 800 all are within 10%;
+# at 3200, 1 to 8 MB are within 11% (38 to 45 ms) and 16 MB is slowest; at
+# 12.8k, 4 and 8 MB are fastest (0.57 to 0.64 s) and 1 MB takes 0.70 to 0.80 s.
 _BLOCK_ENTRIES = 1 << 19
-# Columns per group of the bound in ``_nearest``: 16 was the fastest of 8, 16
-# and 32 at n = 800, 3200 and 12.8k (same graphs; 4.7, 53 and 563 ms).
+# Columns per group of the bound in ``_nearest``: 16 was within 3% of the
+# fastest of 8, 16 and 32 at n = 800, 3200 and 12.8k in two runs (same graphs).
 _GROUP_SIZE = 16
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -275,7 +275,9 @@ class TestBuildSimilarity:
             g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
-    @settings(max_examples=20)
+    # no shrinking: a smaller seed is no simpler example, and each one builds an
+    # 800-sample graph, so shrinking a failure would take minutes
+    @settings(max_examples=20, phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 5),

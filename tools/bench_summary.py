@@ -122,10 +122,9 @@ def layers(trees, names, metrics, seeds):
 def summarize(parent_tree, change_tree, seeds):
     declared = json.loads((change_tree / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [workload["name"] for workload in declared["workloads"]]
-    runs = {
-        side: {name: load_runs(tree, name, seeds) for name in names}
-        for side, tree in (("parent", parent_tree), ("change", change_tree))
-    }
+    trees = {"parent": parent_tree, "change": change_tree}
+    runs = {side: {name: load_runs(tree, name, seeds) for name in names}
+            for side, tree in trees.items()}
     sides = {}
     for side, by_workload in runs.items():
         every = [run for workload_runs in by_workload.values() for run in workload_runs]
@@ -146,7 +145,6 @@ def summarize(parent_tree, change_tree, seeds):
         for name in names
     }
     summary = {"seeds": seeds, "sides": sides, "workloads": workloads}
-    trees = {"parent": parent_tree, "change": change_tree}
     traced = [
         seed for seed in seeds
         if all(result_path(tree, name, seed, 1).exists() for tree in trees.values() for name in names)
