@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -49,9 +50,12 @@ def _parse_fiedler(text):
     if text == "auto":
         return "auto"
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("fiedler-negative must be a number or 'auto'")
+        value = None
+    if value is None or not math.isfinite(value):
+        raise argparse.ArgumentTypeError("fiedler-negative must be a finite number or 'auto'")
+    return value
 
 
 def _parse_delimiter(text):

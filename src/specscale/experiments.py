@@ -1,13 +1,17 @@
 """Experiment harness: kernel-width grids, repeated splits, result tables.
 
 ``run_pipeline`` runs the supervised-scaling pipeline over repeated splits and
-a kernel-width grid. Every pencil is solved, and every scaled graph built, at
-unit width (2 sigma^2 = 1); the row at width sigma records the factors
-s = 2 sigma^2 t. A kernel is one graph, one embedding and one assignment
-(exact two-means or 1-NN); every (repetition, sigma) row copies the scores and
-pencil diagnostics of the kernel that serves it, and the report aggregates
-per-sigma statistics. ``sweep`` varies the training fraction and ``loocv`` runs
-leave-one-out classification. Reports serialize to a tidy CSV plus a JSON
+a kernel-width grid, ``sweep`` varies the training fraction and ``loocv`` runs
+leave-one-out classification. Every (repetition, sigma) row looks up what
+serves it in one memo, ``_kept``, keyed on what that part depends on: the fit
+of its split (one per split for a fixed target, one per sigma for "auto"),
+which holds the pencil diagnostics, the unit-width factors t (2 sigma^2 = 1)
+and the scores of their scaled kernel, or else the unscaled kernel at its
+width, one per run. A kernel is one graph, one embedding and, for cluster, one
+exact two-means; 1-NN runs per split. A memo keeps a typed error as it keeps a
+result, so every row the failed part would serve records it. A row is its
+fit's record at its own sigma, with factors s = 2 sigma^2 t, and the report
+aggregates per-sigma statistics. Reports serialize to a tidy CSV plus a JSON
 manifest and are byte-identical across reruns with the same configuration and
 data.
 """
@@ -66,12 +70,16 @@ class ExperimentConfig:
             raise ValueError("ell must be between 1 and 3")
         if self.task == "cluster" and self.ell != 1:
             raise ValueError("cluster embeds in one dimension: ell must be 1")
-        if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
-            raise ValueError("sigma_grid must hold positive values")
+        if len(self.sigma_grid) == 0 or not all(0 < s < np.inf for s in self.sigma_grid):
+            raise ValueError("sigma_grid must hold positive finite values")
+        if len(set(self.sigma_grid)) != len(self.sigma_grid):
+            raise ValueError("sigma_grid must not repeat a value")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
         if self.fiedler_negative != "auto":
             self.fiedler_negative = float(self.fiedler_negative)
+            if not np.isfinite(self.fiedler_negative):
+                raise ValueError("fiedler_negative must be a finite number or 'auto'")
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -110,6 +118,12 @@ class SigmaSummary:
     nmi_std: Optional[float]
 
 
+def _mean_std(values):
+    """(mean, population std) of ``values``, or (None, None) when empty."""
+    values = np.array(values, dtype=float)
+    return (float(values.mean()), float(values.std())) if values.size else (None, None)
+
+
 @dataclass
 class EvalReport:
     task: str
@@ -124,21 +138,13 @@ class EvalReport:
         for sigma in self.config["sigma_grid"]:
             runs = [r for r in self.records if r.sigma == sigma]
             good = [r for r in runs if r.ok]
-            ris = np.array([r.ri for r in good], dtype=float) if good else None
-            nmis = (
-                np.array([r.nmi for r in good if r.nmi is not None], dtype=float)
-                if good
-                else None
-            )
             out.append(
                 SigmaSummary(
-                    sigma=sigma,
-                    n_runs=len(runs),
-                    n_failed=len(runs) - len(good),
-                    ri_mean=float(ris.mean()) if ris is not None and ris.size else None,
-                    ri_std=float(ris.std()) if ris is not None and ris.size else None,
-                    nmi_mean=float(nmis.mean()) if nmis is not None and nmis.size else None,
-                    nmi_std=float(nmis.std()) if nmis is not None and nmis.size else None,
+                    sigma,
+                    len(runs),
+                    len(runs) - len(good),
+                    *_mean_std([r.ri for r in good]),
+                    *_mean_std([r.nmi for r in good if r.nmi is not None]),
                 )
             )
         return out
@@ -171,6 +177,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
+# the report's three columns, then a RunRecord attribute per column
 _CSV_COLUMNS = [
     "task", "ell", "train_fraction", "sigma", "repetition", "ri", "nmi", "mu",
     "residual", "constraint_violation", "linearization_violations", "certified",
@@ -194,25 +201,9 @@ def reports_to_csv(reports) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for report in reports:
+        head = [report.task, report.ell, _fmt(float(report.train_fraction))]
         for r in report.records:
-            writer.writerow(
-                [
-                    report.task,
-                    report.ell,
-                    _fmt(float(report.train_fraction)),
-                    _fmt(float(r.sigma)),
-                    r.repetition,
-                    _fmt(r.ri),
-                    _fmt(r.nmi),
-                    _fmt(r.mu),
-                    _fmt(r.residual),
-                    _fmt(r.constraint_violation),
-                    _fmt(r.linearization_violations),
-                    _fmt(r.certified),
-                    _fmt(r.scaled),
-                    r.error or "",
-                ]
-            )
+            writer.writerow(head + [_fmt(getattr(r, name)) for name in _CSV_COLUMNS[3:]])
     return buf.getvalue()
 
 
@@ -239,18 +230,6 @@ def reports_to_manifest(reports) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _scores(config, data, vectors, train, test):
-    """(RI, NMI) of two-means over all samples, or (RI, None) of 1-NN on the
-    test rows, from the embedded samples ``vectors``."""
-    if config.task == "cluster":
-        labels = kmeans(vectors[:, 0]).labels
-        return rand_index(data.labels, labels, align=True), nmi_score(data.labels, labels)
-    if test.size == 0:
-        raise SpecScaleError("classification needs a nonempty test set")
-    predicted = nn1_classify(vectors, train, data.labels[train], test)
-    return rand_index(data.labels[test], predicted, align=False), None
-
-
 # 2 sigma^2 = 1 (to rounding): the width of every pencil and every scaled graph
 _UNIT_SIGMA = np.sqrt(0.5)
 
@@ -271,20 +250,56 @@ def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None
     return learn_scaling(assemble_pencil(X, v, _UNIT_SIGMA, diffs=diffs))
 
 
-def _fit(config, X, labels, diffs, sigma, repetition):
-    """The kernel record of the fit for the rows at width ``sigma``: its pencil
-    diagnostics and unit-width factors t, or ``scaled=False`` and none when
-    feature scaling is off or the pencil yields no factors."""
-    record = RunRecord(sigma=float(_UNIT_SIGMA), repetition=repetition)
+def _kept(cache, key, build):
+    """``cache[key]``, from ``build()`` on the first lookup. A typed error that
+    ``build()`` raised is kept in its place and raised on every lookup."""
+    if key not in cache:
+        try:
+            cache[key] = build()
+        except SpecScaleError as exc:
+            cache[key] = exc
+    if isinstance(cache[key], SpecScaleError):
+        raise cache[key].with_traceback(None)
+    return cache[key]
+
+
+def _kernel(config, data, sigma, factors=None):
+    """Embed the graph over all samples at width ``sigma`` (with ``factors``).
+    For cluster, its two-means (RI, NMI), which hold no split either."""
+    graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
+    vectors = embed(graph, config.ell).vectors
+    if config.task == "classify":
+        return vectors
+    labels = kmeans(vectors[:, 0]).labels
+    return rand_index(data.labels, labels, align=True), nmi_score(data.labels, labels)
+
+
+def _scores(config, data, kernel, train, test):
+    """(RI, NMI) of a cluster kernel, or (RI, None) of 1-NN on the test rows
+    of a classify kernel's embedding."""
+    if config.task == "cluster":
+        return kernel
+    if test.size == 0:
+        raise SpecScaleError("classification needs a nonempty test set")
+    predicted = nn1_classify(kernel, train, data.labels[train], test)
+    return rand_index(data.labels[test], predicted, align=False), None
+
+
+def _fit(config, data, train, test, diffs, sigma, repetition):
+    """The record of the fit for the rows at width ``sigma``: its pencil
+    diagnostics, unit-width factors t and the scores of their kernel, or
+    ``scaled=False`` when feature scaling is off, the pencil yields no factors
+    or the factors overflow the kernel (the diagnostics then stay)."""
+    record = RunRecord(sigma=float(sigma), repetition=repetition)
     if not config.feature_scaling:
         return record
+    X = data.values[train]
     try:
         scaling = fit_unit_scaling(
-            X, labels, config.fiedler_negative, sigma, config.k_neighbors, diffs
+            X, data.labels[train], config.fiedler_negative, sigma, config.k_neighbors, diffs
         )
     except (NoScalingError, NonNormalizableError):
         return record
-    record.scaled = True
     record.mu = float(scaling.eigenvalue)
     record.residual = float(scaling.residual)
     record.constraint_violation = float(scaling.constraint_violation)
@@ -293,116 +308,73 @@ def _fit(config, X, labels, diffs, sigma, repetition):
     record.linearization_violations = linearization_violation_fraction(
         X, record.factors, _UNIT_SIGMA
     )
+    try:
+        kernel = _kernel(config, data, _UNIT_SIGMA, record.factors)
+    except NumericalOverflowError:  # only negative learned factors can overflow
+        return record
+    record.scaled = True
+    record.ri, record.nmi = _scores(config, data, kernel, train, test)
     return record
 
 
-def _assign(config, data, train, test, record, sigma, kernels):
-    """Build the graph at width ``sigma``, with ``record.factors`` when the
-    record is scaled, embed and assign it, and write the scores to ``record``.
-    ``kernels`` keeps by width each graph's embedding (for cluster its scores,
-    which hold no split either) or typed error, so no graph is built twice."""
-    if sigma not in kernels:
-        try:
-            factors = record.factors if record.scaled else None
-            graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
-            kernels[sigma] = embed(graph, config.ell).vectors
-            if config.task == "cluster":
-                kernels[sigma] = _scores(config, data, kernels[sigma], train, test)
-        except SpecScaleError as exc:
-            kernels[sigma] = exc
-    kept = kernels[sigma]
-    if isinstance(kept, SpecScaleError):
-        raise kept.with_traceback(None)
-    cluster = config.task == "cluster"
-    record.ri, record.nmi = kept if cluster else _scores(config, data, kept, train, test)
-
-
-def _row(kernel, sigma):
-    """The row of width ``sigma`` that ``kernel`` serves: its scores and pencil
-    diagnostics, with factors s = 2 sigma^2 t."""
-    factors = None if kernel.factors is None else 2.0 * sigma**2 * kernel.factors
-    return dataclasses.replace(kernel, sigma=float(sigma), factors=factors)
-
-
-def _failed_run(sigma, repetition, exc):
-    return RunRecord(
-        sigma=float(sigma), repetition=repetition, error=f"{type(exc).__name__}: {exc}"
-    )
-
-
 def _split_rows(config, data, train, test, repetition, unscaled):
-    """The rows of one split, one per grid width (``unscaled``: see ``_assign``)."""
-    X, labels = data.values[train], data.labels[train]
+    """The rows of one split, one per grid width; ``unscaled`` keeps the run's
+    unscaled kernels by width."""
     # only a fit reads the pair moments; they hold no width, so one serves every fit
-    diffs = pairwise_sqdiff(X) if config.feature_scaling else None
-    # a fixed target's fit and scaled kernel hold no width: one serves every row
-    fixed = config.feature_scaling and config.fiedler_negative != "auto"
-    groups = [config.sigma_grid] if fixed else [[sigma] for sigma in config.sigma_grid]
-    rows = []
-    for group in groups:
+    diffs = pairwise_sqdiff(data.values[train]) if config.feature_scaling else None
+    fits, rows = {}, []
+    for sigma in config.sigma_grid:
+        # a fixed target's fit and scaled kernel hold no width: one serves every row
+        key = sigma if config.fiedler_negative == "auto" else None
         try:
-            kernel = _fit(config, X, labels, diffs, group[0], repetition)
-            if kernel.scaled:
-                try:
-                    _assign(config, data, train, test, kernel, _UNIT_SIGMA, {})
-                except NumericalOverflowError:
-                    # only negative learned factors can overflow the kernel
-                    kernel.scaled = False
+            fit = _kept(
+                fits, key, lambda: _fit(config, data, train, test, diffs, sigma, repetition)
+            )
+            factors = None if fit.factors is None else 2.0 * sigma**2 * fit.factors
+            row = dataclasses.replace(fit, sigma=float(sigma), factors=factors)
+            if not row.scaled:
+                kernel = _kept(unscaled, sigma, lambda: _kernel(config, data, sigma))
+                row.ri, row.nmi = _scores(config, data, kernel, train, test)
         except SpecScaleError as exc:
-            rows.extend(_failed_run(s, repetition, exc) for s in group)
-            continue
-        for sigma in group:
-            row = _row(kernel, sigma)
-            if not row.scaled:  # the unscaled graph at this width
-                try:
-                    _assign(config, data, train, test, row, sigma, unscaled)
-                except SpecScaleError as exc:
-                    row = _failed_run(sigma, repetition, exc)
-            rows.append(row)
+            row = RunRecord(float(sigma), repetition, error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
     return rows
 
 
-def _run_over_splits(config, data, index_pairs):
+def _report(config, data, pairs, train_fraction):
+    """The report of ``config`` over the (train, test) index ``pairs``."""
+    if data.labels is None:
+        raise ValueError("the experiments require labeled data")
     records, unscaled = [], {}
-    for repetition, (train, test) in enumerate(index_pairs):
+    for repetition, (train, test) in enumerate(pairs):
         records.extend(_split_rows(config, data, train, test, repetition, unscaled))
-    return records
+    return EvalReport(config.task, config.ell, train_fraction, config.to_dict(), records)
 
 
 def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     """Execute the supervised-scaling pipeline over repeated splits and a
     kernel-width grid.
 
-    For the rows at width sigma, the fit estimates the target vector on the
-    training rows (the "auto" target from their unscaled graph at sigma), then
-    assembles and solves the scaling pencil at unit width for factors t. The
-    scaled kernel builds the graph exp(-t^T x) over all samples, which is
+    The fit of a split estimates the target vector on its training rows (the
+    "auto" target from their unscaled graph at sigma), then assembles and
+    solves the scaling pencil at unit width for factors t. Its scaled kernel
+    builds the graph exp(-t^T x) over all samples, which is
     exp(-s^T x / 2 sigma^2) at every width, embeds it and assigns once: exact
     two-means of the one-dimensional embedding (RI/NMI over all samples) or
-    transductive 1-NN (RI over the test rows). A fixed target is fitted
-    once per split and its one scaled kernel serves every row; the "auto"
-    target is fitted once per sigma. Without feature scaling, or when the
-    pencil yields no usable factors or the factors overflow the kernel
-    weights, each row gets the unscaled graph at its own sigma, built once per
-    run, with ``scaled=False``, and nothing is re-fitted; after an overflow the
-    pencil diagnostics stay. Each row copies its kernel's RI, NMI, mu, ``residual``,
-    ``certified``, ``constraint_violation`` and linearization share, and
-    records the factors s = 2 sigma^2 t. A typed error while a kernel is built
-    is recorded, not fatal, on every row that kernel would serve.
+    transductive 1-NN (RI over the test rows). The memo keys a fixed target's
+    fit on the split alone, so one fit and one scaled kernel serve every row,
+    and an "auto" fit on its sigma as well. Without feature scaling, or when
+    the pencil yields no usable factors or the factors overflow the kernel
+    weights, the row looks up the unscaled kernel at its own sigma, which the
+    memo keys on sigma alone, once per run; the row has ``scaled=False`` and
+    nothing is re-fitted, and after an overflow the pencil diagnostics stay.
+    Each row is its fit's record at its sigma (RI, NMI, mu, ``residual``,
+    ``certified``, ``constraint_violation`` and linearization share) with
+    factors s = 2 sigma^2 t. A typed error while a fit or kernel is built is
+    kept by the memo and recorded, not fatal, on every row it would serve.
     """
-    if data.labels is None:
-        raise ValueError("run_pipeline requires labeled data")
-    pairs = [
-        split(data, config.split, rep) for rep in range(config.split.repetitions)
-    ]
-    records = _run_over_splits(config, data, pairs)
-    return EvalReport(
-        task=config.task,
-        ell=config.ell,
-        train_fraction=config.split.train_fraction,
-        config=config.to_dict(),
-        records=records,
-    )
+    pairs = (split(data, config.split, rep) for rep in range(config.split.repetitions))
+    return _report(config, data, pairs, config.split.train_fraction)
 
 
 def sweep(config: ExperimentConfig, fractions, data: DataMatrix):
@@ -425,18 +397,7 @@ def loocv(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     """
     if config.task != "classify":
         raise ValueError("loocv is a classification protocol")
-    if data.labels is None:
-        raise ValueError("loocv requires labeled data")
     n = data.n_samples
     everything = np.arange(n)
-    pairs = [
-        (np.delete(everything, i), np.array([i], dtype=int)) for i in range(n)
-    ]
-    records = _run_over_splits(config, data, pairs)
-    return EvalReport(
-        task="classify",
-        ell=config.ell,
-        train_fraction=(n - 1) / n,
-        config=config.to_dict(),
-        records=records,
-    )
+    pairs = ((np.delete(everything, i), np.array([i], dtype=int)) for i in range(n))
+    return _report(config, data, pairs, (n - 1) / n)

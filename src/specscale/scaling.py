@@ -143,8 +143,8 @@ def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> Pe
     in O(n m) memory. ``diffs`` may carry ``pairwise_sqdiff(X)``; it holds no
     kernel width, so one serves every sigma.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     values = np.asarray(X, dtype=float)
     v = np.asarray(v, dtype=float)
     n, m = values.shape

@@ -30,8 +30,8 @@ class KernelParams:
     scaling: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be at least 1")
 

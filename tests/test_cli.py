@@ -342,11 +342,19 @@ def test_usage_error_exit_code(capsys):
         ("inspect-scaling", ["--fraction", "0"], None),
         ("inspect-scaling", ["--sigma", "0"], None),
         ("inspect-scaling", ["--sigma", "nan"], None),
+        ("classify", ["--sigma-grid", "nan"], None),
+        ("cluster", ["--sigma-grid", "nan", "--no-feature-scaling"], None),
+        ("classify", ["--sigma-grid", "1,inf"], None),
+        ("classify", ["--sigma-grid", "1,1"], None),
+        ("inspect-scaling", ["--sigma", "inf"], None),
+        ("classify", [], "fiedler_negative=-inf"),
     ],
     ids=[
         "repetitions", "fraction", "k-neighbors", "sweep-cluster-ell", "sigma-grid",
         "config-ell", "config-k-neighbors", "config-bool", "sweep-fractions",
-        "inspect-fraction", "inspect-sigma-zero", "inspect-sigma-nan",
+        "inspect-fraction", "inspect-sigma-zero", "inspect-sigma-nan", "sigma-grid-nan",
+        "sigma-grid-nan-baseline", "sigma-grid-inf", "sigma-grid-repeated", "inspect-sigma-inf",
+        "config-fiedler-inf",
     ],
 )
 def test_bad_option_value_is_a_usage_error(
@@ -375,6 +383,15 @@ def test_bad_option_value_is_a_usage_error(
     if config is not None:
         assert f"specscale: error: {conf}:1: " in err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "classify", "inspect-scaling"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_fiedler_negative_is_a_usage_error(toy_file, capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(toy_file), f"--fiedler-negative={value}"])
+    assert exc.value.code == 2
+    assert "fiedler-negative must be a finite number or 'auto'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, config", [(["--delimiter", ";"], None), ([], "delimiter=;")],

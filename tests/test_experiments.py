@@ -158,8 +158,9 @@ class TestRunPipeline:
 
     def test_requires_labels(self):
         dm = DataMatrix(values=np.zeros((10, 2)), feature_names=["a", "b"])
-        with pytest.raises(ValueError):
-            run_pipeline(toy_config("cluster"), dm)
+        for protocol in (run_pipeline, loocv):
+            with pytest.raises(ValueError, match="labeled"):
+                protocol(toy_config("classify"), dm)
 
     def test_zero_sum_target_learns_nontrivial_factors(self):
         # 240 = 12 * 20: the classes are 40 and 200, each training half keeps
@@ -497,6 +498,31 @@ class TestSweep:
         assert "0.25" in reports_to_csv(reports)
 
 
+def test_csv_rows_exact_bytes():
+    Row = experiments.RunRecord
+    cluster = experiments.EvalReport(
+        task="cluster", ell=1, train_fraction=0.5, config={}, records=[
+            Row(sigma=1.0, repetition=0, ri=0.75, nmi=0.5, mu=1.25, residual=1e-12,
+                constraint_violation=-3e-17, linearization_violations=0.375,
+                certified=False, scaled=True, factors=np.ones(2)),
+            Row(sigma=0.01, repetition=1, error="NoScalingError: no factors, at unit width"),
+        ],
+    )
+    classify = experiments.EvalReport(
+        task="classify", ell=2, train_fraction=59 / 60, config={}, records=[
+            Row(sigma=100.0, repetition=3, ri=1.0, mu=0.1, residual=0.0,
+                constraint_violation=0.0, linearization_violations=0.0, certified=True),
+        ],
+    )
+    assert reports_to_csv([cluster, classify]) == (
+        "task,ell,train_fraction,sigma,repetition,ri,nmi,mu,residual,constraint_violation,"
+        "linearization_violations,certified,scaled,error\n"
+        "cluster,1,0.5,1.0,0,0.75,0.5,1.25,1e-12,-3e-17,0.375,false,true,\n"
+        'cluster,1,0.5,0.01,1,,,,,,,,false,"NoScalingError: no factors, at unit width"\n'
+        "classify,2,0.9833333333333333,100.0,3,1.0,,0.1,0.0,0.0,0.0,true,false,\n"
+    )
+
+
 class TestPaperClaim:
     """The paper's toy claim: more supervision helps, and the learned scaling
     beats the unscaled graph.
@@ -545,8 +571,16 @@ class TestConfigValidation:
             ExperimentConfig(task="classify", ell=4)
 
     def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(task="cluster", sigma_grid=(0.0, 1.0))
+        for grid in [(0.0, 1.0), (), (np.nan,), (1.0, np.inf), (1.0, 1.0), (0.1, 1, 1.0)]:
+            with pytest.raises(ValueError, match="sigma_grid"):
+                ExperimentConfig(task="cluster", sigma_grid=grid)
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, "nan"], ids=["nan", "inf", "-inf", "text-nan"]
+    )
+    def test_non_finite_fiedler_negative(self, value):
+        with pytest.raises(ValueError, match="fiedler_negative"):
+            ExperimentConfig(task="classify", fiedler_negative=value)
 
     def test_bad_k_neighbors(self):
         with pytest.raises(ValueError):

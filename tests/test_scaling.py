@@ -115,7 +115,7 @@ class TestAssemblePencil:
         for name, block in expected.items():
             assert_relative(getattr(ps, name), block, 1e-12)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_width_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma"):
             assemble_pencil(np.eye(3), np.array([1.0, -0.2, 1.0]), sigma)

@@ -382,7 +382,8 @@ class TestScaledSqdist:
             assert np.all(error <= rounding_bound(Y, factors, rows, cols))
 
     def test_kernel_params_validation(self):
-        with pytest.raises(ValueError):
-            KernelParams(sigma=0.0)
+        for sigma in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                KernelParams(sigma=sigma)
         with pytest.raises(ValueError):
             KernelParams(sigma=1.0, k_neighbors=0)
