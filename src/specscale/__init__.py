@@ -55,7 +55,6 @@ from .similarity import (
     SimilarityGraph,
     build_similarity,
     pairwise_sqdiff,
-    scaled_sqdist,
 )
 
 __all__ = [
@@ -97,7 +96,6 @@ __all__ = [
     "reports_to_manifest",
     "run_pipeline",
     "save_matrix",
-    "scaled_sqdist",
     "scaling_table",
     "split",
     "standardize",

@@ -53,8 +53,11 @@ def _parse_fiedler(text):
         value = float(text)
     except ValueError:
         value = None
-    if value is None or not math.isfinite(value):
-        raise argparse.ArgumentTypeError("fiedler-negative must be a finite number or 'auto'")
+    # at or above 0 the target is one class's indicator or the constant vector
+    if value is None or not -math.inf < value < 0.0:
+        raise argparse.ArgumentTypeError(
+            "fiedler-negative must be a finite number or 'auto', a number below 0"
+        )
     return value
 
 
@@ -196,7 +199,7 @@ def _emit(reports, output_dir):
 
 
 def _cmd_generate(args):
-    data = generate_toy(n_samples=args.samples, seed=args.seed)
+    data = _usage_errors(lambda: generate_toy(n_samples=args.samples, seed=args.seed))
     save_matrix(data, args.out, delimiter=args.delimiter)
     print(f"wrote {data.n_samples}x{data.n_features} matrix to {args.out}")
     return 0

@@ -109,17 +109,30 @@ def generate_toy(n_samples=800, seed=0) -> DataMatrix:
     return DataMatrix(values=values[perm], feature_names=names, labels=labels[perm])
 
 
+# A column's standard deviation at or below this many eps times its largest
+# magnitude is rounding noise: constant columns of 3 to 1e6 rows at magnitudes
+# 1e-100 to 1e100 read up to 2.4.
+_NOISE_SPREAD = 16.0
+
+
 def standardize(data: DataMatrix) -> DataMatrix:
-    """Center each feature to mean 0 and population variance 1."""
+    """Center each feature to mean 0 and population variance 1.
+
+    A feature whose standard deviation is within rounding of its largest
+    magnitude, at most 16 eps max_i |x_ik|, raises ZeroVarianceError. The test
+    does not depend on the feature's scale.
+    """
     means = data.values.mean(axis=0)
-    variances = data.values.var(axis=0)
-    low = variances <= 1e-12
+    stds = data.values.std(axis=0)
+    magnitudes = np.abs(data.values).max(axis=0)
+    low = stds <= _NOISE_SPREAD * np.finfo(float).eps * magnitudes
     if np.any(low):
         idx = int(np.flatnonzero(low)[0])
         raise ZeroVarianceError(
-            f"feature '{data.feature_names[idx]}' has variance {variances[idx]:.3e}"
+            f"feature '{data.feature_names[idx]}' has standard deviation {stds[idx]:.3e}, "
+            f"within rounding of its largest magnitude {magnitudes[idx]:.3e}"
         )
-    values = (data.values - means) / np.sqrt(variances)
+    values = (data.values - means) / stds
     return DataMatrix(
         values=values,
         feature_names=list(data.feature_names),

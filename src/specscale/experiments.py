@@ -78,8 +78,8 @@ class ExperimentConfig:
             raise ValueError("k_neighbors must be at least 1")
         if self.fiedler_negative != "auto":
             self.fiedler_negative = float(self.fiedler_negative)
-            if not np.isfinite(self.fiedler_negative):
-                raise ValueError("fiedler_negative must be a finite number or 'auto'")
+            if not -np.inf < self.fiedler_negative < 0.0:
+                raise ValueError("fiedler_negative must be a finite number below 0 or 'auto'")
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -230,24 +230,24 @@ def reports_to_manifest(reports) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# 2 sigma^2 = 1 (to rounding): the width of every pencil and every scaled graph
+# 2 sigma^2 = 1 (to rounding): the width of every scaled graph
 _UNIT_SIGMA = np.sqrt(0.5)
 
 
 def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None):
     """Learn the unit-width factors t of the rows at width ``sigma``.
 
-    Builds the label target of the training rows X, assembles the pencil at
-    unit width (2 sigma^2 = 1) and solves it. The row at width sigma records
-    s = 2 sigma^2 t. Only ``negative_value="auto"`` reads sigma: it takes its
-    degrees from the unscaled k-NN graph of the training rows at that width.
-    ``diffs`` may carry ``pairwise_sqdiff(X)``.
+    Builds the label target of the training rows X, assembles the pencil of
+    the unit-width kernel exp(-delta_t) and solves it; the row at width sigma
+    records s = 2 sigma^2 t. Only ``negative_value="auto"`` reads sigma: it
+    takes its degrees from the unscaled k-NN graph of the training rows at
+    that width. ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
     degrees = None
     if negative_value == "auto":
         degrees = build_similarity(X, KernelParams(sigma, k_neighbors)).degrees
     v = estimate_fiedler(labels, negative_value, degrees)
-    return learn_scaling(assemble_pencil(X, v, _UNIT_SIGMA, diffs=diffs))
+    return learn_scaling(assemble_pencil(X, v, diffs=diffs))
 
 
 def _kept(cache, key, build):
@@ -305,9 +305,7 @@ def _fit(config, data, train, test, diffs, sigma, repetition):
     record.constraint_violation = float(scaling.constraint_violation)
     record.certified = bool(scaling.certified)
     record.factors = scaling.factors
-    record.linearization_violations = linearization_violation_fraction(
-        X, record.factors, _UNIT_SIGMA
-    )
+    record.linearization_violations = linearization_violation_fraction(X, record.factors)
     try:
         kernel = _kernel(config, data, _UNIT_SIGMA, record.factors)
     except NumericalOverflowError:  # only negative learned factors can overflow

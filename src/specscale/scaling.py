@@ -27,17 +27,10 @@ pencils, has no exact pair in general; it is solved as its least-squares
 row is zero, so the constraint row (gamma^T, rho) does not enter G^T F: it is
 reported as ``constraint_violation`` and not enforced.
 
-A, B and gamma carry c = 1/(2 sigma^2) and alpha, beta and rho do not, so the
-pencil at width sigma is the unit-width (2 sigma^2 = 1) pencil times
-diag(c I, 1) on the right, and its factors are s = 2 sigma^2 t with t the
-unit-width factors: exactly for a wide pencil's least-norm pair, and for the
-pairs of a full-column-rank pencil's reduction. Rank-deficient tall pencils
-measure the same. On two 200-sample toy splits with a duplicated, constant or
-doubled column, factors solved at sigma in [0.1, 100] match 2 sigma^2 t to
-<= 6e-10 relative, against <= 4e-10 for the full-rank pencils. At sigma = 0.01
-solves of both kinds miss mu by 0.35 to 0.53, a loss of conditioning in the
-scaled blocks, so the pipeline solves every pencil at unit width
-(``experiments.fit_unit_scaling``).
+The pencil is that of the unit-width kernel exp(-delta_t), whose factors are t.
+The unit pencil of X / (sqrt(2) sigma) is the pencil of X at width sigma, so
+s = 2 sigma^2 t. There is no width argument: pencils solved at sigma = 0.01
+missed mu by 0.35 to 0.53 (``experiments.fit_unit_scaling``).
 """
 
 from __future__ import annotations
@@ -70,8 +63,10 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
     the two groups, which makes the zero-mean constraint e^T D v = 0 hold
     exactly for the supplied degrees. A b at or below machine epsilon raises
     DegenerateSupervisionError: the -b entries are then rounding noise next to
-    the 1 entries, and the target is one class's indicator. The positive class
-    is the smaller label value.
+    the 1 entries, and the target is one class's indicator. A fixed value at
+    or above 0 (-0.0 too) raises ValueError: 0 gives that indicator and 1 the
+    constant vector, which is not a Fiedler vector. The positive class is the
+    smaller label value.
     """
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -94,16 +89,15 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
         neg = -b
     else:
         neg = float(negative_value)
+        if not neg < 0.0:
+            raise ValueError(f"a fixed negative_value must be below 0, got {neg!r}")
     return np.where(positive_mask, 1.0, neg)
 
 
 @dataclass(frozen=True)
 class PencilSystem:
-    """The blocks of F = [A alpha; gamma^T rho] and G = [B beta; 0^T 0].
-
-    A, B and gamma carry the kernel scale 1/(2 sigma^2); alpha, beta and rho
-    do not depend on the width.
-    """
+    """The blocks of F = [A alpha; gamma^T rho] and G = [B beta; 0^T 0] at
+    unit width; alpha, beta and rho depend on the target vector alone."""
 
     A: np.ndarray
     B: np.ndarray
@@ -111,10 +105,6 @@ class PencilSystem:
     beta: np.ndarray
     gamma: np.ndarray
     rho: float
-
-    @property
-    def n_features(self):
-        return self.A.shape[1]
 
     def F(self):
         n, m = self.A.shape
@@ -133,18 +123,15 @@ class PencilSystem:
         return out
 
 
-def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> PencilSystem:
-    """Assemble the pencil blocks from the training rows X and the target
-    vector v, both arrays.
+def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSystem:
+    """Assemble the unit-width pencil blocks from the training rows X and the
+    target vector v, both arrays.
 
-    A_ik = c sum_j v_j (x_ik - x_jk)^2 and x^_ik = c sum_j (x_ik - x_jk)^2, with
-    c = 1/(2 sigma^2). Expanding the square on the column-centered x~ gives
-    A = c (x~^2 (e^T v) - 2 x~ o (v^T x~) + v^T x~^2) and x^ = c ``diffs.sqdiff``,
-    in O(n m) memory. ``diffs`` may carry ``pairwise_sqdiff(X)``; it holds no
-    kernel width, so one serves every sigma.
+    A_ik = sum_j v_j (x_ik - x_jk)^2 and x^_ik = sum_j (x_ik - x_jk)^2.
+    Expanding the square on the column-centered x~ gives
+    A = x~^2 (e^T v) - 2 x~ o (v^T x~) + v^T x~^2 and x^ = ``diffs.sqdiff``,
+    in O(n m) memory. ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
     values = np.asarray(X, dtype=float)
     v = np.asarray(v, dtype=float)
     n, m = values.shape
@@ -155,12 +142,9 @@ def assemble_pencil(X, v, sigma, diffs: PairwiseDifferences | None = None) -> Pe
     if diffs.sqdiff.shape != (n, m):
         raise ValueError("precomputed differences do not match X")
 
-    # a Python float, so that c * (temporary) reuses the temporary's buffer;
-    # a numpy scalar on the left makes numpy allocate another n x m array
-    c = 1.0 / (2.0 * float(sigma) ** 2)
     centered, squares = diffs.centered, np.square(diffs.centered)
-    A = c * (squares * v.sum() - 2.0 * centered * (v @ centered) + v @ squares)
-    xhat = c * diffs.sqdiff
+    A = squares * v.sum() - 2.0 * centered * (v @ centered) + v @ squares
+    xhat = diffs.sqdiff
     B = v[:, None] * xhat
     alpha = v.sum() - v
     beta = (n - 1) * v
@@ -204,9 +188,10 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     complex candidates are repaired by taking real parts. Dropped are
     candidates whose last component vanishes (NonNormalizableError if all do)
     and those whose factors do nothing, ||[A; B] s|| <= 1e-6 ||[alpha; beta]||
-    (NoScalingError if all do). That test is sigma-free, as A and B carry
-    1/(2 sigma^2) and s carries 2 sigma^2; it drops the exact pair s = 0 at
-    mu = -1/(n_train - 1) of a target that sums to zero.
+    (NoScalingError if all do). That test is free of the scale of X, which
+    multiplies A and B by a^2 and the factors by a^-2 when X becomes a X; it
+    drops the exact pair s = 0 at mu = -1/(n_train - 1) of a target that sums
+    to zero.
 
     The first survivor, the one nearest mu = 1, is returned with its residual,
     and ``certified`` says whether that residual meets 1e-6: true for the
@@ -254,21 +239,21 @@ def scaling_table(factors, feature_names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def linearization_violation_fraction(X, factors, sigma) -> float:
+def linearization_violation_fraction(X, factors) -> float:
     """Fraction of training pairs (rows of the array X) outside the expansion's
-    validity region under the factor array ``factors``.
+    validity region under the unit-width factor array ``factors``.
 
-    The first-order form of the kernel assumes 0 < s^T x_ij / (2 sigma^2) < 1
-    for each pair; this reports how often that fails (over pairs i < j). Each row
-    block of delta_s covers the columns at and past its first row (about half the
-    matrix in all, never n x n) and is counted whole, less its leading square's j <= i.
+    The first-order form of the kernel exp(-delta_t) assumes 0 < delta_t(i, j) < 1
+    for each pair, which is 0 < s^T x_ij / (2 sigma^2) < 1 at width sigma; this
+    reports how often that fails (over pairs i < j). Each row block of delta_t
+    covers the columns at and past its first row (about half the matrix in all,
+    never n x n) and is counted whole, less its leading square's j <= i.
     """
     n = np.shape(X)[0]
     sqdist = sqdist_blocks(X, factors)
     violations = 0
     for rows in row_blocks(n, n):
         t = sqdist(rows, slice(rows.start, n))
-        t /= 2.0 * sigma**2
         outside = (t <= 0.0) | (t >= 1.0)
         violations += np.count_nonzero(outside) - np.count_nonzero(np.tril(outside[:, : len(t)]))
     return float(violations / (n * (n - 1) // 2))

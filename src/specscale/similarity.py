@@ -3,7 +3,8 @@
 Weights follow w_ij = exp(-delta_s(i, j) / (2 sigma^2)) where delta_s is the
 squared Euclidean distance, per-feature weighted by scaling factors when
 present; negative factors make it indefinite (weights can then exceed 1). It is
-made in row blocks, one GEMM of lifted rows each. Each row keeps its k nearest
+made in row blocks, one GEMM of lifted rows each, whose entry for a row's own
+sample is rounding noise that each caller drops. Each row keeps its k nearest
 other samples, sorting only the entries up to its k-th smallest group minimum,
 and the result is symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
 """
@@ -85,23 +86,14 @@ def row_blocks(n_rows, n_cols):
         yield slice(start, min(start + step, n_rows))
 
 
-def _own_entries(n, rows, cols=slice(None)):
-    """Index of each row's own sample in the block (rows, cols) of an n x n
-    pairwise array, for the rows whose own sample lies in the column slice
-    (both slices of step 1)."""
-    own = np.arange(n)[rows]
-    start, stop, _ = cols.indices(n)
-    inside = np.flatnonzero((own >= start) & (own < stop))
-    return inside, own[inside] - start
-
-
 def sqdist_blocks(Y, factors=None):
     """delta_s of the rows of the array Y (``factors``: None or one weight per
     feature) as a function of a row and a column slice that returns that block.
 
     With q = (Y o Y) s, the rows [-2 s o y_i, q_i, 1] and [y_j, 1, q_j] have the
-    inner product q_i + q_j - 2 (s o y_i)^T y_j: one GEMM per block, 0 on each
-    row's own sample and, for factors nonnegative or None, clamped at 0.
+    inner product q_i + q_j - 2 (s o y_i)^T y_j: one GEMM per block, clamped at 0
+    for factors nonnegative or None. A row's own entry is rounding noise, not 0;
+    the callers drop it.
     """
     values = np.asarray(Y, dtype=float)
     n, m = values.shape
@@ -119,15 +111,9 @@ def sqdist_blocks(Y, factors=None):
         d2 = left @ right[cols].T
         if clamp:
             np.maximum(d2, 0.0, out=d2)
-        d2[_own_entries(n, rows, cols)] = 0.0
         return d2
 
     return block
-
-
-def scaled_sqdist(Y, factors=None, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Block (rows, cols), slices of step 1 that default to all, of ``sqdist_blocks``."""
-    return sqdist_blocks(Y, factors)(rows, cols)
 
 
 @dataclass
@@ -222,7 +208,7 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
     cols, near = np.empty((n, k), dtype=np.intp), np.empty((n, k))
     for rows in row_blocks(n, n):
         d2 = sqdist(rows)
-        d2[_own_entries(n, rows)] = np.inf
+        np.fill_diagonal(d2[:, rows], np.inf)  # a view: each row's own sample
         cols[rows], near[rows] = _nearest(d2, k)
     del sqdist  # the lifted rows, O(n m), are not needed past the blocks
     with np.errstate(over="ignore", under="ignore"):

@@ -348,13 +348,17 @@ def test_usage_error_exit_code(capsys):
         ("classify", ["--sigma-grid", "1,1"], None),
         ("inspect-scaling", ["--sigma", "inf"], None),
         ("classify", [], "fiedler_negative=-inf"),
+        ("classify", [], "fiedler_negative=0"),
+        ("generate", ["--samples", "7"], None),
+        ("generate", ["--samples", "6"], None),
     ],
     ids=[
         "repetitions", "fraction", "k-neighbors", "sweep-cluster-ell", "sigma-grid",
         "config-ell", "config-k-neighbors", "config-bool", "sweep-fractions",
         "inspect-fraction", "inspect-sigma-zero", "inspect-sigma-nan", "sigma-grid-nan",
         "sigma-grid-nan-baseline", "sigma-grid-inf", "sigma-grid-repeated", "inspect-sigma-inf",
-        "config-fiedler-inf",
+        "config-fiedler-inf", "config-fiedler-zero", "generate-odd-samples",
+        "generate-too-few-samples",
     ],
 )
 def test_bad_option_value_is_a_usage_error(
@@ -365,8 +369,11 @@ def test_bad_option_value_is_a_usage_error(
         raise AssertionError(f"{path} was read")
 
     monkeypatch.setattr(cli, "load_matrix", no_read)
-    argv = [command, "--data", str(toy_file), *flags]
-    if command != "inspect-scaling":
+    if command == "generate":
+        argv = [command, "--out", str(tmp_path / "out.csv"), *flags]
+    else:
+        argv = [command, "--data", str(toy_file), *flags]
+    if command not in ("generate", "inspect-scaling"):
         argv += ["--output-dir", str(tmp_path)]
     if config is not None:
         conf = tmp_path / "bad.conf"
@@ -383,6 +390,7 @@ def test_bad_option_value_is_a_usage_error(
     if config is not None:
         assert f"specscale: error: {conf}:1: " in err
     assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["cluster", "classify", "inspect-scaling"])
@@ -392,6 +400,16 @@ def test_non_finite_fiedler_negative_is_a_usage_error(toy_file, capsys, command,
         main([command, "--data", str(toy_file), f"--fiedler-negative={value}"])
     assert exc.value.code == 2
     assert "fiedler-negative must be a finite number or 'auto'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "inspect-scaling"])
+@pytest.mark.parametrize("value", ["1", "0", "-0.0"])
+def test_nonnegative_fiedler_negative_is_a_usage_error(toy_file, capsys, command, value):
+    # 1 makes the target the constant vector, 0 one class's indicator
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(toy_file), f"--fiedler-negative={value}"])
+    assert exc.value.code == 2
+    assert "a number below 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, config", [(["--delimiter", ";"], None), ([], "delimiter=;")],
@@ -478,7 +496,7 @@ def test_overflowing_factors_fall_back_to_unscaled_graph(tmp_path, monkeypatch):
     # where exp(-s^T x / 2 sigma^2) overflows at sigma = 1
     def overflowing_fit(pencil):
         return ScalingVector(
-            factors=np.full(pencil.n_features, -1e3),
+            factors=np.full(pencil.A.shape[1], -1e3),
             eigenvalue=1.0,
             residual=0.5,
             constraint_violation=0.0,

@@ -79,6 +79,28 @@ class TestStandardize:
         with pytest.raises(ZeroVarianceError, match="flat"):
             standardize(dm)
 
+    def test_one_ulp_column_rejected(self):
+        # two values one ulp apart: the spread is rounding, not a feature
+        column = np.where(np.arange(6) % 2 == 0, 1e12, np.nextafter(1e12, 2e12))
+        values = np.column_stack([np.arange(6.0), column])
+        dm = DataMatrix(values=values, feature_names=["ok", "ulp"])
+        with pytest.raises(ZeroVarianceError, match="ulp"):
+            standardize(dm)
+
+    @settings(max_examples=50)
+    @given(st.floats(-8.0, 8.0), st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+    def test_scale_and_offset_free(self, exponent, shift, seed):
+        # standardize(a X + b) = standardize(X): the offset is a multiple of a,
+        # so that a X + b keeps X's digits at every scale
+        X = np.random.default_rng(seed).normal(size=(20, 3))
+        a = 10.0**exponent
+        names = ["x", "y", "z"]
+        moved = standardize(DataMatrix(values=a * X + a * shift, feature_names=names))
+        np.testing.assert_allclose(
+            moved.values, standardize(DataMatrix(values=X, feature_names=names)).values,
+            rtol=0, atol=1e-12,
+        )
+
 
 class TestLoadSave:
     def test_csv_with_header(self, tmp_path):

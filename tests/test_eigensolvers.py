@@ -23,9 +23,9 @@ from specscale import (
     rect_pencil_eig,
     scaling,
     standardize,
-    scaled_sqdist,
     sym_gen_eig,
 )
+from specscale.similarity import sqdist_blocks
 from specscale.errors import (
     DegenerateDegreeError,
     DegeneratePencilError,
@@ -233,7 +233,7 @@ class TestSymCertificateScale:
         # row keeps its most negative delta_s, so that pair is an edge, and the
         # sum of squares of L's entries overflows
         values = np.random.default_rng(3).standard_normal((16, 40))
-        factors = np.full(40, -500.0 / scaled_sqdist(values).max())
+        factors = np.full(40, -500.0 / sqdist_blocks(values)(slice(None)).max())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graph = build_similarity(values, KernelParams(np.sqrt(0.5), scaling=factors))
@@ -445,7 +445,7 @@ class TestPencilCertificates:
             X = rng.normal(size=(n_samples, n_features))
             v = np.where(rng.random(n_samples) < 0.3, 1.0, -0.2)
             v[:2] = [1.0, -0.2]
-            ps = assemble_pencil(X, v, 1.0)
+            ps = assemble_pencil(X, v)
             seen.clear()
             pairs = rect_pencil_eig(ps.F(), ps.G(), 1.0)
             assert seen == []

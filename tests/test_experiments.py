@@ -298,7 +298,7 @@ class TestSharedSplit:
                     continue
                 assert r.ok and r.scaled
                 v = estimate_fiedler(labels, "auto", degrees)
-                t = learn_scaling(assemble_pencil(X, v, UNIT_SIGMA))
+                t = learn_scaling(assemble_pencil(X, v))
                 assert r.mu == t.eigenvalue
                 np.testing.assert_allclose(
                     r.factors, 2 * r.sigma**2 * t.factors, rtol=1e-12, atol=0
@@ -580,6 +580,12 @@ class TestConfigValidation:
     )
     def test_non_finite_fiedler_negative(self, value):
         with pytest.raises(ValueError, match="fiedler_negative"):
+            ExperimentConfig(task="classify", fiedler_negative=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.5, 1.0, "1"])
+    def test_nonnegative_fiedler_negative(self, value):
+        # 0 makes the target one class's indicator and 1 the constant vector
+        with pytest.raises(ValueError, match="below 0"):
             ExperimentConfig(task="classify", fiedler_negative=value)
 
     def test_bad_k_neighbors(self):

@@ -65,7 +65,7 @@ def test_graph_holds_no_dense_distance_matrix(toy):
 
 def test_linearization_share_holds_no_dense_distance_matrix(toy):
     data, factors = toy
-    assert traced_peak(linearization_violation_fraction, data.values, factors, 1.0) < LIMIT
+    assert traced_peak(linearization_violation_fraction, data.values, factors) < LIMIT
 
 
 def test_nn1_holds_no_dense_distance_matrix(toy):
@@ -81,7 +81,7 @@ def test_pencil_assembly_holds_no_pair_tensor(toy):
     train = np.arange(0, N, 2)  # n_train = 1500, m = 10
     X = data.values[train]
     fiedler = estimate_fiedler(data.labels[train], negative_value=-0.2)
-    assert traced_peak(assemble_pencil, X, fiedler, 1.0) < 32 * X.size * 8
+    assert traced_peak(assemble_pencil, X, fiedler) < 32 * X.size * 8
 
 
 def test_loader_peak_stays_below_six_table_copies(tmp_path):

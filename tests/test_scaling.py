@@ -16,7 +16,6 @@ from specscale import (
     learn_scaling,
     linearization_violation_fraction,
     pairwise_sqdiff,
-    scaled_sqdist,
     scaling,
     scaling_table,
     similarity,
@@ -30,8 +29,7 @@ from specscale.errors import (
     NonNormalizableError,
     NoScalingError,
 )
-
-SIGMA_UNIT = np.sqrt(0.5)  # 2 sigma^2 = 1
+from specscale.similarity import sqdist_blocks
 
 
 def wide_pencil(n_features=8):
@@ -40,7 +38,7 @@ def wide_pencil(n_features=8):
     X = rng.normal(size=(6, n_features))
     v = np.where(rng.random(6) < 0.5, 1.0, -0.2)
     v[:2] = [1.0, -0.2]
-    return assemble_pencil(X, v, 1.0)
+    return assemble_pencil(X, v)
 
 
 def tall_pencil():
@@ -50,7 +48,7 @@ def tall_pencil():
     labels = np.where(rng.random(60) < 0.3, 1, 2)
     labels[:2] = [1, 2]
     fv = estimate_fiedler(labels, negative_value=-0.2)
-    return assemble_pencil(X, fv, 1.0)
+    return assemble_pencil(X, fv)
 
 
 class TestEstimateFiedler:
@@ -78,6 +76,12 @@ class TestEstimateFiedler:
         with pytest.raises(ValueError):
             estimate_fiedler([1, 2], "auto")
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.5, 1.0])
+    def test_nonnegative_fixed_value_rejected(self, value):
+        # 0 makes the target one class's indicator and 1 the constant vector
+        with pytest.raises(ValueError, match="below 0"):
+            estimate_fiedler([1, 1, 2], negative_value=value)
+
 
 def oracle_input(shape):
     """Training rows and a target: the standardized toy (tall), 16 x 60 normal
@@ -95,8 +99,9 @@ def oracle_input(shape):
 
 class TestAssemblePencil:
     @pytest.mark.parametrize("shape", ["tall", "wide", "shifted"])
-    @pytest.mark.parametrize("sigma", [SIGMA_UNIT, 10.0])
+    @pytest.mark.parametrize("sigma", [np.sqrt(0.5), 10.0])
     def test_blocks_match_pair_tensor(self, pair_tensor, shape, sigma):
+        # the unit pencil of X / (sqrt(2) sigma) is the pencil of X at width sigma
         X, v = oracle_input(shape)
         n = X.shape[0]
         tensor = pair_tensor(X)
@@ -111,18 +116,13 @@ class TestAssemblePencil:
             "rho": (n - 1) * v.sum(),
         }
         assert_relative(pairwise_sqdiff(X).sqdiff, tensor.sum(axis=1), 1e-12)
-        ps = assemble_pencil(X, v, sigma)
+        ps = assemble_pencil(X / (np.sqrt(2.0) * sigma), v)
         for name, block in expected.items():
             assert_relative(getattr(ps, name), block, 1e-12)
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
-    def test_nonpositive_width_rejected(self, sigma):
-        with pytest.raises(ValueError, match="sigma"):
-            assemble_pencil(np.eye(3), np.array([1.0, -0.2, 1.0]), sigma)
-
     def test_two_sample_hand_values(self):
         fv = estimate_fiedler([1, 2], negative_value=-1.0)
-        ps = assemble_pencil(np.array([[0.0], [1.0]]), fv, SIGMA_UNIT)
+        ps = assemble_pencil(np.array([[0.0], [1.0]]), fv)
         np.testing.assert_allclose(ps.A, [[-1.0], [1.0]])
         np.testing.assert_allclose(ps.B, [[1.0], [-1.0]])
         np.testing.assert_allclose(ps.alpha, [-1.0, 1.0])
@@ -133,13 +133,13 @@ class TestAssemblePencil:
     def test_all_ones_target(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(5, 3))
-        ps = assemble_pencil(X, np.ones(5), 1.0)
+        ps = assemble_pencil(X, np.ones(5))
         np.testing.assert_allclose(ps.alpha, 4.0 * np.ones(5))
         np.testing.assert_allclose(ps.beta, ps.alpha)
 
     def test_zero_data(self):
         v = np.array([1.0, 1.0, -0.2])
-        ps = assemble_pencil(np.zeros((3, 2)), v, 1.0)
+        ps = assemble_pencil(np.zeros((3, 2)), v)
         np.testing.assert_array_equal(ps.A, np.zeros((3, 2)))
         np.testing.assert_array_equal(ps.B, np.zeros((3, 2)))
         np.testing.assert_array_equal(ps.gamma, np.zeros(2))
@@ -153,7 +153,7 @@ class TestAssemblePencil:
             X = rng.normal(size=(n, m))
             v = np.where(rng.random(n) < 0.5, 1.0, -0.2)
             v[0], v[1] = 1.0, -0.2
-            ps = assemble_pencil(X, v, float(rng.uniform(0.3, 3.0)))
+            ps = assemble_pencil(X * float(rng.uniform(0.3, 3.0)), v)
             drift = np.abs((ps.A - ps.B).sum(axis=0)).max()
             assert drift <= 1e-10 * np.linalg.norm(ps.A)
 
@@ -162,8 +162,8 @@ class TestAssemblePencil:
         X = rng.normal(size=(6, 3))
         v = np.array([1.0, 1.0, -0.2, -0.2, -0.2, 1.0])
         perm = rng.permutation(6)
-        a = assemble_pencil(X, v, 1.0)
-        b = assemble_pencil(X[perm], v[perm], 1.0)
+        a = assemble_pencil(X, v)
+        b = assemble_pencil(X[perm], v[perm])
         np.testing.assert_allclose(b.A, a.A[perm], atol=1e-12)
         np.testing.assert_allclose(b.B, a.B[perm], atol=1e-12)
         np.testing.assert_allclose(b.alpha, a.alpha[perm], atol=1e-12)
@@ -177,14 +177,14 @@ class TestAssemblePencil:
         v = np.where(rng.random(7) < 0.5, 1.0, -1.0)
         v[:2] = [1.0, -1.0]
         diffs = pairwise_sqdiff(X)
-        a = assemble_pencil(X, v, 2.5)
-        b = assemble_pencil(X, v, 2.5, diffs=diffs)
+        a = assemble_pencil(X, v)
+        b = assemble_pencil(X, v, diffs=diffs)
         np.testing.assert_array_equal(a.A, b.A)
         np.testing.assert_array_equal(a.gamma, b.gamma)
 
     def test_blocks_assemble_into_pencil_matrices(self):
         fv = estimate_fiedler([1, 2], negative_value=-1.0)
-        ps = assemble_pencil(np.array([[0.0], [1.0]]), fv, SIGMA_UNIT)
+        ps = assemble_pencil(np.array([[0.0], [1.0]]), fv)
         np.testing.assert_allclose(
             ps.F(), np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]]), atol=1e-15
         )
@@ -200,7 +200,7 @@ class TestLearnScaling:
         # lambda_2 = 2 on every two-vertex graph (mu = 1 would be the trivial
         # lambda = 0, reached only by the joint-null direction [1, -1])
         fv = estimate_fiedler([1, 2], negative_value=-1.0)
-        ps = assemble_pencil(np.array([[0.0], [1.0]]), fv, SIGMA_UNIT)
+        ps = assemble_pencil(np.array([[0.0], [1.0]]), fv)
         sv = learn_scaling(ps)
         assert sv.eigenvalue == pytest.approx(-1.0)
         np.testing.assert_allclose(sv.factors, [-1.0], atol=1e-10)
@@ -214,7 +214,7 @@ class TestLearnScaling:
         X = rng.normal(size=(20, 3))
         labels = np.array([1] * 10 + [2] * 10)
         fv = estimate_fiedler(labels, "auto", degrees=np.ones(20))
-        ps = assemble_pencil(X, fv, 1.0)
+        ps = assemble_pencil(X, fv)
         trivial = np.concatenate([np.zeros(3), [-1.0]])
         assert np.linalg.norm((ps.F() + ps.G() / 19) @ trivial) <= 1e-12
         sv = learn_scaling(ps)
@@ -223,7 +223,7 @@ class TestLearnScaling:
 
     def test_only_trivial_candidates_raise_no_scaling(self, monkeypatch):
         ps = tall_pencil()
-        dims = ps.n_features + 1
+        dims = ps.A.shape[1] + 1
         pairs = [EigenPair(mu, -np.eye(dims)[-1]) for mu in (0.5, 1.0)]
         monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, target: pairs)
         with pytest.raises(NoScalingError):
@@ -289,7 +289,7 @@ class TestLearnScaling:
 
     def test_vanishing_last_components_raise_non_normalizable(self, monkeypatch):
         ps = tall_pencil()
-        dims = ps.n_features + 1
+        dims = ps.A.shape[1] + 1
         pairs = [EigenPair(mu, np.eye(dims)[i]) for i, mu in enumerate([1.0, 0.5])]
         monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, target: pairs)
         with pytest.raises(NonNormalizableError):
@@ -302,8 +302,8 @@ class TestLearnScaling:
         labels = np.where(rng.random(30) < 0.4, 1, 2)
         labels[:2] = [1, 2]
         fv = estimate_fiedler(labels, negative_value=-0.2)
-        sv1 = learn_scaling(assemble_pencil(X, fv, 1.0))
-        sv2 = learn_scaling(assemble_pencil(X, fv, 1.0))
+        sv1 = learn_scaling(assemble_pencil(X, fv))
+        sv2 = learn_scaling(assemble_pencil(X, fv))
         np.testing.assert_array_equal(sv1.factors, sv2.factors)  # deterministic
         assert sv1.factors[0] == pytest.approx(sv1.factors[2], abs=1e-8)
 
@@ -311,14 +311,16 @@ class TestLearnScaling:
         data = standardize(generate_toy(400, seed=1))
         train, _ = split(data, SplitSpec(0.5, seed=1), repetition=0)
         fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
-        sv = learn_scaling(assemble_pencil(data.values[train], fv, 1.0))
+        sv = learn_scaling(assemble_pencil(data.values[train], fv))
         assert np.abs(sv.factors[3:]).mean() < 0.5 * np.abs(sv.factors[:3]).mean()
 
 
 class TestWidthInvariance:
-    """A, B and gamma carry 1/(2 sigma^2) and alpha, beta and rho do not, so on
-    a full-column-rank pencil mu does not depend on sigma and s = 2 sigma^2 t.
-    A wide pencil's least-norm pair at mu = 1 scales the same way at any rank."""
+    """The unit pencil of X / (sqrt(2) sigma) is the pencil of X at width
+    sigma: A, B and gamma scale by 1/(2 sigma^2) and alpha, beta and rho do
+    not, so on a full-column-rank pencil mu does not depend on sigma and
+    s = 2 sigma^2 t. A wide pencil's least-norm pair at mu = 1 scales the same
+    way at any rank."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("repetition", [0, 1])
@@ -332,12 +334,12 @@ class TestWidthInvariance:
             (wide, np.where(np.arange(16) < 5, 1.0, -0.2)),
         ]
         for X, fv in inputs:
-            unit = assemble_pencil(X, fv, SIGMA_UNIT)
+            unit = assemble_pencil(X, fv)
             rank = np.linalg.matrix_rank(np.vstack([unit.F(), unit.G()]))
-            assert (rank == unit.n_features + 1) == (X is not wide)
+            assert (rank == X.shape[1] + 1) == (X is not wide)
             t = learn_scaling(unit)
             for sigma in (0.1, 1.0, 10.0, 100.0):
-                sv = learn_scaling(assemble_pencil(X, fv, sigma))
+                sv = learn_scaling(assemble_pencil(X / (np.sqrt(2.0) * sigma), fv))
                 drift = np.linalg.norm(sv.factors / (2 * sigma**2) - t.factors)
                 assert drift <= 1e-8 * np.linalg.norm(t.factors)
                 assert sv.eigenvalue == pytest.approx(t.eigenvalue, abs=1e-8)
@@ -351,7 +353,7 @@ def wide_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = np.where(rng.random(n) < 0.4, 1.0, -0.2)
     v[:2] = [1.0, -0.2]
-    return assemble_pencil(rng.normal(size=(n, m)), v, SIGMA_UNIT), rng
+    return assemble_pencil(rng.normal(size=(n, m)), v), rng
 
 
 class TestWideStability:
@@ -382,9 +384,9 @@ class TestGalerkinPencil:
         data = standardize(generate_toy(200, seed=seed))
         train, _ = split(data, SplitSpec(0.5, seed=seed), repetition)
         fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
-        ps = assemble_pencil(data.values[train], fv, SIGMA_UNIT)
+        ps = assemble_pencil(data.values[train], fv)
         F, G = ps.F(), ps.G()
-        assert np.linalg.matrix_rank(np.vstack([F, G])) == ps.n_features + 1
+        assert np.linalg.matrix_rank(np.vstack([F, G])) == ps.A.shape[1] + 1
         mus, W = scipy.linalg.eig(G.T @ F, G.T @ G)
         usable = np.isfinite(mus) & (np.abs(W[-1]) >= 1e-12 * np.linalg.norm(W, axis=0))
         # the same selection: mu closest to one, solver order on ties
@@ -400,9 +402,9 @@ class TestDiagnostics:
     def test_violation_fraction_bounds(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(10, 4))
-        s = np.ones(4)
-        frac_small = linearization_violation_fraction(X, s, sigma=100.0)
-        frac_large = linearization_violation_fraction(X, s, sigma=0.01)
+        # the unit-width factors of s = e at width sigma are e / (2 sigma^2)
+        frac_small = linearization_violation_fraction(X, np.full(4, 1 / (2 * 100.0**2)))
+        frac_large = linearization_violation_fraction(X, np.full(4, 1 / (2 * 0.01**2)))
         assert frac_small <= 1.0 and frac_large == 1.0
         # huge sigma puts every pair inside the validity region
         assert frac_small == 0.0
@@ -412,21 +414,20 @@ class TestDiagnostics:
         st.integers(2, 12),
         st.integers(1, 4),
         st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]), min_size=4, max_size=4),
-        st.sampled_from([0.5, 1.0, 3.0]),
         st.integers(0, 1000),
         st.integers(1, 3),
     )
     def test_violation_fraction_matches_dense_formula_across_blocks(
-        self, n, m, factors, sigma, seed, n_rows
+        self, n, m, factors, seed, n_rows
     ):
         # small integer samples put pairs exactly on the boundaries t = 0 and 1
         X = np.random.default_rng(seed).integers(-3, 4, size=(n, m)).astype(float)
-        s = np.array(factors[:m])
-        t = scaled_sqdist(X, s)[np.triu_indices(n, k=1)] / (2.0 * sigma**2)
-        expected = float(np.mean((t <= 0.0) | (t >= 1.0)))
+        t = np.array(factors[:m])
+        delta = sqdist_blocks(X, t)(slice(None))[np.triu_indices(n, k=1)]
+        expected = float(np.mean((delta <= 0.0) | (delta >= 1.0)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", n_rows * n)
-            assert linearization_violation_fraction(X, s, sigma) == expected
+            assert linearization_violation_fraction(X, t) == expected
 
     def test_scaling_table_format(self):
         from specscale import ScalingVector
@@ -457,7 +458,7 @@ def toy_pencils(draw):
     train, _ = split(data, SplitSpec(0.5, seed=seed), draw(st.integers(0, 1)))
     X = data.values[train]
     fv = estimate_fiedler(data.labels[train], negative_value=-0.2)
-    return X, fv, assemble_pencil(X, fv, SIGMA_UNIT)
+    return X, fv, assemble_pencil(X, fv)
 
 
 def assert_relative(actual, expected, tol):
@@ -476,7 +477,7 @@ class TestPencilInvariances:
     @given(toy_pencils(), st.lists(st.floats(-10.0, 10.0), min_size=10, max_size=10))
     def test_translation_invariance(self, problem, shift):
         X, v, ps = problem
-        moved = assemble_pencil(X + np.array(shift), v, SIGMA_UNIT)
+        moved = assemble_pencil(X + np.array(shift), v)
         for name in ("A", "B", "alpha", "beta", "gamma"):
             assert_relative(getattr(moved, name), getattr(ps, name), 1e-12)
         assert abs(moved.rho - ps.rho) <= 1e-12 * (ps.A.shape[0] - 1) * np.abs(v).sum()
@@ -489,7 +490,7 @@ class TestPencilInvariances:
     def test_row_permutation_equivariance(self, problem, perm_seed):
         X, v, ps = problem
         perm = np.random.default_rng(perm_seed).permutation(ps.A.shape[0])
-        permuted = assemble_pencil(X[perm], v[perm], SIGMA_UNIT)
+        permuted = assemble_pencil(X[perm], v[perm])
         for name in ("A", "B", "alpha", "beta"):
             assert_relative(getattr(permuted, name), getattr(ps, name)[perm], 1e-12)
         assert_relative(permuted.gamma, ps.gamma, 1e-12)

@@ -11,8 +11,8 @@ from specscale import (
     similarity,
     build_similarity,
     pairwise_sqdiff,
-    scaled_sqdist,
 )
+from specscale.similarity import sqdist_blocks
 from specscale.errors import (
     InsufficientSamplesError,
     IsolatedSampleError,
@@ -45,7 +45,7 @@ def knn_problems(draw):
 def reference_knn_weights(Y, k, factors, sigma):
     """Dense k-NN rule: each row keeps its k smallest delta_s, ties to the
     smaller index, then (M + M^T) / 2. None if a weight overflows."""
-    d2 = scaled_sqdist(Y, factors)
+    d2 = sqdist_blocks(Y, factors)(slice(None))
     with np.errstate(over="ignore", under="ignore"):
         raw = np.exp(-d2 / (2.0 * sigma**2))
     if not np.all(np.isfinite(raw)):
@@ -285,7 +285,7 @@ class TestBuildSimilarity:
         st.sampled_from(["unscaled", "nonnegative", "signed"]),
     )
     def test_knn_matches_direct_differences(self, seed, m, k, kind):
-        # an oracle that does not use scaled_sqdist: rank every row by direct
+        # an oracle that does not use sqdist_blocks: rank every row by direct
         # differences in extended precision, on continuous data where the k-th
         # and (k+1)-th values are further apart than rounding can move them.
         # n = 800 spans two row blocks (655 and 145 rows)
@@ -323,17 +323,18 @@ class TestScaledSqdist:
     def test_row_block_matches_full_matrix(self, problem):
         Y, _, factors, _ = problem
         n = Y.shape[0]
-        full = scaled_sqdist(Y, factors)
+        sqdist = sqdist_blocks(Y, factors)
+        full = sqdist(slice(None))
         for start in range(n):
             for stop in range(start + 1, n + 1):
-                block = scaled_sqdist(Y, factors, slice(start, stop))
+                block = sqdist(slice(start, stop))
                 np.testing.assert_array_equal(block, full[start:stop])
                 # a column range too: the upper-triangle block of the
                 # linearization share, and the one left of it
                 for cols in (slice(start, n), slice(0, stop)):
-                    block = scaled_sqdist(Y, factors, slice(start, stop), cols)
+                    block = sqdist(slice(start, stop), cols)
                     np.testing.assert_array_equal(block, full[start:stop, cols])
-                block = scaled_sqdist(Y, factors, cols=slice(start, stop))
+                block = sqdist(slice(None), slice(start, stop))
                 np.testing.assert_array_equal(block, full[:, start:stop])
 
     def test_blocks_cover_rows_in_order(self):
@@ -349,7 +350,7 @@ class TestScaledSqdist:
         Y = rng.normal(size=(9, 4))
         s = rng.normal(size=4)
         direct = pair_tensor(Y) @ s
-        np.testing.assert_allclose(scaled_sqdist(Y, s), direct, atol=1e-12)
+        np.testing.assert_allclose(sqdist_blocks(Y, s)(slice(None)), direct, atol=1e-12)
 
     @settings(max_examples=200)
     @given(
@@ -378,7 +379,8 @@ class TestScaledSqdist:
             (slice(start, stop), slice(start, n)),
             (slice(None), slice(start, stop)),
         ]:
-            error = np.abs(scaled_sqdist(Y, factors, rows, cols) - direct_sqdist(Y, factors, rows, cols))
+            block = sqdist_blocks(Y, factors)(rows, cols)
+            error = np.abs(block - direct_sqdist(Y, factors, rows, cols))
             assert np.all(error <= rounding_bound(Y, factors, rows, cols))
 
     def test_kernel_params_validation(self):

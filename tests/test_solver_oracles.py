@@ -22,11 +22,10 @@ from specscale import (
     eigensolvers,
     generate_toy,
     rect_pencil_eig,
-    scaled_sqdist,
     standardize,
     sym_gen_eig,
 )
-from specscale.similarity import _symmetrized
+from specscale.similarity import _symmetrized, sqdist_blocks
 
 
 def random_graph(sizes, seed, density):
@@ -117,7 +116,7 @@ class TestLanczosOracle:
         # exceed 1 (up to e^2); each row keeps its most negative delta_s, so a
         # few samples become hubs
         values = standardize(generate_toy(440, seed=seed)).values
-        factors = np.full(values.shape[1], -2.0 / scaled_sqdist(values).max())
+        factors = np.full(values.shape[1], -2.0 / sqdist_blocks(values)(slice(None)).max())
         graph = build_similarity(values, KernelParams(np.sqrt(0.5), scaling=factors))
         W = graph.weights.toarray()
         assert W.max() > 2.0
