@@ -9,6 +9,11 @@ import numpy as np
 from .similarity import row_blocks
 
 
+# Training rows per side in the first round of ``nn1_classify``'s sweep: 1 to
+# 32 were within 20% on large-classify's embedding, and 8 and 16 the fastest.
+_FIRST_WIDTH = 8
+
+
 @dataclass
 class ClusterAssignment:
     labels: np.ndarray
@@ -51,9 +56,23 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
 
     The embedding covers training and test samples together (it was computed
     once over all rows), so classification is transductive. Ties go to the
-    smaller training index. Squared distances are summed one embedding dimension
-    at a time in row blocks whose two arrays fill about 4 MB together, so no
-    n_test x n_train (or n_test x n_train x ell) array is held.
+    smaller training index. A squared distance is summed one embedding dimension
+    at a time from the first, so it has the bits of ``.sum(axis=1)`` for ell <= 3.
+
+    A projection sweep finds it (Friedman, Baskett & Shustek, "An algorithm for
+    finding nearest neighbors", IEEE Trans. Computers, 1975). The training rows
+    are sorted by the coordinate of widest spread, and each test row scans
+    outward from its place in that order, 8 rows per side in the first round
+    and twice as many in each after, all on one side once the other closes. A
+    side closes once its next gap in that coordinate, squared, exceeds the best
+    squared distance, of which it is a term; equal distances are still scanned.
+    On large-classify (n_train = 1600, ell = 2, seeds 0 and 1) 85-87% of the
+    rows stop within 48 rows. If most rows tie in that coordinate (at worst,
+    all points are equal), every row scans all n_train, up to twice over.
+    Rounds work on blocks of test rows, about 1 MB per array, so no
+    n_test x n_train array is held.
+
+    Raises ValueError for a non-finite embedding, which the sweep cannot order.
     """
     points = np.asarray(embedded, dtype=float)
     train_indices = np.asarray(train_indices, dtype=int)
@@ -63,23 +82,70 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
         raise ValueError("training set is empty")
     if train_labels.shape[0] != train_indices.shape[0]:
         raise ValueError("train_labels must align with train_indices")
-    combined = np.concatenate([train_indices, test_indices])
-    if np.unique(combined).size != combined.size:
+    combined = np.sort(np.concatenate([train_indices, test_indices]))
+    if np.any(combined[1:] == combined[:-1]):  # not np.unique: 20x a sort at n = 3200
         raise ValueError("train and test indices overlap")
-    if not np.array_equal(np.sort(combined), np.arange(points.shape[0])):
+    if not np.array_equal(combined, np.arange(points.shape[0])):
         raise ValueError("train and test indices must partition the embedding rows")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("embedding contains non-finite entries")
 
     order = np.argsort(train_indices, kind="stable")
-    train_points = points[train_indices[order]]
-    test_points = points[test_indices]
+    train_points = points[train_indices[order]]  # position here is the tie rank
+    axis = int(np.argmax(np.ptp(train_points, axis=0)))
+    rank = np.argsort(train_points[:, axis], kind="stable")
+    coords = train_points[rank].T.copy()  # one row per dimension, in sweep order
     nearest = np.empty(test_indices.size, dtype=np.intp)
-    for rows in row_blocks(test_indices.size, 2 * train_indices.size):
-        block = test_points[rows]
-        # (t_j - r_j)^2 summed one dimension at a time from the first: for ell
-        # <= 3 the same order, and so the same bits, as .sum(axis=2) over them
-        d2 = np.square(np.subtract.outer(block[:, 0], train_points[:, 0]))
-        for t, r in zip(block.T[1:], train_points.T[1:]):
-            sq = np.subtract.outer(t, r)
-            d2 += np.square(sq, out=sq)
-        nearest[rows] = d2.argmin(axis=1)
+    # the rows still scanning: their test row and point, the range lo .. hi - 1
+    # of the sweep order scanned so far, which of its sides are still open, and
+    # the best squared distance and its tie rank
+    live = np.arange(test_indices.size)
+    block = points[test_indices]
+    lo = np.searchsorted(coords[axis], block[:, axis])
+    hi = lo.copy()
+    left, right = lo > 0, hi < rank.size
+    best = np.full(live.size, np.inf)
+    near = np.full(live.size, rank.size)
+    width = _FIRST_WIDTH
+    while live.size:
+        for part in row_blocks(live.size, 8 * width):
+            _scan_round(block[part], coords, rank, axis, width, lo[part], hi[part],
+                        left[part], right[part], best[part], near[part])
+        still = left | right
+        nearest[live[~still]] = near[~still]
+        live, block, lo, hi, left, right, best, near = (
+            a[still] for a in (live, block, lo, hi, left, right, best, near)
+        )
+        width *= 2
     return train_labels[order][nearest]
+
+
+def _scan_round(block, coords, rank, axis, width, lo, hi, left, right, best, near):
+    """One sweep round of ``nn1_classify`` for the test points ``block``: scan
+    2 ``width`` more training rows next to lo .. hi - 1 and update, in place,
+    the range, which sides are open, the best squared distance and its tie
+    rank ``near``."""
+    n = rank.size
+    # rows taken on the left; if fewer than 2 width rows are left in all, the
+    # right ones run past the end and repeat its last row, which is harmless
+    take = np.where(left, np.where(right, width, 2 * width), 0)
+    take = np.minimum(np.maximum(take, 2 * width - (n - hi)), lo)
+    lo -= take
+    cand = lo[:, None] + np.arange(2 * width)
+    cand += (hi - lo - take)[:, None] * (cand >= (lo + take)[:, None])
+    np.minimum(cand, n - 1, out=cand)
+    hi += np.minimum(n - hi, 2 * width - take)
+    d2 = np.square(block[:, :1] - coords[0][cand])
+    for t, r in zip(block.T[1:], coords[1:]):
+        sq = t[:, None] - r[cand]
+        d2 += np.square(sq, out=sq)
+    low = d2.min(axis=1)
+    tie = np.where(d2 == low[:, None], rank[cand], n).min(axis=1)
+    better = (low < best) | ((low == best) & (tie < near))
+    np.copyto(best, low, where=better)
+    np.copyto(near, tie, where=better)
+    x, key = block[:, axis], coords[axis]
+    gap = x - key[np.maximum(lo - 1, 0)]
+    np.logical_and(lo > 0, ~(gap * gap > best), out=left)
+    gap = key[np.minimum(hi, n - 1)] - x
+    np.logical_and(hi < n, ~(gap * gap > best), out=right)

@@ -121,20 +121,29 @@ def standardize(data: DataMatrix) -> DataMatrix:
     A feature whose standard deviation is within rounding of its largest
     magnitude, at most 16 eps max_i |x_ik|, raises ZeroVarianceError. The test
     does not depend on the feature's scale.
+
+    Each feature is first divided by the power of two 2^e with max_i |x_ik| in
+    [2^e, 2^(e+1)), so its variance neither overflows (magnitudes above ~1e154)
+    nor underflows (below ~1e-154). Dividing by a power of two is exact, so
+    where neither happens the result is, bit for bit, that of the unscaled data.
     """
-    means = data.values.mean(axis=0)
-    stds = data.values.std(axis=0)
     magnitudes = np.abs(data.values).max(axis=0)
-    low = stds <= _NOISE_SPREAD * np.finfo(float).eps * magnitudes
+    scales = np.ldexp(1.0, np.frexp(magnitudes)[1] - 1)
+    scaled = data.values / scales
+    means = scaled.mean(axis=0)
+    stds = scaled.std(axis=0)
+    low = stds <= _NOISE_SPREAD * np.finfo(float).eps * (magnitudes / scales)
     if np.any(low):
         idx = int(np.flatnonzero(low)[0])
         raise ZeroVarianceError(
-            f"feature '{data.feature_names[idx]}' has standard deviation {stds[idx]:.3e}, "
+            f"feature '{data.feature_names[idx]}' has standard deviation "
+            f"{stds[idx] * scales[idx]:.3e}, "
             f"within rounding of its largest magnitude {magnitudes[idx]:.3e}"
         )
-    values = (data.values - means) / stds
+    scaled -= means
+    scaled /= stds
     return DataMatrix(
-        values=values,
+        values=scaled,
         feature_names=list(data.feature_names),
         labels=None if data.labels is None else data.labels.copy(),
     )

@@ -247,13 +247,17 @@ def linearization_violation_fraction(X, factors) -> float:
     for each pair, which is 0 < s^T x_ij / (2 sigma^2) < 1 at width sigma; this
     reports how often that fails (over pairs i < j). Each row block of delta_t
     covers the columns at and past its first row (about half the matrix in all,
-    never n x n) and is counted whole, less its leading square's j <= i.
+    never n x n, one block alive at a time) and is counted whole, less its
+    leading square's j <= i. delta_t is not clamped; t <= 0 counts the same.
     """
     n = np.shape(X)[0]
     sqdist = sqdist_blocks(X, factors)
     violations = 0
     for rows in row_blocks(n, n):
         t = sqdist(rows, slice(rows.start, n))
-        outside = (t <= 0.0) | (t >= 1.0)
-        violations += np.count_nonzero(outside) - np.count_nonzero(np.tril(outside[:, : len(t)]))
+        outside = t <= 0.0
+        outside |= t >= 1.0
+        del t  # freed before the next block's GEMM: one block lives at a time
+        leading = np.tril(outside[:, : len(outside)])
+        violations += np.count_nonzero(outside) - np.count_nonzero(leading)
     return float(violations / (n * (n - 1) // 2))

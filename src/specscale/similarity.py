@@ -4,9 +4,11 @@ Weights follow w_ij = exp(-delta_s(i, j) / (2 sigma^2)) where delta_s is the
 squared Euclidean distance, per-feature weighted by scaling factors when
 present; negative factors make it indefinite (weights can then exceed 1). It is
 made in row blocks, one GEMM of lifted rows each, whose entry for a row's own
-sample is rounding noise that each caller drops. Each row keeps its k nearest
-other samples, sorting only the entries up to its k-th smallest group minimum,
-and the result is symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
+sample is rounding noise that each caller drops; it is not clamped at 0. Each
+row keeps its k nearest other samples: only the groups of columns whose
+minimum is at or below the row's k-th smallest group minimum are compared, and
+only their entries up to it are sorted. The result is symmetrized as
+(W + W^T) / 2 in a ``SymmetricCSR``.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def sqdist_blocks(Y, factors=None):
     feature) as a function of a row and a column slice that returns that block.
 
     With q = (Y o Y) s, the rows [-2 s o y_i, q_i, 1] and [y_j, 1, q_j] have the
-    inner product q_i + q_j - 2 (s o y_i)^T y_j: one GEMM per block, clamped at 0
-    for factors nonnegative or None. A row's own entry is rounding noise, not 0;
-    the callers drop it.
+    inner product q_i + q_j - 2 (s o y_i)^T y_j: one GEMM per block. Entries are
+    not clamped, so even for factors nonnegative or None one can fall below 0 by
+    rounding; a row's own entry is such noise, not 0, and the callers drop it.
     """
     values = np.asarray(Y, dtype=float)
     n, m = values.shape
@@ -102,16 +104,12 @@ def sqdist_blocks(Y, factors=None):
         raise ValueError(f"scaling has {s.size} factors for {m} features")
     q = np.einsum("ij,ij,j->i", values, values, s)
     right = np.column_stack([values, np.ones(n), q])
-    clamp = bool(np.all(s >= 0.0))
 
     def block(rows, cols=slice(None)):
         left = np.empty((q[rows].size, m + 2))  # per block: one O(n m) array lives on
         np.multiply(values[rows], -2.0 * s, out=left[:, :m])
         left[:, m], left[:, m + 1] = q[rows], 1.0
-        d2 = left @ right[cols].T
-        if clamp:
-            np.maximum(d2, 0.0, out=d2)
-        return d2
+        return left @ right[cols].T
 
     return block
 
@@ -131,26 +129,36 @@ class SimilarityGraph:
         return SymmetricCSR(self.weights.indptr, self.weights.indices, data)
 
 
-def _nearest(d2, k):
-    """Each row's k smallest entries of a row block d2, ties to the smaller column.
+def _nearest(d2, k, floor=-np.inf):
+    """Each row's k smallest entries of a row block d2, clamped at ``floor``,
+    ties to the smaller column.
 
     Neither sorts nor partitions whole rows. With c = min(16, n // k) and
     G = n // c >= k, column j < G c is in group j mod G (the tail is in none).
     k groups each hold an entry at most tau, the k-th smallest group minimum
-    (NaN skipped), so the row does too; only its entries not above tau, NaN
-    included, are stably ordered by (row, value). Returns (rows, k) columns and
-    values, nearest first: the first k of a stable row argsort (NaN last).
+    (NaN skipped), so the row does too. Only the members of the groups whose
+    minimum is not above b = max(tau, floor), and the tail, are compared with
+    b; those not above it, NaN included, are clamped at ``floor`` and stably
+    ordered by (row, value). Returns (rows, k) columns and values, nearest
+    first: the first k of a stable row argsort of max(d2, floor), NaN last.
     """
     r, n = d2.shape
     c = min(_GROUP_SIZE, n // k)
-    lowest = np.fmin.reduce(d2[:, : n // c * c].reshape(r, c, n // c), axis=1)
-    tau = np.partition(lowest, k - 1, axis=1)[:, k - 1]
-    flat = np.flatnonzero(~(d2 > tau[:, None]))
-    rows, cols = np.divmod(flat, n)
-    vals = d2.ravel()[flat]
+    G = n // c
+    groups = d2[:, : G * c].reshape(r, c, G)  # a view: [:, i, g] is column g + G i
+    lowest = np.fmin.reduce(groups, axis=1)
+    bound = np.maximum(np.partition(lowest, k - 1, axis=1)[:, k - 1], floor)
+    live_rows, live = np.divmod(np.flatnonzero(~(lowest > bound[:, None])), G)
+    # member i of each live group, member-major: a row's candidates in column order
+    members = groups.transpose(1, 0, 2)[:, live_rows, live]
+    i, at = np.divmod(np.flatnonzero(~(members > bound[live_rows])), live.size)
+    tail_rows, tail = np.nonzero(~(d2[:, G * c :] > bound[:, None]))
+    rows = np.concatenate([live_rows[at], tail_rows])
+    cols = np.concatenate([live[at] + G * i, G * c + tail])
+    vals = np.maximum(np.concatenate([members[i, at], d2[tail_rows, G * c + tail]]), floor)
     order = np.lexsort((vals, rows))
-    starts = np.searchsorted(rows, np.arange(r))  # rows come sorted
-    take = order[starts[:, None] + np.arange(k)]
+    counts = np.bincount(rows, minlength=r)
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
     return cols[take], vals[take]
 
 
@@ -178,7 +186,9 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
 
     Each row keeps its k nearest other samples in delta_s (ties go to the
     smaller sample index), selected below a bound (``_nearest``), not by sort,
-    in row blocks of about 4 MB: memory stays O(n (k + m)) plus one block. The
+    in row blocks of about 4 MB, one alive at a time: memory stays O(n (k + m))
+    plus one block. For factors nonnegative or None, delta_s is clamped at 0
+    (rounding can take it below), as the selection's floor. The
     weights exp(-delta_s / 2 sigma^2) are evaluated on the n*k kept pairs only,
     and the kept matrix M is symmetrized as (M + M^T) / 2 by one sort of it.
 
@@ -205,11 +215,14 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
         raise InsufficientSamplesError(f"k_neighbors={k} needs more than {n} samples")
 
     sqdist = sqdist_blocks(values, params.scaling)
+    # delta_s of nonnegative factors is clamped at 0, in the kept values only
+    floor = 0.0 if params.scaling is None or np.all(params.scaling >= 0.0) else -np.inf
     cols, near = np.empty((n, k), dtype=np.intp), np.empty((n, k))
     for rows in row_blocks(n, n):
         d2 = sqdist(rows)
         np.fill_diagonal(d2[:, rows], np.inf)  # a view: each row's own sample
-        cols[rows], near[rows] = _nearest(d2, k)
+        cols[rows], near[rows] = _nearest(d2, k, floor)
+        del d2  # freed before the next block's GEMM: one block lives at a time
     del sqdist  # the lifted rows, O(n m), are not needed past the blocks
     with np.errstate(over="ignore", under="ignore"):
         weights = np.exp(-near / (2.0 * params.sigma**2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specscale import kmeans, nn1_classify, similarity
+from specscale import clustering, kmeans, nn1_classify, similarity
 
 
 def exhaustive_two_means(points):
@@ -33,6 +33,28 @@ def cut_inertias(values):
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def sweep_problems(draw):
+    """An embedding of 2 to 40 rows and ell = 1 to 3, split into unsorted
+    training and test indices. Small integers make ties common; the first
+    coordinate may be constant, and training rows may repeat each other."""
+    n = draw(st.integers(2, 40))
+    ell = draw(st.integers(1, 3))
+    values = draw(st.sampled_from([st.integers(-3, 3).map(float), finite]))
+    emb = np.array(draw(st.lists(st.lists(values, min_size=ell, max_size=ell),
+                                 min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        emb[:, 0] = emb[0, 0]
+    perm = np.array(draw(st.permutations(range(n))))
+    n_train = draw(st.integers(1, n - 1))
+    train, test = perm[:n_train], perm[n_train:]
+    copies = draw(st.lists(st.tuples(st.integers(0, n_train - 1), st.integers(0, n_train - 1)),
+                           max_size=n_train))
+    for src, dst in copies:
+        emb[train[dst]] = emb[train[src]]
+    return emb, train, test
 
 
 class TestKmeans:
@@ -169,9 +191,36 @@ class TestNN1Classify:
         expected = labels[order][d2.argmin(axis=1)]
         assert np.any((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) > 1)
         with pytest.MonkeyPatch.context() as patch:
-            # a block of n_rows test rows holds two n_rows x n_train arrays
-            patch.setattr(similarity, "_BLOCK_ENTRIES", 2 * n_rows * train.size)
+            # sweep rounds of 1, 2, 4, ... training rows per side; the first runs
+            # on blocks of n_rows test rows and each wider one on fewer
+            patch.setattr(clustering, "_FIRST_WIDTH", 1)
+            patch.setattr(similarity, "_BLOCK_ENTRIES", 8 * n_rows)
             np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
+
+    @settings(max_examples=300)
+    @given(sweep_problems(), st.integers(1, 4), st.sampled_from([1, 8]))
+    def test_sweep_matches_dense_argmin(self, problem, block_rows, first_width):
+        # rows of every block size, sweeps from 1 or 8 rows per side: the
+        # labels are those of a dense argmin over the index-sorted training rows
+        emb, train, test = problem
+        labels = np.arange(train.size) * 10  # one label per training row
+        order = np.argsort(train, kind="stable")
+        d2 = np.zeros((test.size, train.size))
+        for column in emb.T:  # one dimension at a time, as nn1_classify sums
+            d2 += np.square(np.subtract.outer(column[test], column[train[order]]))
+        expected = labels[order][d2.argmin(axis=1)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "_FIRST_WIDTH", first_width)
+            patch.setattr(similarity, "_BLOCK_ENTRIES", 8 * first_width * block_rows)
+            np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_rejected(self, bad):
+        # the sweep orders rows by a coordinate, which a NaN has not
+        emb = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+        emb[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nn1_classify(emb, [0, 1], np.array([5, 7]), [2])
 
     def test_partition_validation(self):
         emb = np.zeros((4, 1))

@@ -87,6 +87,34 @@ class TestStandardize:
         with pytest.raises(ZeroVarianceError, match="ulp"):
             standardize(dm)
 
+    def test_huge_column_is_standardized(self):
+        # the squares of 1e200 overflow: its variance must not be taken unscaled
+        values = np.array([[1e200, 0.0], [-1e200, 1.0], [3e199, 2.0]])
+        out = standardize(DataMatrix(values=values, feature_names=["huge", "ok"]))
+        values[:, 0] /= 1e199
+        small = standardize(DataMatrix(values=values, feature_names=["huge", "ok"]))
+        np.testing.assert_allclose(out.values, small.values, rtol=1e-14, atol=0)
+
+    def test_tiny_column_is_not_rejected(self):
+        # the squares of 1e-200 underflow to 0, which is no zero variance
+        values = np.array([[1e-200, 0.0], [2e-200, 1.0], [4e-200, 2.0]])
+        out = standardize(DataMatrix(values=values, feature_names=["tiny", "ok"]))
+        values[:, 0] *= 1e200
+        small = standardize(DataMatrix(values=values, feature_names=["tiny", "ok"]))
+        np.testing.assert_allclose(out.values, small.values, rtol=1e-14, atol=0)
+
+    @settings(max_examples=50)
+    @given(st.integers(-1000, 1000), st.integers(0, 2**32 - 1))
+    def test_power_of_two_scale_is_exact(self, exponent, seed):
+        # standardize(2^e X) = standardize(X) bit for bit, at every e for which
+        # 2^e X is a normal float: dividing by a power of two loses nothing
+        X = np.random.default_rng(seed).normal(size=(20, 3)) + [0.0, 5.0, -300.0]
+        names = ["x", "y", "z"]
+        moved = standardize(DataMatrix(values=np.ldexp(X, exponent), feature_names=names))
+        np.testing.assert_array_equal(
+            moved.values, standardize(DataMatrix(values=X, feature_names=names)).values
+        )
+
     @settings(max_examples=50)
     @given(st.floats(-8.0, 8.0), st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
     def test_scale_and_offset_free(self, exponent, shift, seed):

@@ -1,10 +1,19 @@
 """Peak memory of the pairwise layers: none may hold an n x n array.
 
-The k-NN graph, the linearization share and 1-NN each touch all n^2 pairs
-but keep only O(n k) results, so they work in row blocks. A dense n x n float64
-array is n^2 * 8 bytes; each layer's traced peak must stay below a quarter of
-that. Measured at n = 3000: 3.0 of it for the graph and the linearization
-share and 0.75 for 1-NN with whole arrays, 0.18 for each in 4 MB row blocks.
+The k-NN graph and the linearization share touch all n^2 pairs but keep only
+O(n k) results, so they work in row blocks of 2^19 float64 entries (4 MB),
+freeing each block before the next one is made. Their traced peak must stay
+below 1.5 blocks plus 2 n (k + m) floats. Measured at n = 3000 (k = 7,
+m = 10): 1.28 blocks for the graph and 1.32 for the share, against 2.15 and
+2.14 while a block was still alive when the next one was made.
+
+The 1-NN sweep scans, per test row, a window of training rows that starts at
+16 (8 per side) and doubles while a nearer row can remain. Its peak must stay
+below 8 n floats per row of that first window on a random ell = 2 embedding,
+where few rows widen much, and below 1.5 blocks plus 16 n floats when every
+point is equal and each row scans all n_train. Measured at n = 3000: 1.9 MB
+(80 floats per sample) and 5.6 MB; the dense blocks of 2 n_train columns
+before the sweep took 8.4 MB on both.
 
 Pencil assembly sums over all n_train^2 training pairs in closed form, from
 per-sample moments, so its peak must stay below 32 float64 arrays of the
@@ -38,7 +47,9 @@ from specscale import (
 )
 
 N = 3000
-LIMIT = N * N * 8 / 4
+BLOCK_BYTES = 2**19 * 8
+K, M = 7, 10  # neighbors, features of the toy
+FIRST_WINDOW = 16  # training rows in the first round of the 1-NN sweep
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +70,15 @@ def traced_peak(func, *args):
 
 def test_graph_holds_no_dense_distance_matrix(toy):
     data, factors = toy
-    params = KernelParams(sigma=1.0, k_neighbors=7, scaling=factors)
-    assert traced_peak(build_similarity, data.values, params) < LIMIT
+    params = KernelParams(sigma=1.0, k_neighbors=K, scaling=factors)
+    peak = traced_peak(build_similarity, data.values, params)
+    assert peak < 1.5 * BLOCK_BYTES + 2 * N * (K + M) * 8
 
 
 def test_linearization_share_holds_no_dense_distance_matrix(toy):
     data, factors = toy
-    assert traced_peak(linearization_violation_fraction, data.values, factors) < LIMIT
+    peak = traced_peak(linearization_violation_fraction, data.values, factors)
+    assert peak < 1.5 * BLOCK_BYTES + 2 * N * (K + M) * 8
 
 
 def test_nn1_holds_no_dense_distance_matrix(toy):
@@ -73,7 +86,14 @@ def test_nn1_holds_no_dense_distance_matrix(toy):
     embedded = np.random.default_rng(1).normal(size=(N, 2))  # ell = 2
     train, test = np.arange(0, N, 2), np.arange(1, N, 2)
     peak = traced_peak(nn1_classify, embedded, train, data.labels[train], test)
-    assert peak < LIMIT
+    assert peak < 8 * N * FIRST_WINDOW * 8
+
+
+def test_nn1_scanning_everything_stays_in_blocks(toy):
+    data, _ = toy
+    train, test = np.arange(0, N, 2), np.arange(1, N, 2)
+    peak = traced_peak(nn1_classify, np.zeros((N, 2)), train, data.labels[train], test)
+    assert peak < 1.5 * BLOCK_BYTES + 16 * N * 8
 
 
 def test_pencil_assembly_holds_no_pair_tensor(toy):

@@ -43,9 +43,12 @@ def knn_problems(draw):
 
 
 def reference_knn_weights(Y, k, factors, sigma):
-    """Dense k-NN rule: each row keeps its k smallest delta_s, ties to the
-    smaller index, then (M + M^T) / 2. None if a weight overflows."""
+    """Dense k-NN rule: each row keeps its k smallest delta_s, clamped at 0 for
+    factors nonnegative or None, ties to the smaller index, then (M + M^T) / 2.
+    None if a weight overflows."""
     d2 = sqdist_blocks(Y, factors)(slice(None))
+    if factors is None or np.all(factors >= 0.0):
+        d2 = np.maximum(d2, 0.0)
     with np.errstate(over="ignore", under="ignore"):
         raw = np.exp(-d2 / (2.0 * sigma**2))
     if not np.all(np.isfinite(raw)):
@@ -109,6 +112,52 @@ class TestNearest:
         # groups hold one) keeps all its numbers, then NaN columns in order
         d2, k = block
         cols, vals = similarity._nearest(d2, k)
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(cols, expected)
+        np.testing.assert_array_equal(vals, np.take_along_axis(d2, expected, axis=1))
+
+    @settings(max_examples=300)
+    @given(selection_blocks())
+    def test_floor_matches_clamp_then_stable_argsort(self, block):
+        # with floor 0, entries below it rank as 0 (ties among them to the
+        # smaller column), as if the block had been clamped first
+        d2, k = block
+        clamped = np.maximum(d2, 0.0)
+        cols, vals = similarity._nearest(d2, k, 0.0)
+        expected = np.argsort(clamped, axis=1, kind="stable")[:, :k]
+        np.testing.assert_array_equal(cols, expected)
+        np.testing.assert_array_equal(vals, np.take_along_axis(clamped, expected, axis=1))
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 15), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_nan_in_a_group_above_the_bound_is_not_compared(self, k, extra, tail, r, seed):
+        # G = k + extra groups of 16 columns (j mod G) and a tail, holding
+        # integers with ties. NaN put into groups whose minimum is above the
+        # bound (each keeps the member that holds it) is never a candidate: the
+        # result is still the first k of a stable argsort, which ranks NaN last
+        rng = np.random.default_rng(seed)
+        G = k + extra
+        n = 16 * G + tail
+        d2 = rng.integers(0, 4 * n, size=(r, n)).astype(float)
+        groups = d2[:, : 16 * G].reshape(r, 16, G)
+        lowest = groups.min(axis=1)
+        above = lowest > np.sort(lowest, axis=1)[:, k - 1 : k]
+        nan = (rng.random(groups.shape) < 0.5) & above[:, None, :]
+        nan[np.arange(r)[:, None], np.argmin(groups, axis=1), np.arange(G)] = False
+        assume(np.any(nan))
+        groups[nan] = np.nan
+        sizes = []
+        lexsort = np.lexsort
+
+        def recording(keys):
+            sizes.append(np.count_nonzero(np.isnan(keys[0])))
+            return lexsort(keys)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity.np, "lexsort", recording)
+            cols, vals = similarity._nearest(d2, k)
+        assert sizes == [0]
         expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
         np.testing.assert_array_equal(cols, expected)
         np.testing.assert_array_equal(vals, np.take_along_axis(d2, expected, axis=1))
@@ -273,6 +322,25 @@ class TestBuildSimilarity:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", block_rows * Y.shape[0])
             g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
+        np.testing.assert_array_equal(g.weights.toarray(), expected)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 5), st.integers(1, 4),
+           st.integers(1, 6))
+    def test_duplicate_rows_clamp_like_the_dense_rule(self, seed, distinct, copies, m, k):
+        # each of a few continuous rows appears 2 to 5 times: delta_s between
+        # copies is rounding noise of either sign, which nonnegative factors
+        # clamp at 0, so copies tie at 0 (the smaller index first) and weigh
+        # exactly 1. One row block: GEMMs of other shapes round differently
+        n = distinct * copies
+        assume(k < n)
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(distinct, m)) * 10.0 ** rng.integers(-2, 4)
+        Y = rows[rng.permutation(np.repeat(np.arange(distinct), copies))]
+        factors = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)
+        expected = reference_knn_weights(Y, k, factors, 1.0)
+        assume(expected is not None)
+        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=k, scaling=factors))
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
     # no shrinking: a smaller seed is no simpler example, and each one builds an
