@@ -27,7 +27,7 @@ from .data import (
     standardize,
 )
 from .eigensolvers import EigenPair, SymmetricCSR, pencil_residual, rect_pencil_eig, sym_gen_eig
-from .embedding import Embedding, NcutValue, embed, ncut_objective
+from .embedding import Embedding, embed
 from .experiments import (
     DEFAULT_SIGMA_GRID,
     EvalReport,
@@ -66,7 +66,6 @@ __all__ = [
     "EvalReport",
     "ExperimentConfig",
     "KernelParams",
-    "NcutValue",
     "PairwiseDifferences",
     "PencilSystem",
     "RunRecord",
@@ -85,7 +84,6 @@ __all__ = [
     "linearization_violation_fraction",
     "load_matrix",
     "loocv",
-    "ncut_objective",
     "nmi",
     "nn1_classify",
     "pairwise_sqdiff",

@@ -39,7 +39,11 @@ class DataMatrix:
         if len(self.feature_names) != self.values.shape[1]:
             raise ValueError("feature_names length does not match the columns")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int)
+            given = np.asarray(self.labels)
+            with np.errstate(invalid="ignore"):  # a NaN casts to garbage, rejected below
+                self.labels = given.astype(int)
+            if not np.array_equal(self.labels, given):
+                raise ValueError("labels must be integers")
             if self.labels.shape != (self.values.shape[0],):
                 raise ValueError("labels length does not match the rows")
             if np.unique(self.labels).size != 2:

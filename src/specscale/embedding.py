@@ -1,14 +1,13 @@
-"""Spectral embedding from the constrained Laplacian pair, plus the Ncut value."""
+"""Spectral embedding, the relaxed normalized cut: L u = lambda D u with
+e^T D u = 0."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .eigensolvers import sym_gen_eig
-from .errors import DegenerateVectorError
 from .similarity import SimilarityGraph
 
 
@@ -42,22 +41,3 @@ def embed(graph: SimilarityGraph, ell) -> Embedding:
     eigenvalues = np.array([p.value for p in pairs], dtype=float)
     return Embedding(vectors=vectors, eigenvalues=eigenvalues)
 
-
-class NcutValue(NamedTuple):
-    value: float
-    constraint_residual: float
-
-
-def ncut_objective(graph: SimilarityGraph, v) -> NcutValue:
-    """Normalized-cut quotient v^T (D - W) v / (v^T D v).
-
-    Also reports e^T D v, the residual of the zero-mean constraint the relaxed
-    problem imposes on its eigenvectors.
-    """
-    v = np.asarray(v, dtype=float)
-    dv = graph.degrees * v
-    denom = float(v @ dv)
-    if denom == 0.0:
-        raise DegenerateVectorError("v^T D v is zero")
-    quad = float(v @ (graph.laplacian @ v))
-    return NcutValue(value=quad / denom, constraint_residual=float(dv.sum()))

@@ -69,10 +69,6 @@ class NonNormalizableError(SpecScaleError):
     """Every candidate eigenvector has a vanishing last component."""
 
 
-class DegenerateVectorError(SpecScaleError):
-    """A quadratic form denominator is zero."""
-
-
 class ZeroVarianceError(SpecScaleError):
     """A feature is constant and cannot be standardized."""
 

@@ -5,9 +5,11 @@ a kernel-width grid, ``sweep`` varies the training fraction and ``loocv`` runs
 leave-one-out classification. Every (repetition, sigma) row looks up what
 serves it in one memo, ``_kept``, keyed on what that part depends on: the fit
 of its split (one per split for a fixed target, one per sigma for "auto"),
-which holds the pencil diagnostics, the unit-width factors t (2 sigma^2 = 1)
-and the scores of their scaled kernel, or else the unscaled kernel at its
-width, one per run. A kernel is one graph, one embedding and, for cluster, one
+which holds the pencil diagnostics, the unit-width factors t and the scores
+of their scaled kernel, or else the unscaled kernel at its width, one per run.
+The scaled kernel is the graph at sigma = 1 with factors s = 2t, which is
+exp(-delta_t) to the bit: doubling t doubles delta_t exactly, and 2 sigma^2 = 2
+divides exactly. A kernel is one graph, one embedding and, for cluster, one
 exact two-means; 1-NN runs per split. A memo keeps a typed error as it keeps a
 result, so every row the failed part would serve records it. A row is its
 fit's record at its own sigma, with factors s = 2 sigma^2 t, and the report
@@ -230,16 +232,13 @@ def reports_to_manifest(reports) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-# 2 sigma^2 = 1 (to rounding): the width of every scaled graph
-_UNIT_SIGMA = np.sqrt(0.5)
-
-
 def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None):
     """Learn the unit-width factors t of the rows at width ``sigma``.
 
     Builds the label target of the training rows X, assembles the pencil of
     the unit-width kernel exp(-delta_t) and solves it; the row at width sigma
-    records s = 2 sigma^2 t. Only ``negative_value="auto"`` reads sigma: it
+    records s = 2 sigma^2 t, and the kernel of t is the graph at sigma = 1
+    with s = 2t. Only ``negative_value="auto"`` reads sigma: it
     takes its degrees from the unscaled k-NN graph of the training rows at
     that width. ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
@@ -287,7 +286,8 @@ def _scores(config, data, kernel, train, test):
 
 def _fit(config, data, train, test, diffs, sigma, repetition):
     """The record of the fit for the rows at width ``sigma``: its pencil
-    diagnostics, unit-width factors t and the scores of their kernel, or
+    diagnostics, unit-width factors t and the scores of their kernel (the
+    graph at sigma = 1 with s = 2t, exactly unit width), or
     ``scaled=False`` when feature scaling is off, the pencil yields no factors
     or the factors overflow the kernel (the diagnostics then stay)."""
     record = RunRecord(sigma=float(sigma), repetition=repetition)
@@ -307,7 +307,7 @@ def _fit(config, data, train, test, diffs, sigma, repetition):
     record.factors = scaling.factors
     record.linearization_violations = linearization_violation_fraction(X, record.factors)
     try:
-        kernel = _kernel(config, data, _UNIT_SIGMA, record.factors)
+        kernel = _kernel(config, data, 1.0, 2.0 * record.factors)
     except NumericalOverflowError:  # only negative learned factors can overflow
         return record
     record.scaled = True

@@ -96,31 +96,23 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilSystem:
-    """The blocks of F = [A alpha; gamma^T rho] and G = [B beta; 0^T 0] at
-    unit width; alpha, beta and rho depend on the target vector alone."""
+    """F = [A alpha; gamma^T rho] and G = [B beta; 0^T 0] at unit width, one
+    read-only allocation each. The blocks are views into them (rho a float),
+    so the pencil is never rebuilt or stacked; alpha, beta and rho depend on
+    the target vector alone."""
 
-    A: np.ndarray
-    B: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    rho: float
+    F: np.ndarray
+    G: np.ndarray
 
-    def F(self):
-        n, m = self.A.shape
-        out = np.empty((n + 1, m + 1))
-        out[:n, :m] = self.A
-        out[:n, m] = self.alpha
-        out[n, :m] = self.gamma
-        out[n, m] = self.rho
-        return out
+    def __post_init__(self):
+        self.F.flags.writeable = self.G.flags.writeable = False
 
-    def G(self):
-        n, m = self.B.shape
-        out = np.zeros((n + 1, m + 1))
-        out[:n, :m] = self.B
-        out[:n, m] = self.beta
-        return out
+    A = property(lambda self: self.F[:-1, :-1])
+    B = property(lambda self: self.G[:-1, :-1])
+    alpha = property(lambda self: self.F[:-1, -1])
+    beta = property(lambda self: self.G[:-1, -1])
+    gamma = property(lambda self: self.F[-1, :-1])
+    rho = property(lambda self: float(self.F[-1, -1]))
 
 
 def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSystem:
@@ -129,8 +121,10 @@ def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSys
 
     A_ik = sum_j v_j (x_ik - x_jk)^2 and x^_ik = sum_j (x_ik - x_jk)^2.
     Expanding the square on the column-centered x~ gives
-    A = x~^2 (e^T v) - 2 x~ o (v^T x~) + v^T x~^2 and x^ = ``diffs.sqdiff``,
-    in O(n m) memory. ``diffs`` may carry ``pairwise_sqdiff(X)``.
+    A = x~^2 (e^T v) - x~ o (2 v^T x~) + v^T x~^2 and x^ = ``diffs.sqdiff``,
+    in O(n m) memory. F and G are allocated once and every block is written in
+    place, B's block serving as scratch for the middle term of A.
+    ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
     values = np.asarray(X, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -142,23 +136,29 @@ def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSys
     if diffs.sqdiff.shape != (n, m):
         raise ValueError("precomputed differences do not match X")
 
-    centered, squares = diffs.centered, np.square(diffs.centered)
-    A = squares * v.sum() - 2.0 * centered * (v @ centered) + v @ squares
-    xhat = diffs.sqdiff
-    B = v[:, None] * xhat
-    alpha = v.sum() - v
-    beta = (n - 1) * v
-    gamma = xhat.T @ v
-    rho = (n - 1) * v.sum()
+    centered, xhat = diffs.centered, diffs.sqdiff
+    F, G = np.empty((n + 1, m + 1)), np.zeros((n + 1, m + 1))
+    A, B = F[:n, :m], G[:n, :m]
+    # contiguous, as a product with the strided block rounds differently at m <= 3
+    squares = np.square(centered)
+    np.multiply(squares, v.sum(), out=A)
+    A -= np.multiply(centered, 2.0 * (v @ centered), out=B)  # B's block as scratch
+    A += v @ squares
+    del squares  # freed before the norm below copies the strided A
+    np.multiply(v[:, None], xhat, out=B)
+    F[:n, m] = v.sum() - v
+    F[n, :m] = xhat.T @ v
+    F[n, m] = (n - 1) * v.sum()
+    G[:n, m] = (n - 1) * v
 
     # column sums of A and B agree by the symmetry of the pairs (x~ sums to
     # zero); a violation can only come from a bug upstream
-    drift = np.max(np.abs((A - B).sum(axis=0)))
+    drift = np.max(np.abs(A.sum(axis=0) - B.sum(axis=0)))
     if drift > 1e-10 * max(np.linalg.norm(A), 1e-300):
         raise InternalConsistencyError(
             f"(A - B)^T e = {drift:.3e} exceeds the assembly tolerance"
         )
-    return PencilSystem(A=A, B=B, alpha=alpha, beta=beta, gamma=gamma, rho=float(rho))
+    return PencilSystem(F, G)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     first. Each candidate vector is rescaled so its last component is -1, and
     complex candidates are repaired by taking real parts. Dropped are
     candidates whose last component vanishes (NonNormalizableError if all do)
-    and those whose factors do nothing, ||[A; B] s|| <= 1e-6 ||[alpha; beta]||
+    and those whose factors do nothing, ||[A s; B s]|| <= 1e-6 ||[alpha; beta]||
     (NoScalingError if all do). That test is free of the scale of X, which
     multiplies A and B by a^2 and the factors by a^-2 when X becomes a X; it
     drops the exact pair s = 0 at mu = -1/(n_train - 1) of a target that sums
@@ -196,10 +196,11 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     The first survivor, the one nearest mu = 1, is returned with its residual,
     and ``certified`` says whether that residual meets 1e-6: true for the
     wide pencil's exact pair, false in general for a tall pencil's reduction.
+    The solve, the test and the residual read ``ps.F``, ``ps.G`` and their
+    block views; no block is copied here.
     """
-    F, G = ps.F(), ps.G()
     try:
-        pairs = rect_pencil_eig(F, G, 1.0)
+        pairs = rect_pencil_eig(ps.F, ps.G, 1.0)
     except NoEigenpairError as exc:
         raise NoScalingError("the pencil produced no usable candidates") from exc
     candidates = [
@@ -211,15 +212,15 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
         raise NonNormalizableError(
             "every candidate eigenvector has a vanishing last component"
         )
-    AB = np.vstack([ps.A, ps.B])
-    effect = np.linalg.norm(AB @ np.column_stack([s for _, s in candidates]), axis=0)
+    S = np.column_stack([s for _, s in candidates])
+    effect = np.linalg.norm(np.vstack([ps.A @ S, ps.B @ S]), axis=0)
     floor = _RESIDUAL_TOL * np.hypot(np.linalg.norm(ps.alpha), np.linalg.norm(ps.beta))
     candidates = [c for c, e in zip(candidates, effect) if e > floor]
     if not candidates:
         raise NoScalingError("every normalizable candidate has factors that do nothing")
     mu, s = candidates[0]
     s = np.ascontiguousarray(s)
-    res = pencil_residual(F, G, mu, np.concatenate([s, [-1.0]]))
+    res = pencil_residual(ps.F, ps.G, mu, np.concatenate([s, [-1.0]]))
     return ScalingVector(
         factors=s,
         eigenvalue=mu,

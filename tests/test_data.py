@@ -27,6 +27,22 @@ def balanced_matrix(n=800, m=4, seed=0):
     )
 
 
+class TestDataMatrix:
+    def one_column(self, labels):
+        return DataMatrix(values=[[0.0], [1.0], [2.0]], feature_names=["a"], labels=labels)
+
+    @pytest.mark.parametrize("labels", [[1.5, 2.7, 2.2], [1.0, np.nan, 2.0]])
+    def test_non_integer_labels_are_rejected(self, labels):
+        # [1.5, 2.7, 2.2] was truncated to [1, 2, 2]
+        with pytest.raises(ValueError, match="labels must be integers"):
+            self.one_column(labels)
+
+    def test_integral_float_labels_are_kept(self):
+        data = self.one_column([1.0, 2.0, 2.0])
+        assert data.labels.dtype.kind == "i"
+        np.testing.assert_array_equal(data.labels, [1, 2, 2])
+
+
 class TestGenerateToy:
     def test_shape_and_labels(self):
         data = generate_toy(800, seed=0)

@@ -447,7 +447,7 @@ class TestPencilCertificates:
             v[:2] = [1.0, -0.2]
             ps = assemble_pencil(X, v)
             seen.clear()
-            pairs = rect_pencil_eig(ps.F(), ps.G(), 1.0)
+            pairs = rect_pencil_eig(ps.F, ps.G, 1.0)
             assert seen == []
             sv = learn_scaling(ps)
             assert len(seen) == 1 and seen[0] == (sv.eigenvalue, sv.residual)

@@ -1,11 +1,11 @@
-"""Spectral embedding and Ncut objective tests."""
+"""Spectral embedding tests."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from specscale import SimilarityGraph, SymmetricCSR, embed, ncut_objective
-from specscale.errors import DegenerateVectorError, InsufficientSpectrumError
+from specscale import SimilarityGraph, SymmetricCSR, embed
+from specscale.errors import InsufficientSpectrumError
 
 
 def graph_from_weights(W):
@@ -85,41 +85,17 @@ class TestEmbed:
             lead = col[np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]]
             assert lead > 0
 
+    def test_rayleigh_quotient_is_the_eigenvalue(self):
+        # u^T L u / u^T D u of each vector is its eigenvalue, and e^T D u = 0
+        g = graph_from_weights(two_cliques(eps=1e-3))
+        emb = embed(g, ell=2)
+        for u, value in zip(emb.vectors.T, emb.eigenvalues):
+            du = g.degrees * u
+            assert (u @ (g.laplacian @ u)) / (u @ du) == pytest.approx(value, abs=1e-8)
+            assert abs(du.sum()) < 1e-8
+
     def test_invalid_ell(self):
         g = graph_from_weights(two_cliques(eps=0.1))
         with pytest.raises(ValueError):
             embed(g, ell=0)
 
-
-class TestNcutObjective:
-    def test_constant_vector_gives_zero(self):
-        g = graph_from_weights(two_cliques(eps=0.5))
-        value = ncut_objective(g, np.ones(6))
-        assert value.value == pytest.approx(0.0, abs=1e-14)
-        assert value.constraint_residual == pytest.approx(g.degrees.sum())
-
-    def test_rayleigh_identity_with_embedding(self):
-        g = graph_from_weights(two_cliques(eps=1e-3))
-        emb = embed(g, ell=2)
-        for j in range(2):
-            value = ncut_objective(g, emb.vectors[:, j])
-            assert value.value == pytest.approx(emb.eigenvalues[j], abs=1e-8)
-            assert abs(value.constraint_residual) < 1e-8
-
-    def test_clique_indicator_has_no_cut(self):
-        g = graph_from_weights(two_cliques())
-        v = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-        assert ncut_objective(g, v).value == pytest.approx(0.0, abs=1e-14)
-
-    def test_scale_invariance(self):
-        g = graph_from_weights(two_cliques(eps=0.2))
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=6)
-        base = ncut_objective(g, v).value
-        for c in (-3.0, 0.5, 100.0):
-            assert ncut_objective(g, c * v).value == pytest.approx(base, rel=1e-12)
-
-    def test_zero_vector_rejected(self):
-        g = graph_from_weights(two_cliques(eps=0.2))
-        with pytest.raises(DegenerateVectorError):
-            ncut_objective(g, np.zeros(6))

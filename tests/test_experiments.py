@@ -10,6 +10,7 @@ from specscale import (
     DataMatrix,
     ExperimentConfig,
     KernelParams,
+    ScalingVector,
     SplitSpec,
     assemble_pencil,
     build_similarity,
@@ -31,6 +32,7 @@ from specscale.errors import (
     NoScalingError,
     NumericalOverflowError,
 )
+from specscale.similarity import sqdist_blocks
 
 
 def separated_clusters(n_per=6, gap=3.0, seed=0):
@@ -233,9 +235,6 @@ def duplicated_column_toy():
     return dataclasses.replace(toy, values=values, feature_names=[*toy.feature_names, "copy"])
 
 
-UNIT_SIGMA = np.sqrt(0.5)  # 2 sigma^2 = 1
-
-
 class TestSharedSplit:
     """With a fixed target every sigma row of a split copies one unit-width
     kernel, whatever the pencil shape: fit, graph, embedding and assignment."""
@@ -375,20 +374,46 @@ class TestSharedSplit:
         build = experiments.build_similarity
 
         def overflowing(X, params):
-            if params.sigma == UNIT_SIGMA and params.scaling is not None:
+            if params.sigma == 1.0 and params.scaling is not None:  # the scaled graph
                 raise NumericalOverflowError("scaled weights overflow")
             return build(X, params)
 
         monkeypatch.setattr(experiments, "build_similarity", overflowing)
         report, graphs = self.run_one_split(monkeypatch)
         rest = self.assert_unscaled_fallback(calls, report, graphs)
-        assert graphs[0] == (UNIT_SIGMA, True) and len(graphs) == 4
+        assert graphs[0] == (1.0, True) and len(graphs) == 4
         assert calls["learn_scaling"] == 1  # no re-fit at any width
         assert calls["build_similarity"] == 3  # the stub raised for the unit-width graph
         # the pencil diagnostics of the unit-width fit stay on the unscaled rows
         a, b = rest
         assert a.mu is not None and a.mu == b.mu and a.residual == b.residual
         np.testing.assert_allclose(b.factors, (1.0 / 0.1) ** 2 * a.factors, rtol=1e-12, atol=0)
+
+    def test_scaled_graph_is_exactly_unit_width(self, monkeypatch):
+        # k = n - 1 keeps every pair, so with t >= 0 each off-diagonal weight
+        # is (e_ij + e_ji) / 2 with e = exp(-max(delta_t, 0)), to the bit
+        data = standardize(generate_toy(40, seed=0))
+        t = np.random.default_rng(0).uniform(0.1, 1.0, data.n_features)
+        monkeypatch.setattr(
+            experiments, "learn_scaling", lambda ps: ScalingVector(t, 1.0, 0.0, 0.0)
+        )
+        scaled = []
+        build = experiments.build_similarity
+
+        def recording(X, params):
+            graph = build(X, params)
+            if params.scaling is not None:
+                scaled.append(graph)
+            return graph
+
+        monkeypatch.setattr(experiments, "build_similarity", recording)
+        n = data.n_samples
+        cfg = self.config(grid=(0.1,), k_neighbors=n - 1,
+                          split=SplitSpec(0.5, seed=0, repetitions=1))
+        assert run_pipeline(cfg, data).records[0].scaled
+        e = np.exp(-np.maximum(sqdist_blocks(data.values, t)(slice(None)), 0.0))
+        off = ~np.eye(n, dtype=bool)
+        np.testing.assert_array_equal(scaled[0].weights.toarray()[off], ((e + e.T) / 2)[off])
 
     def test_shared_failure_recorded_on_every_row(self, monkeypatch):
         def failing(graph, ell):

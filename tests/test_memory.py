@@ -20,6 +20,12 @@ per-sample moments, so its peak must stay below 32 float64 arrays of the
 training rows' size (n_train * m). Measured at n_train = 1500 and m = 10:
 180.6 MB with the n_train x n_train x m pair tensor, 0.87 MB in closed form.
 
+A wide fit, ``learn_scaling(assemble_pencil(X, v))`` at n_train = 72 and
+m = 2000 (the gene-data shape), must peak below 5.5 float64 copies of X.
+It measured 6.09 copies while the pencil kept its six blocks and learning
+rebuilt F and G and stacked [A; B], and 5.21 with F and G allocated once and
+the blocks read as views into them.
+
 The loader parses every data row with numpy's C reader, which makes no Python
 string per cell, so its peak must stay below 6 float64 copies of the table.
 Measured on a 144 x 2000 file with a label column: 5.1 MB, against a limit of
@@ -39,6 +45,7 @@ from specscale import (
     build_similarity,
     estimate_fiedler,
     generate_toy,
+    learn_scaling,
     linearization_violation_fraction,
     load_matrix,
     nn1_classify,
@@ -102,6 +109,14 @@ def test_pencil_assembly_holds_no_pair_tensor(toy):
     X = data.values[train]
     fiedler = estimate_fiedler(data.labels[train], negative_value=-0.2)
     assert traced_peak(assemble_pencil, X, fiedler) < 32 * X.size * 8
+
+
+def test_wide_fit_holds_the_pencil_once():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(72, 2000))
+    fiedler = estimate_fiedler(np.repeat([1, 2], [24, 48]), negative_value=-0.2)
+    peak = traced_peak(lambda: learn_scaling(assemble_pencil(X, fiedler)))
+    assert peak < 5.5 * X.size * 8
 
 
 def test_loader_peak_stays_below_six_table_copies(tmp_path):

@@ -1,6 +1,6 @@
 """Static checks of the package source: no unused imports, no unused private
-names, no orphaned public functions, no unread config fields, a consistent
-public surface, and no scipy on the import path."""
+names, no public function that no other module reads, no unread config
+fields, a consistent public surface, and no scipy on the import path."""
 
 import ast
 import dataclasses
@@ -75,31 +75,38 @@ def test_module_reads_every_private_name_it_defines(path):
     assert sorted(private_definitions(tree) - read) == []
 
 
-def called_names(tree):
-    """Names the module calls, bare (``f(...)``) or as an attribute (``m.f(...)``)."""
-    names = set()
+def read_names(tree):
+    """Names the module reads, bare (``f``) or as an attribute (``m.f``), by a
+    call or a reference, with an ``import ... as`` alias read as its source."""
+    read = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                names.add(node.func.id)
-            elif isinstance(node.func, ast.Attribute):
-                names.add(node.func.attr)
-    return names
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+    return read | {aliases[name] for name in read & aliases.keys()}
 
 
-def test_every_public_function_is_called_elsewhere_or_exported():
-    # a public helper that no other module calls and the package does not
-    # export is private to its module, or dead
+def test_every_public_function_is_read_by_another_module():
+    # a public helper that no other module of the package calls or passes on
+    # earns no place there, exported or not; ``main`` is the console entry point
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     orphans = []
     for stem, tree in trees.items():
-        called = set().union(*(called_names(t) for s, t in trees.items() if s != stem))
+        read = set().union(*(read_names(t) for s, t in trees.items() if s != stem))
         orphans.extend(
             f"{stem}.{node.name}"
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("_")
-            and node.name not in called | set(specscale.__all__) | {"main"}
+            and node.name not in read | {"main"}
         )
     assert orphans == []
 
