@@ -50,7 +50,6 @@ from .scaling import (
     scaling_table,
 )
 from .similarity import (
-    KernelParams,
     PairwiseDifferences,
     SimilarityGraph,
     build_similarity,
@@ -65,7 +64,6 @@ __all__ = [
     "Embedding",
     "EvalReport",
     "ExperimentConfig",
-    "KernelParams",
     "PairwiseDifferences",
     "PencilSystem",
     "RunRecord",

@@ -33,7 +33,6 @@ from .experiments import (
     sweep,
 )
 from .scaling import scaling_table
-from .similarity import KernelParams
 
 
 def _parse_float_list(text):
@@ -222,7 +221,8 @@ def _cmd_sweep(args):
 
 def _cmd_inspect_scaling(args):
     spec = _usage_errors(lambda: SplitSpec(args.fraction, args.seed, repetitions=1))
-    _usage_errors(lambda: KernelParams(args.sigma))
+    if not 0.0 < args.sigma < math.inf:
+        raise argparse.ArgumentTypeError(f"sigma must be positive and finite, got {args.sigma}")
     data = _load_data(args)
     train, _ = split(data, spec, repetition=0)
     # the pipeline's fit: the pencil at unit width, factors t, s = 2 sigma^2 t
@@ -271,7 +271,9 @@ def _build_parser():
     _add_command(sub, "inspect-scaling", "emit the learned factor table", _cmd_inspect_scaling,
                  ("--data", "--fraction", "--seed", "--fiedler-negative", "--no-standardize",
                   "--config"),
-                 {"--sigma": {"type": float, "default": 1.0}, "--out": {}})
+                 {"--sigma": {"type": float, "default": 1.0, "help": "kernel width: the table "
+                              "reports s = 2 sigma^2 t; 'auto' uses the unscaled graph at sigma"},
+                  "--out": {}})
     return parser
 
 

@@ -273,12 +273,17 @@ def _default_names(m):
 
 
 def save_matrix(data: DataMatrix, path, delimiter=","):
-    """Write a DataMatrix as delimited text; floats use repr so a reload is exact."""
+    """Write a DataMatrix as delimited text; floats use repr so a reload is exact.
+    Names are quoted as ``load_matrix`` reads them; ValueError for one that it
+    cannot read back: a line break, or a tab in a comma file (sniffed as tab)."""
+    header = list(data.feature_names)
+    for name in header:
+        if "\n" in name or "\r" in name or (delimiter != "\t" and "\t" in name):
+            raise ValueError(f"feature name {name!r} cannot be read back from the file")
+    if data.labels is not None:
+        header.append(LABEL_COLUMN)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        header = list(data.feature_names)
-        if data.labels is not None:
-            header.append(LABEL_COLUMN)
-        handle.write(delimiter.join(header) + "\n")
+        csv.writer(handle, delimiter=delimiter, quotechar='"', lineterminator="\n").writerow(header)
         for i in range(data.n_samples):
             cells = [repr(float(x)) for x in data.values[i]]
             if data.labels is not None:

@@ -2,20 +2,20 @@
 
 ``run_pipeline`` runs the supervised-scaling pipeline over repeated splits and
 a kernel-width grid, ``sweep`` varies the training fraction and ``loocv`` runs
-leave-one-out classification. Every (repetition, sigma) row looks up what
-serves it in one memo, ``_kept``, keyed on what that part depends on: the fit
-of its split (one per split for a fixed target, one per sigma for "auto"),
-which holds the pencil diagnostics, the unit-width factors t and the scores
-of their scaled kernel, or else the unscaled kernel at its width, one per run.
-The scaled kernel is the graph at sigma = 1 with factors s = 2t, which is
-exp(-delta_t) to the bit: doubling t doubles delta_t exactly, and 2 sigma^2 = 2
-divides exactly. A kernel is one graph, one embedding and, for cluster, one
-exact two-means; 1-NN runs per split. A memo keeps a typed error as it keeps a
-result, so every row the failed part would serve records it. A row is its
-fit's record at its own sigma, with factors s = 2 sigma^2 t, and the report
-aggregates per-sigma statistics. Reports serialize to a tidy CSV plus a JSON
-manifest and are byte-identical across reruns with the same configuration and
-data.
+leave-one-out classification. This is the one layer that knows the width: the
+graph layer builds exp(-delta_t) for unit-width factors t, and the kernel
+exp(-delta / (2 sigma^2)) at width sigma is that of t = e / (2 sigma^2). Every
+(repetition, sigma) row looks up what serves it in one memo, ``_kept``, keyed
+on what that part depends on: the fit of its split (one per split for a fixed
+target, one per sigma for "auto"), which holds the pencil diagnostics, the
+unit-width factors t and the scores of their scaled kernel, or else the
+unscaled kernel at its width, one per run. A kernel is one graph, one
+embedding and, for cluster, one exact two-means; 1-NN runs per split. A memo
+keeps a typed error as it keeps a result, so every row the failed part would
+serve records it. A row is its fit's record at its own sigma, with factors
+s = 2 sigma^2 t, and the report aggregates per-sigma statistics. Reports
+serialize to a tidy CSV plus a JSON manifest and are byte-identical across
+reruns with the same configuration and data.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .scaling import (
     learn_scaling,
     linearization_violation_fraction,
 )
-from .similarity import KernelParams, build_similarity, pairwise_sqdiff
+from .similarity import build_similarity, pairwise_sqdiff
 
 DEFAULT_SIGMA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -237,14 +237,14 @@ def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None
 
     Builds the label target of the training rows X, assembles the pencil of
     the unit-width kernel exp(-delta_t) and solves it; the row at width sigma
-    records s = 2 sigma^2 t, and the kernel of t is the graph at sigma = 1
-    with s = 2t. Only ``negative_value="auto"`` reads sigma: it
-    takes its degrees from the unscaled k-NN graph of the training rows at
-    that width. ``diffs`` may carry ``pairwise_sqdiff(X)``.
+    records s = 2 sigma^2 t, and the scaled kernel is exp(-delta_t) at every
+    width. Only ``negative_value="auto"`` reads sigma: it takes its degrees
+    from the unscaled k-NN graph of the training rows at that width.
+    ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
     degrees = None
-    if negative_value == "auto":
-        degrees = build_similarity(X, KernelParams(sigma, k_neighbors)).degrees
+    if negative_value == "auto":  # the unscaled kernel at sigma: t = e / (2 sigma^2)
+        degrees = build_similarity(X, np.full(X.shape[1], 0.5 / sigma**2), k_neighbors).degrees
     v = estimate_fiedler(labels, negative_value, degrees)
     return learn_scaling(assemble_pencil(X, v, diffs=diffs))
 
@@ -262,10 +262,10 @@ def _kept(cache, key, build):
     return cache[key]
 
 
-def _kernel(config, data, sigma, factors=None):
-    """Embed the graph over all samples at width ``sigma`` (with ``factors``).
-    For cluster, its two-means (RI, NMI), which hold no split either."""
-    graph = build_similarity(data.values, KernelParams(sigma, config.k_neighbors, factors))
+def _kernel(config, data, factors):
+    """Embed the graph exp(-delta_t) of unit-width ``factors`` t over all
+    samples. For cluster, its two-means (RI, NMI), which hold no split either."""
+    graph = build_similarity(data.values, factors, config.k_neighbors)
     vectors = embed(graph, config.ell).vectors
     if config.task == "classify":
         return vectors
@@ -286,10 +286,10 @@ def _scores(config, data, kernel, train, test):
 
 def _fit(config, data, train, test, diffs, sigma, repetition):
     """The record of the fit for the rows at width ``sigma``: its pencil
-    diagnostics, unit-width factors t and the scores of their kernel (the
-    graph at sigma = 1 with s = 2t, exactly unit width), or
-    ``scaled=False`` when feature scaling is off, the pencil yields no factors
-    or the factors overflow the kernel (the diagnostics then stay)."""
+    diagnostics, unit-width factors t and the scores of their kernel
+    exp(-delta_t), or ``scaled=False`` when feature scaling is off, the pencil
+    yields no factors or the factors overflow the kernel (the diagnostics then
+    stay)."""
     record = RunRecord(sigma=float(sigma), repetition=repetition)
     if not config.feature_scaling:
         return record
@@ -307,7 +307,7 @@ def _fit(config, data, train, test, diffs, sigma, repetition):
     record.factors = scaling.factors
     record.linearization_violations = linearization_violation_fraction(X, record.factors)
     try:
-        kernel = _kernel(config, data, 1.0, 2.0 * record.factors)
+        kernel = _kernel(config, data, record.factors)
     except NumericalOverflowError:  # only negative learned factors can overflow
         return record
     record.scaled = True
@@ -331,7 +331,8 @@ def _split_rows(config, data, train, test, repetition, unscaled):
             factors = None if fit.factors is None else 2.0 * sigma**2 * fit.factors
             row = dataclasses.replace(fit, sigma=float(sigma), factors=factors)
             if not row.scaled:
-                kernel = _kept(unscaled, sigma, lambda: _kernel(config, data, sigma))
+                t = np.full(data.n_features, 0.5 / sigma**2)  # exp(-delta / (2 sigma^2))
+                kernel = _kept(unscaled, sigma, lambda: _kernel(config, data, t))
                 row.ri, row.nmi = _scores(config, data, kernel, train, test)
         except SpecScaleError as exc:
             row = RunRecord(float(sigma), repetition, error=f"{type(exc).__name__}: {exc}")
@@ -356,16 +357,17 @@ def run_pipeline(config: ExperimentConfig, data: DataMatrix) -> EvalReport:
     The fit of a split estimates the target vector on its training rows (the
     "auto" target from their unscaled graph at sigma), then assembles and
     solves the scaling pencil at unit width for factors t. Its scaled kernel
-    builds the graph exp(-t^T x) over all samples, which is
-    exp(-s^T x / 2 sigma^2) at every width, embeds it and assigns once: exact
-    two-means of the one-dimensional embedding (RI/NMI over all samples) or
-    transductive 1-NN (RI over the test rows). The memo keys a fixed target's
-    fit on the split alone, so one fit and one scaled kernel serve every row,
-    and an "auto" fit on its sigma as well. Without feature scaling, or when
-    the pencil yields no usable factors or the factors overflow the kernel
-    weights, the row looks up the unscaled kernel at its own sigma, which the
-    memo keys on sigma alone, once per run; the row has ``scaled=False`` and
-    nothing is re-fitted, and after an overflow the pencil diagnostics stay.
+    builds the graph exp(-delta_t) over all samples, which is
+    exp(-delta_s / (2 sigma^2)) at every width, embeds it and assigns once:
+    exact two-means of the one-dimensional embedding (RI/NMI over all samples)
+    or transductive 1-NN (RI over the test rows). The memo keys a fixed
+    target's fit on the split alone, so one fit and one scaled kernel serve
+    every row, and an "auto" fit on its sigma as well. Without feature
+    scaling, or when the pencil yields no usable factors or the factors
+    overflow the kernel weights, the row looks up the unscaled kernel at its
+    own sigma, the graph of t = e / (2 sigma^2), which the memo keys on sigma
+    alone, once per run; the row has ``scaled=False`` and nothing is
+    re-fitted, and after an overflow the pencil diagnostics stay.
     Each row is its fit's record at its sigma (RI, NMI, mu, ``residual``,
     ``certified``, ``constraint_violation`` and linearization share) with
     factors s = 2 sigma^2 t. A typed error while a fit or kernel is built is

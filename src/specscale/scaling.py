@@ -144,7 +144,7 @@ def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSys
     np.multiply(squares, v.sum(), out=A)
     A -= np.multiply(centered, 2.0 * (v @ centered), out=B)  # B's block as scratch
     A += v @ squares
-    del squares  # freed before the norm below copies the strided A
+    del squares
     np.multiply(v[:, None], xhat, out=B)
     F[:n, m] = v.sum() - v
     F[n, :m] = xhat.T @ v
@@ -154,7 +154,7 @@ def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSys
     # column sums of A and B agree by the symmetry of the pairs (x~ sums to
     # zero); a violation can only come from a bug upstream
     drift = np.max(np.abs(A.sum(axis=0) - B.sum(axis=0)))
-    if drift > 1e-10 * max(np.linalg.norm(A), 1e-300):
+    if drift > 1e-10 * max(np.sqrt(np.einsum("ij,ij->", A, A)), 1e-300):  # ||A||_F, no copy
         raise InternalConsistencyError(
             f"(A - B)^T e = {drift:.3e} exceeds the assembly tolerance"
         )

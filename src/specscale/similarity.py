@@ -1,14 +1,15 @@
 """Similarity graphs: Gaussian kernel weights, k-NN sparsification, Laplacians.
 
-Weights follow w_ij = exp(-delta_s(i, j) / (2 sigma^2)) where delta_s is the
-squared Euclidean distance, per-feature weighted by scaling factors when
-present; negative factors make it indefinite (weights can then exceed 1). It is
-made in row blocks, one GEMM of lifted rows each, whose entry for a row's own
-sample is rounding noise that each caller drops; it is not clamped at 0. Each
-row keeps its k nearest other samples: only the groups of columns whose
-minimum is at or below the row's k-th smallest group minimum are compared, and
-only their entries up to it are sorted. The result is symmetrized as
-(W + W^T) / 2 in a ``SymmetricCSR``.
+Weights follow w_ij = exp(-delta_t(i, j)), where delta_t is the squared
+Euclidean distance weighted per feature by the unit-width factors t; the
+kernel of factors s at width sigma is that of t = s / (2 sigma^2), so the
+graph takes no width. Negative factors make delta_t indefinite (weights can
+then exceed 1). It is made in row blocks, one GEMM of lifted rows each, whose
+entry for a row's own sample is rounding noise that each caller drops; it is
+not clamped at 0. Each row keeps its k nearest other samples: only the groups
+of columns whose minimum is at or below the row's k-th smallest group minimum
+are compared, and only their entries up to it are sorted. The result is
+symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
 """
 
 from __future__ import annotations
@@ -23,21 +24,6 @@ from .errors import (
     IsolatedSampleError,
     NumericalOverflowError,
 )
-
-@dataclass
-class KernelParams:
-    """Gaussian kernel width, neighborhood size and optional learned factors."""
-
-    sigma: float
-    k_neighbors: int = 7
-    scaling: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
-
 
 @dataclass
 class PairwiseDifferences:
@@ -88,26 +74,25 @@ def row_blocks(n_rows, n_cols):
         yield slice(start, min(start + step, n_rows))
 
 
-def sqdist_blocks(Y, factors=None):
-    """delta_s of the rows of the array Y (``factors``: None or one weight per
+def sqdist_blocks(Y, factors):
+    """delta_s of the rows of the array Y (``factors`` s: one weight per
     feature) as a function of a row and a column slice that returns that block.
 
     With q = (Y o Y) s, the rows [-2 s o y_i, q_i, 1] and [y_j, 1, q_j] have the
     inner product q_i + q_j - 2 (s o y_i)^T y_j: one GEMM per block. Entries are
-    not clamped, so even for factors nonnegative or None one can fall below 0 by
+    not clamped, so even for nonnegative factors one can fall below 0 by
     rounding; a row's own entry is such noise, not 0, and the callers drop it.
     """
     values = np.asarray(Y, dtype=float)
     n, m = values.shape
-    s = np.ones(m) if factors is None else factors
-    if s.shape != (m,):
-        raise ValueError(f"scaling has {s.size} factors for {m} features")
-    q = np.einsum("ij,ij,j->i", values, values, s)
+    if factors.shape != (m,):
+        raise ValueError(f"scaling has {factors.size} factors for {m} features")
+    q = np.einsum("ij,ij,j->i", values, values, factors)
     right = np.column_stack([values, np.ones(n), q])
 
     def block(rows, cols=slice(None)):
         left = np.empty((q[rows].size, m + 2))  # per block: one O(n m) array lives on
-        np.multiply(values[rows], -2.0 * s, out=left[:, :m])
+        np.multiply(values[rows], -2.0 * factors, out=left[:, :m])
         left[:, m], left[:, m + 1] = q[rows], 1.0
         return left @ right[cols].T
 
@@ -181,42 +166,48 @@ def _symmetrized(cols, weights) -> SymmetricCSR:
     return SymmetricCSR(indptr, columns[keep], data[keep])
 
 
-def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
-    """k-NN Gaussian similarity graph of the rows of the array Y.
+def build_similarity(Y, factors, k_neighbors) -> SimilarityGraph:
+    """k-NN graph of the kernel exp(-delta_t) over the rows of the array Y,
+    with ``factors`` the unit-width factors t, one per feature.
 
-    Each row keeps its k nearest other samples in delta_s (ties go to the
-    smaller sample index), selected below a bound (``_nearest``), not by sort,
-    in row blocks of about 4 MB, one alive at a time: memory stays O(n (k + m))
-    plus one block. For factors nonnegative or None, delta_s is clamped at 0
-    (rounding can take it below), as the selection's floor. The
-    weights exp(-delta_s / 2 sigma^2) are evaluated on the n*k kept pairs only,
-    and the kept matrix M is symmetrized as (M + M^T) / 2 by one sort of it.
+    Each row keeps its ``k_neighbors`` nearest other samples in delta_t (ties
+    go to the smaller sample index), selected below a bound (``_nearest``), not
+    by sort, in row blocks of about 4 MB, one alive at a time: memory stays
+    O(n (k + m)) plus one block. For nonnegative factors, delta_t is clamped at
+    0 (rounding can take it below), as the selection's floor. The weights
+    exp(-delta_t) are evaluated on the n*k kept pairs only, and the kept matrix
+    M is symmetrized as (M + M^T) / 2 by one sort of it.
 
     Raises
     ------
+    ValueError
+        If ``k_neighbors`` is below 1.
+    InsufficientSamplesError
+        If there are not more samples than ``k_neighbors``.
     NumericalOverflowError
-        If a kept weight overflows; each row keeps its most negative delta_s.
+        If a kept weight overflows; each row keeps its most negative delta_t.
     IsolatedSampleError
         If some row ends up with zero degree (all kept weights underflowed).
         The message names the most isolated sample, the one whose nearest
-        other sample is farthest in delta_s, and gives the count of isolated
+        other sample is farthest in delta_t, and gives the count of isolated
         samples; the error's ``samples`` attribute holds every isolated index,
-        most isolated first. At small sigma every weight can underflow, so
+        most isolated first. At large factors every weight can underflow, so
         many samples (possibly all) are isolated at once.
     """
     values = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("Y contains non-finite entries")
-    n = values.shape[0]
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be at least 1")
+    n, k = values.shape[0], k_neighbors
     if n < 2:
         raise InsufficientSamplesError("need at least two samples")
-    k = params.k_neighbors
     if k >= n:
         raise InsufficientSamplesError(f"k_neighbors={k} needs more than {n} samples")
 
-    sqdist = sqdist_blocks(values, params.scaling)
-    # delta_s of nonnegative factors is clamped at 0, in the kept values only
-    floor = 0.0 if params.scaling is None or np.all(params.scaling >= 0.0) else -np.inf
+    sqdist = sqdist_blocks(values, factors)
+    # delta_t of nonnegative factors is clamped at 0, in the kept values only
+    floor = 0.0 if np.all(factors >= 0.0) else -np.inf
     cols, near = np.empty((n, k), dtype=np.intp), np.empty((n, k))
     for rows in row_blocks(n, n):
         d2 = sqdist(rows)
@@ -225,11 +216,10 @@ def build_similarity(Y, params: KernelParams) -> SimilarityGraph:
         del d2  # freed before the next block's GEMM: one block lives at a time
     del sqdist  # the lifted rows, O(n m), are not needed past the blocks
     with np.errstate(over="ignore", under="ignore"):
-        weights = np.exp(-near / (2.0 * params.sigma**2))
+        weights = np.exp(-near)
     if not np.all(np.isfinite(weights)):
         raise NumericalOverflowError(
-            "kernel weights overflowed; negative scaled distances are too large "
-            f"for sigma={params.sigma}"
+            "kernel weights overflowed; negative scaled distances are too large"
         )
     W = _symmetrized(cols, weights)
     degrees = W @ np.ones(n)

@@ -343,6 +343,33 @@ class TestLoadSave:
         np.testing.assert_array_equal(dm.values, [[1.5, 2.5], [3.5, 4.5]])
         np.testing.assert_array_equal(dm.labels, [1, 2])
 
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_names_with_delimiter_or_quote_roundtrip(self, tmp_path, delimiter):
+        names = ["a,b", 'c"d', "e\tf"] if delimiter == "\t" else ["a,b", 'c"d', "e f"]
+        dm = DataMatrix(
+            values=[[0, 1, 2], [1, 0, 2], [2, 3, 2], [3, 2, 3]],
+            feature_names=names,
+            labels=[1, 2, 1, 2],
+        )
+        path = tmp_path / "names.txt"
+        save_matrix(dm, path, delimiter=delimiter)
+        back = load_matrix(path)
+        assert back.feature_names == names
+        np.testing.assert_array_equal(back.values, dm.values)
+        np.testing.assert_array_equal(back.labels, dm.labels)
+
+    @pytest.mark.parametrize(
+        "name, delimiter",
+        [("a\nb", ","), ("a\r\nb", "\t"), ("a\rb", ","), ("a\tb", ",")],
+        ids=["newline", "crlf-tab-file", "carriage-return", "tab-in-comma-file"],
+    )
+    def test_names_that_cannot_roundtrip_rejected(self, tmp_path, name, delimiter):
+        dm = DataMatrix(values=[[0, 1], [1, 0]], feature_names=[name, "g"], labels=[1, 2])
+        path = tmp_path / "names.txt"
+        with pytest.raises(ValueError, match="cannot be read back"):
+            save_matrix(dm, path, delimiter=delimiter)
+        assert not path.exists()
+
     def test_wide_matrix_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         labels = np.array([1] * 12 + [2] * 12)

@@ -12,7 +12,6 @@ import scipy.sparse.csgraph
 
 from specscale import (
     EigenPair,
-    KernelParams,
     SymmetricCSR,
     assemble_pencil,
     build_similarity,
@@ -162,7 +161,7 @@ def knn_blocks(c):
     """Laplacian and degrees of c disjoint toy k-NN graphs, 420 vertices in all,
     with the full-spectrum dense oracle of the whitened matrix."""
     graphs = [
-        build_similarity(standardize(generate_toy(420 // c, seed=s)).values, KernelParams(1.0))
+        build_similarity(standardize(generate_toy(420 // c, seed=s)).values, np.full(10, 0.5), 7)
         for s in range(c)
     ]
     L = scipy.linalg.block_diag(*[g.laplacian.toarray() for g in graphs])
@@ -210,7 +209,7 @@ class TestSymCertificateScale:
 
     @pytest.mark.parametrize("n", [60, 500])  # dense eigh and Lanczos
     def test_scaled_pair_gives_same_pairs(self, n):
-        graph = build_similarity(standardize(generate_toy(n, seed=0)).values, KernelParams(1.0))
+        graph = build_similarity(standardize(generate_toy(n, seed=0)).values, np.full(10, 0.5), 7)
         L, d = graph.laplacian, graph.degrees
         ref = sym_gen_eig(L, d, k=2)
         # powers of two scale every entry exactly, so the whole solve repeats
@@ -229,14 +228,14 @@ class TestSymCertificateScale:
 
     def test_huge_weights_run_without_overflow(self):
         # equal negative factors sized so that the farthest pair has
-        # delta_s = -500 and weight exp(500) ~ 1e217 at 2 sigma^2 = 1: each
-        # row keeps its most negative delta_s, so that pair is an edge, and the
+        # delta_t = -500 and weight exp(500) ~ 1e217 at unit width: each
+        # row keeps its most negative delta_t, so that pair is an edge, and the
         # sum of squares of L's entries overflows
         values = np.random.default_rng(3).standard_normal((16, 40))
-        factors = np.full(40, -500.0 / sqdist_blocks(values)(slice(None)).max())
+        factors = np.full(40, -500.0 / sqdist_blocks(values, np.ones(40))(slice(None)).max())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            graph = build_similarity(values, KernelParams(np.sqrt(0.5), scaling=factors))
+            graph = build_similarity(values, factors, 7)
             pairs = sym_gen_eig(graph.laplacian, graph.degrees, k=2)
         assert np.max(np.abs(graph.laplacian.data)) > 1e200
         for pair in pairs:

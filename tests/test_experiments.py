@@ -9,7 +9,6 @@ import pytest
 from specscale import (
     DataMatrix,
     ExperimentConfig,
-    KernelParams,
     ScalingVector,
     SplitSpec,
     assemble_pencil,
@@ -227,6 +226,13 @@ def wide_data(n_per=12, n_features=100, seed=0):
     return standardize(DataMatrix(values=values, feature_names=names, labels=labels))
 
 
+def kernel_of(factors, grid):
+    """The grid width whose unscaled kernel has the unit-width ``factors`` (all
+    0.5 / sigma^2), or "scaled" for any other factors."""
+    widths = [s for s in grid if np.array_equal(factors, np.full(factors.size, 0.5 / s**2))]
+    return widths[0] if widths else "scaled"
+
+
 def duplicated_column_toy():
     """The 200-sample toy with its first column repeated: a tall pencil
     without full column rank."""
@@ -239,7 +245,9 @@ class TestSharedSplit:
     """With a fixed target every sigma row of a split copies one unit-width
     kernel, whatever the pencil shape: fit, graph, embedding and assignment."""
 
-    def config(self, task="cluster", grid=(0.01, 0.1, 1.0), **kw):
+    GRID = (0.01, 0.1, 1.0)
+
+    def config(self, task="cluster", grid=GRID, **kw):
         return toy_config(task, sigma_grid=grid, **kw)
 
     def test_one_solve_graph_and_embedding_per_split(self, calls):
@@ -289,7 +297,8 @@ class TestSharedSplit:
             train, _ = split(data, cfg.split, rep)
             X, labels = data.values[train], data.labels[train]
             for r in (r for r in report.records if r.repetition == rep):
-                degrees = build_similarity(X, KernelParams(r.sigma, cfg.k_neighbors)).degrees
+                t = np.full(X.shape[1], 0.5 / r.sigma**2)  # the unscaled kernel at r.sigma
+                degrees = build_similarity(X, t, cfg.k_neighbors).degrees
                 if r.sigma == 0.1:  # the target collapses to one class's indicator
                     assert r.error.startswith("DegenerateSupervisionError: ")
                     with pytest.raises(DegenerateSupervisionError):
@@ -331,13 +340,14 @@ class TestSharedSplit:
         assert calls["kmeans"] == 2
 
     def run_one_split(self, monkeypatch):
-        """One toy split, recording the (sigma, scaled) of every graph built."""
+        """One toy split, recording the kernel of every graph built: the width
+        of an unscaled one, or "scaled"."""
         graphs = []
         build = experiments.build_similarity
 
-        def recording(X, params):
-            graphs.append((params.sigma, params.scaling is not None))
-            return build(X, params)
+        def recording(X, factors, k):
+            graphs.append(kernel_of(factors, self.GRID))
+            return build(X, factors, k)
 
         monkeypatch.setattr(experiments, "build_similarity", recording)
         cfg = self.config(split=SplitSpec(0.5, seed=0, repetitions=1))
@@ -347,7 +357,7 @@ class TestSharedSplit:
         # one fit, then the unscaled graph at each width; at sigma = 0.01 that
         # graph has an isolated sample, as the unscaled baseline's does
         assert calls["assemble_pencil"] == 1
-        assert graphs[-3:] == [(0.01, False), (0.1, False), (1.0, False)]
+        assert graphs[-3:] == [0.01, 0.1, 1.0]
         assert calls["embed"] == 2
         assert calls["kmeans"] == 2
         small, *rest = report.records
@@ -373,15 +383,15 @@ class TestSharedSplit:
     def test_unit_width_overflow_falls_back_to_unscaled_graphs(self, calls, monkeypatch):
         build = experiments.build_similarity
 
-        def overflowing(X, params):
-            if params.sigma == 1.0 and params.scaling is not None:  # the scaled graph
+        def overflowing(X, factors, k):
+            if kernel_of(factors, self.GRID) == "scaled":
                 raise NumericalOverflowError("scaled weights overflow")
-            return build(X, params)
+            return build(X, factors, k)
 
         monkeypatch.setattr(experiments, "build_similarity", overflowing)
         report, graphs = self.run_one_split(monkeypatch)
         rest = self.assert_unscaled_fallback(calls, report, graphs)
-        assert graphs[0] == (1.0, True) and len(graphs) == 4
+        assert graphs[0] == "scaled" and len(graphs) == 4
         assert calls["learn_scaling"] == 1  # no re-fit at any width
         assert calls["build_similarity"] == 3  # the stub raised for the unit-width graph
         # the pencil diagnostics of the unit-width fit stay on the unscaled rows
@@ -400,9 +410,9 @@ class TestSharedSplit:
         scaled = []
         build = experiments.build_similarity
 
-        def recording(X, params):
-            graph = build(X, params)
-            if params.scaling is not None:
+        def recording(X, factors, k):
+            graph = build(X, factors, k)
+            if kernel_of(factors, (0.1,)) == "scaled":
                 scaled.append(graph)
             return graph
 

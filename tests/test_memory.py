@@ -40,7 +40,6 @@ import pytest
 
 from specscale import (
     DataMatrix,
-    KernelParams,
     assemble_pencil,
     build_similarity,
     estimate_fiedler,
@@ -77,8 +76,7 @@ def traced_peak(func, *args):
 
 def test_graph_holds_no_dense_distance_matrix(toy):
     data, factors = toy
-    params = KernelParams(sigma=1.0, k_neighbors=K, scaling=factors)
-    peak = traced_peak(build_similarity, data.values, params)
+    peak = traced_peak(build_similarity, data.values, factors, K)
     assert peak < 1.5 * BLOCK_BYTES + 2 * N * (K + M) * 8
 
 

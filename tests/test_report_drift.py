@@ -27,6 +27,18 @@ def test_tree_against_itself_is_identical(drift, capsys):
     assert all(line.endswith(": identical") for line in lines[1:])
 
 
+def test_configs_against_the_same_tree_are_identical(drift, capsys):
+    code = drift.main(
+        [str(ROOT), str(ROOT), "--size", "tiny", "--seeds", "0", "--workload", "configs"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    heads = [line for line in lines if line.startswith("== ")]
+    assert heads == [f"== {name} seed 0: exit 0 (base), 0 (change)" for name in drift.CONFIGS]
+    assert lines.count("  manifest.json: identical") == len(drift.CONFIGS)
+    assert all(line.endswith(": identical") for line in lines if not line.startswith("== "))
+
+
 def test_residual_difference_is_reported(drift):
     header = "sigma,ri,residual,certified\n"
     base = header + "1.0,0.9,0.001,false\n100.0,0.5,2e-10,true\n"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specscale import (
-    KernelParams,
     similarity,
     build_similarity,
     pairwise_sqdiff,
@@ -19,12 +18,17 @@ from specscale.errors import (
     NumericalOverflowError,
 )
 
-SIGMA_UNIT = np.sqrt(0.5)  # 2 sigma^2 = 1
+def unscaled(m, sigma=1.0):
+    """The unit-width factors of the unscaled kernel at width sigma."""
+    return np.full(m, 0.5 / sigma**2)
 
 
 @st.composite
 def knn_problems(draw):
-    """Small integer samples (ties are common), a k and optional signed factors."""
+    """Small integer samples (ties are common), a k and unit-width factors: the
+    unscaled kernel or signed factors, at one of three widths. Each width's
+    1 / (2 sigma^2) is a power of two, so every delta_t is exact and any row or
+    column block of it rounds as the whole matrix does."""
     n = draw(st.integers(3, 12))
     m = draw(st.integers(1, 3))
     Y = np.array(
@@ -34,23 +38,23 @@ def knn_problems(draw):
     )
     k = draw(st.integers(1, n - 1))
     factors = draw(
-        st.none()
+        st.just(np.ones(m))
         | st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
                    min_size=m, max_size=m).map(np.array)
     )
-    sigma = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    return Y, k, factors, sigma
+    sigma = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return Y, k, factors / (2.0 * sigma**2)
 
 
-def reference_knn_weights(Y, k, factors, sigma):
-    """Dense k-NN rule: each row keeps its k smallest delta_s, clamped at 0 for
-    factors nonnegative or None, ties to the smaller index, then (M + M^T) / 2.
-    None if a weight overflows."""
+def reference_knn_weights(Y, k, factors):
+    """Dense k-NN rule: each row keeps its k smallest delta_t, clamped at 0 for
+    nonnegative factors, ties to the smaller index, weighs them exp(-delta_t),
+    then (M + M^T) / 2. None if a weight overflows."""
     d2 = sqdist_blocks(Y, factors)(slice(None))
-    if factors is None or np.all(factors >= 0.0):
+    if np.all(factors >= 0.0):
         d2 = np.maximum(d2, 0.0)
     with np.errstate(over="ignore", under="ignore"):
-        raw = np.exp(-d2 / (2.0 * sigma**2))
+        raw = np.exp(-d2)
     if not np.all(np.isfinite(raw)):
         return None
     n = Y.shape[0]
@@ -68,9 +72,8 @@ def direct_sqdist(Y, factors, rows=slice(None), cols=slice(None)):
     """delta_s summed term by term, sum_k s_k (y_ik - y_jk)^2, in extended
     precision: an oracle independent of the package's kernel."""
     Y = np.asarray(Y, dtype=np.longdouble)
-    s = np.ones(Y.shape[1]) if factors is None else factors
     d2 = np.zeros((Y[rows].shape[0], Y[cols].shape[0]), dtype=np.longdouble)
-    for column, weight in zip(Y.T, s.astype(np.longdouble)):
+    for column, weight in zip(Y.T, factors.astype(np.longdouble)):
         d2 += weight * np.square(np.subtract.outer(column[rows], column[cols]))
     return d2
 
@@ -78,8 +81,7 @@ def direct_sqdist(Y, factors, rows=slice(None), cols=slice(None)):
 def rounding_bound(Y, factors, rows=slice(None), cols=slice(None)):
     """c (m + 2) eps sum_k |s_k| (y_ik^2 + y_jk^2), with c = 4: what a sum of
     m + 2 lifted terms may lose to rounding. It scales with the data."""
-    s = np.ones(Y.shape[1]) if factors is None else np.abs(factors)
-    size = np.square(Y) @ s
+    size = np.square(Y) @ np.abs(factors)
     return 4 * (Y.shape[1] + 2) * np.finfo(float).eps * np.add.outer(size[rows], size[cols])
 
 
@@ -222,7 +224,7 @@ class TestPairwiseSqdiff:
 class TestBuildSimilarity:
     def test_three_point_knn_hand_values(self):
         Y = np.array([[0.0], [1.0], [10.0]])
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
+        g = build_similarity(Y, unscaled(1), 1)
         W = g.weights.toarray()
         assert W[0, 1] == np.exp(-0.5)  # kept by both rows, symmetric mean exact
         assert W[0, 2] == 0.0  # dropped by the k-NN rule
@@ -231,24 +233,21 @@ class TestBuildSimilarity:
 
     def test_identical_samples_weight_one(self):
         Y = np.array([[0.0], [0.0], [5.0]])
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
+        g = build_similarity(Y, unscaled(1), 1)
         assert g.weights.toarray()[0, 1] == 1.0
 
     def test_negative_factor_weight_above_one(self):
         Y = np.array([[0.0], [1.0]])
-        g = build_similarity(
-            Y, KernelParams(sigma=SIGMA_UNIT, k_neighbors=1, scaling=np.array([-1.0]))
-        )
-        # delta_s = -1 and 2 sigma^2 = 1, so w = exp(1); 2 sigma^2 carries one
-        # rounding error, hence a relative tolerance far below any kernel mistake
+        g = build_similarity(Y, np.array([-1.0]), 1)
+        # delta_t = -1 at unit width, so w = exp(1) exactly
         w = g.weights.toarray()[0, 1]
         assert w > 1.0
-        assert w == pytest.approx(np.exp(1.0), rel=1e-14)
+        assert w == np.exp(1.0)
 
     def test_unscaled_weights_in_unit_interval(self):
         rng = np.random.default_rng(3)
         Y = rng.normal(size=(20, 4))
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=5))
+        g = build_similarity(Y, unscaled(4), 5)
         W = g.weights.toarray()
         assert np.all(W >= 0.0) and np.all(W <= 1.0)
         assert np.all(np.diag(W) == 0.0)
@@ -256,7 +255,7 @@ class TestBuildSimilarity:
     def test_laplacian_psd_and_row_sums(self):
         rng = np.random.default_rng(4)
         Y = rng.normal(size=(15, 3))
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=4))
+        g = build_similarity(Y, unscaled(3), 4)
         L = g.laplacian.toarray()
         np.testing.assert_allclose(L.sum(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(g.degrees, g.weights.toarray().sum(axis=1))
@@ -268,8 +267,8 @@ class TestBuildSimilarity:
         rng = np.random.default_rng(5)
         Y = rng.normal(size=(12, 3))
         perm = rng.permutation(12)
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=4))
-        gp = build_similarity(Y[perm], KernelParams(sigma=1.0, k_neighbors=4))
+        g = build_similarity(Y, unscaled(3), 4)
+        gp = build_similarity(Y[perm], unscaled(3), 4)
         W = g.weights.toarray()
         np.testing.assert_allclose(gp.weights.toarray(), W[np.ix_(perm, perm)], atol=1e-14)
         np.testing.assert_allclose(gp.degrees, g.degrees[perm], atol=1e-14)
@@ -278,34 +277,32 @@ class TestBuildSimilarity:
         rng = np.random.default_rng(6)
         Y = rng.normal(size=(14, 5))
         s = rng.uniform(0.1, 2.0, 5)
-        g1 = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=4, scaling=s))
-        g2 = build_similarity(Y * np.sqrt(s), KernelParams(sigma=1.0, k_neighbors=4))
+        g1 = build_similarity(Y, s / 2.0, 4)
+        g2 = build_similarity(Y * np.sqrt(s), unscaled(5), 4)
         np.testing.assert_allclose(g1.weights.toarray(), g2.weights.toarray(), atol=1e-12)
 
     def test_isolated_vertex_error_names_sample(self):
         Y = np.array([[0.0], [1.0], [1e6]])
         with pytest.raises(IsolatedSampleError, match="sample 2") as info:
-            build_similarity(Y, KernelParams(sigma=0.01, k_neighbors=1))
+            build_similarity(Y, unscaled(1, sigma=0.01), 1)
         # every weight underflows; the outlier is most isolated, 0 and 1 tie
         np.testing.assert_array_equal(info.value.samples, [2, 0, 1])
 
     def test_isolated_outlier_only(self):
         Y = np.array([[0.0], [1.0], [1e6]])
         with pytest.raises(IsolatedSampleError, match="sample 2 has zero degree") as info:
-            build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
+            build_similarity(Y, unscaled(1), 1)
         np.testing.assert_array_equal(info.value.samples, [2])
 
     def test_overflowing_negative_metric_raises(self):
         Y = np.array([[0.0], [100.0]])
         with pytest.raises(NumericalOverflowError):
-            build_similarity(
-                Y, KernelParams(sigma=0.1, k_neighbors=1, scaling=np.array([-1.0]))
-            )
+            build_similarity(Y, np.array([-1.0]) / (2.0 * 0.1**2), 1)
 
     def test_knn_tie_goes_to_smaller_index(self):
         # points 1 and 2 are equidistant from point 0; k=1 must keep index 1
         Y = np.array([[0.0], [1.0], [-1.0]])
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=1))
+        g = build_similarity(Y, unscaled(1), 1)
         W = g.weights.toarray()
         assert W[0, 1] == np.exp(-0.5)  # kept by rows 0 and 1
         assert W[0, 2] == np.exp(-0.5) / 2.0  # kept by row 2 only
@@ -316,12 +313,12 @@ class TestBuildSimilarity:
     def test_knn_matches_dense_reference(self, problem, block_rows):
         # rows are evaluated in blocks of block_rows (one block when >= n), so
         # the result must not depend on where the block edges fall
-        Y, k, factors, sigma = problem
-        expected = reference_knn_weights(Y, k, factors, sigma)
+        Y, k, factors = problem
+        expected = reference_knn_weights(Y, k, factors)
         assume(expected is not None and np.all(expected.sum(axis=1) > 0.0))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", block_rows * Y.shape[0])
-            g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
+            g = build_similarity(Y, factors, k)
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
     @settings(max_examples=100)
@@ -338,9 +335,9 @@ class TestBuildSimilarity:
         rows = rng.normal(size=(distinct, m)) * 10.0 ** rng.integers(-2, 4)
         Y = rows[rng.permutation(np.repeat(np.arange(distinct), copies))]
         factors = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)
-        expected = reference_knn_weights(Y, k, factors, 1.0)
+        expected = reference_knn_weights(Y, k, factors / 2.0)
         assume(expected is not None)
-        g = build_similarity(Y, KernelParams(sigma=1.0, k_neighbors=k, scaling=factors))
+        g = build_similarity(Y, factors / 2.0, k)
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
     # no shrinking: a smaller seed is no simpler example, and each one builds an
@@ -361,10 +358,10 @@ class TestBuildSimilarity:
         n, sigma = 800, 3.0
         Y = rng.normal(size=(n, m))
         factors = {
-            "unscaled": None,
+            "unscaled": np.ones(m),
             "nonnegative": rng.uniform(0.0, 2.0, m),
             "signed": rng.normal(size=m),
-        }[kind]
+        }[kind] / (2.0 * sigma**2)
         d2 = direct_sqdist(Y, factors)
         np.fill_diagonal(d2, np.inf)
         nearest = np.argsort(d2, axis=1)[:, : k + 1]
@@ -373,9 +370,9 @@ class TestBuildSimilarity:
         assume(np.all(ranked[:, k] - ranked[:, k - 1] > 2 * slack))
         M = np.zeros((n, n))
         rows = np.arange(n)[:, None]
-        M[rows, nearest[:, :k]] = np.exp(-ranked[:, :k].astype(float) / (2.0 * sigma**2))
+        M[rows, nearest[:, :k]] = np.exp(-ranked[:, :k].astype(float))
         expected = (M + M.T) / 2.0
-        g = build_similarity(Y, KernelParams(sigma=sigma, k_neighbors=k, scaling=factors))
+        g = build_similarity(Y, factors, k)
         W = g.weights.toarray()
         np.testing.assert_array_equal(W != 0.0, expected != 0.0)
         np.testing.assert_allclose(W, expected, rtol=1e-9)
@@ -383,13 +380,36 @@ class TestBuildSimilarity:
     def test_k_too_large_rejected(self):
         # a typed error, so a pipeline run records it on the row instead of crashing
         with pytest.raises(InsufficientSamplesError, match="k_neighbors=3 needs more than 3"):
-            build_similarity(np.zeros((3, 1)), KernelParams(sigma=1.0, k_neighbors=3))
+            build_similarity(np.zeros((3, 1)), unscaled(1), 3)
+
+    def test_k_neighbors_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k_neighbors must be at least 1"):
+            build_similarity(np.zeros((3, 1)), unscaled(1), 0)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 4), st.integers(-4, 4),
+           st.booleans())
+    def test_graph_takes_no_width(self, seed, n, m, a, signed):
+        # the graph of lambda Y with factors t / lambda^2 is the graph of Y with
+        # t, bit for bit, for lambda = 2^a: scaling by a power of two is exact,
+        # so every delta_t is the same number. |y| stays below ~6 and t in
+        # [-0.5, 1], so no weight overflows and no nearest one underflows
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(n, m))
+        t = rng.uniform(-0.5 if signed else 0.0, 1.0, m)
+        k = int(rng.integers(1, n))
+        lam = 2.0**a
+        g = build_similarity(Y, t, k)
+        h = build_similarity(lam * Y, t / lam**2, k)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(h.weights, part), getattr(g.weights, part))
+        np.testing.assert_array_equal(h.degrees, g.degrees)
 
 
 class TestScaledSqdist:
     @given(knn_problems())
     def test_row_block_matches_full_matrix(self, problem):
-        Y, _, factors, _ = problem
+        Y, _, factors = problem
         n = Y.shape[0]
         sqdist = sqdist_blocks(Y, factors)
         full = sqdist(slice(None))
@@ -450,10 +470,3 @@ class TestScaledSqdist:
             block = sqdist_blocks(Y, factors)(rows, cols)
             error = np.abs(block - direct_sqdist(Y, factors, rows, cols))
             assert np.all(error <= rounding_bound(Y, factors, rows, cols))
-
-    def test_kernel_params_validation(self):
-        for sigma in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="sigma"):
-                KernelParams(sigma=sigma)
-        with pytest.raises(ValueError):
-            KernelParams(sigma=1.0, k_neighbors=0)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from specscale import (
-    KernelParams,
     SymmetricCSR,
     build_similarity,
     eigensolvers,
@@ -116,8 +115,8 @@ class TestLanczosOracle:
         # exceed 1 (up to e^2); each row keeps its most negative delta_s, so a
         # few samples become hubs
         values = standardize(generate_toy(440, seed=seed)).values
-        factors = np.full(values.shape[1], -2.0 / sqdist_blocks(values)(slice(None)).max())
-        graph = build_similarity(values, KernelParams(np.sqrt(0.5), scaling=factors))
+        delta = sqdist_blocks(values, np.ones(values.shape[1]))(slice(None))
+        graph = build_similarity(values, np.full(values.shape[1], -2.0 / delta.max()), 7)
         W = graph.weights.toarray()
         assert W.max() > 2.0
         assert np.max(np.count_nonzero(W, axis=1)) > 50  # a hub

@@ -1,16 +1,19 @@
-"""Compare the reports two source trees write for the benchmark workloads.
+"""Compare the reports two source trees write for the same CLI runs.
 
     python3 tools/report_drift.py BASE_TREE CHANGE_TREE [--size full|tiny]
-        [--seeds 0-4] [--workload NAME|all]
+        [--seeds 0-4] [--workload NAME|all|configs]
 
-Each input is written once, by BASE_TREE's ``benchmarks/workloads.py``, and
-both trees then run the workload's CLI argv on that same file, each in a fresh
-interpreter with BASE_TREE/src or CHANGE_TREE/src on the path and BLAS/OpenMP
-pinned to one thread. For every report.csv column the comparison prints
-"identical" or the largest absolute and relative difference, and it lists the
-keys whose values differ between the two manifest.json files. The exit code is
-1 when a CLI exit code differs between the trees or a run changed its input
-file, and 0 otherwise.
+``all`` runs the three benchmark workloads, or NAME one of them; each input is
+written by BASE_TREE's ``benchmarks/workloads.py``. ``configs`` runs the fixed
+CLI configurations of ``CONFIGS``, paths the benchmark does not take, each on
+the input that BASE_TREE's ``generate --samples N --seed SEED`` writes. Every
+input is written once per seed, and both trees then run the same argv on that
+same file, each in a fresh interpreter with BASE_TREE/src or CHANGE_TREE/src
+on the path and BLAS/OpenMP pinned to one thread. For every report.csv column
+the comparison prints "identical" or the largest absolute and relative
+difference, and it lists the keys whose values differ between the two
+manifest.json files. The exit code is 1 when a CLI exit code differs between
+the trees or a run changed its input file, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +52,29 @@ print(json.dumps(jobs))
 """
 _RUN_CLI = "import sys; from specscale.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# name -> (samples at size full and tiny, CLI argv without --data/--output-dir):
+# the unscaled kernels, the "auto" target, a sweep through the near-square 5%
+# pencil at three widths, and leave-one-out
+CONFIGS = {
+    "cluster-unscaled": ((800, 120), ["cluster", "--no-feature-scaling", "--repetitions", "4"]),
+    "classify-unscaled": (
+        (800, 120),
+        ["classify", "--no-feature-scaling", "--ell", "2", "--repetitions", "3"],
+    ),
+    "cluster-auto": ((800, 120), ["cluster", "--fiedler-negative", "auto", "--repetitions", "3"]),
+    "classify-auto": (
+        (800, 120),
+        ["classify", "--fiedler-negative", "auto", "--repetitions", "3"],
+    ),
+    "sweep": (
+        (200, 80),
+        ["sweep", "--task", "classify", "--fractions", "0.05,0.1,0.2", "--repetitions", "5",
+         "--sigma-grid", "0.1,1,10"],
+    ),
+    "loocv-grid": ((60, 24), ["loocv", "--sigma-grid", "0.1,1,100"]),
+    "loocv-auto": ((60, 24), ["loocv", "--fiedler-negative", "auto"]),
+}
+
 
 def _env(*paths):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths))
@@ -65,6 +91,24 @@ def write_inputs(base, names, seeds, size, work):
         capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def write_config_inputs(base, seeds, size, work):
+    """Write each configuration's inputs with BASE_TREE's ``generate``, once per
+    (samples, seed); returns the jobs to run."""
+    jobs = []
+    for name, (samples, argv) in CONFIGS.items():
+        n = samples[size == "tiny"]
+        for seed in seeds:
+            path = work / f"generate-{n}-seed{seed}.csv"
+            if not path.exists():
+                subprocess.run(
+                    [sys.executable, "-c", _RUN_CLI, "generate", "--samples", str(n),
+                     "--seed", str(seed), "--out", str(path)],
+                    env=_env(base / "src"), cwd=work, capture_output=True, check=True,
+                )
+            jobs.append([name, seed, str(path), [*argv, "--data", str(path), "--output-dir", OUT]])
+    return jobs
 
 
 def run_cli(tree, argv, out_dir):
@@ -165,14 +209,19 @@ def main(argv=None):
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-4"))
-    parser.add_argument("--workload", default="all", help="a workload name, or all")
+    parser.add_argument(
+        "--workload", default="all", help="a workload name, all (the three) or configs"
+    )
     args = parser.parse_args(argv)
     base, change = args.base.resolve(), args.change.resolve()
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="report-drift-") as tmp:
         work = Path(tmp)
-        jobs = write_inputs(base, [args.workload], args.seeds, args.size, work)
+        if args.workload == "configs":
+            jobs = write_config_inputs(base, args.seeds, args.size, work)
+        else:
+            jobs = write_inputs(base, [args.workload], args.seeds, args.size, work)
         for name, seed, data, cli_argv in jobs:
             digest = _digest(data)
             base_run = run_cli(base, cli_argv, work / f"{name}-{seed}-base")
