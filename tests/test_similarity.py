@@ -18,6 +18,7 @@ from specscale.errors import (
     NumericalOverflowError,
 )
 
+
 def unscaled(m, sigma=1.0):
     """The unit-width factors of the unscaled kernel at width sigma."""
     return np.full(m, 0.5 / sigma**2)
