@@ -10,9 +10,8 @@ classification.
 
 __version__ = "0.1.0"
 
-# numpy loads these on first use (np.unique reads np.ma); load them with the
-# package, so that their cost is part of start-up, not of the first call
-import numpy.ma as _ma  # noqa: F401
+# numpy loads numpy.random on first use, and ``split`` always uses it; load it
+# with the package, so that its cost is part of start-up, not of the first call
 import numpy.random as _random  # noqa: F401
 
 from . import errors

@@ -69,7 +69,8 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     On large-classify (n_train = 1600, ell = 2, seeds 0 and 1) 85-87% of the
     rows stop within 48 rows. If most rows tie in that coordinate (at worst,
     all points are equal), every row scans all n_train, up to twice over.
-    Rounds work on blocks of test rows, about 1 MB per array, so no
+    Rounds work on blocks of test rows, ``row_blocks`` of the 2 ``width``
+    candidates per row: about 1 MB per array, and at least 40 rows, so no
     n_test x n_train array is held.
 
     Raises ValueError for a non-finite embedding, which the sweep cannot order.
@@ -83,7 +84,7 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     if train_labels.shape[0] != train_indices.shape[0]:
         raise ValueError("train_labels must align with train_indices")
     combined = np.sort(np.concatenate([train_indices, test_indices]))
-    if np.any(combined[1:] == combined[:-1]):  # not np.unique: 20x a sort at n = 3200
+    if np.any(combined[1:] == combined[:-1]):  # one sort; numpy's unique takes 20x that
         raise ValueError("train and test indices overlap")
     if not np.array_equal(combined, np.arange(points.shape[0])):
         raise ValueError("train and test indices must partition the embedding rows")
@@ -108,7 +109,7 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     near = np.full(live.size, rank.size)
     width = _FIRST_WIDTH
     while live.size:
-        for part in row_blocks(live.size, 8 * width):
+        for part in row_blocks(live.size, 2 * width):
             _scan_round(block[part], coords, rank, axis, width, lo[part], hi[part],
                         left[part], right[part], best[part], near[part])
         still = left | right

@@ -143,7 +143,9 @@ def _components(L: SymmetricCSR):
     """(count, label) of the connected components of the graph of L's nonzero
     off-diagonal entries. Every vertex takes the smallest label in its closed
     neighborhood, then that label's label (pointer jumping), until nothing
-    changes; each component then carries its smallest vertex."""
+    changes; each component then carries its smallest vertex, its root, the
+    one vertex that labels itself. Components are numbered in the increasing
+    order of their roots."""
     keep = L.data != 0.0
     keep[L.indptr[:-1]] = True  # the diagonal keeps every row nonempty
     cols, starts = L.indices[keep], np.cumsum(keep)[L.indptr[:-1]] - 1
@@ -152,8 +154,8 @@ def _components(L: SymmetricCSR):
         hooked = np.minimum.reduceat(label[cols], starts)
         hooked = hooked[hooked]
         if np.array_equal(hooked, label):
-            roots, component = np.unique(label, return_inverse=True)
-            return roots.size, component
+            roots = np.flatnonzero(label == np.arange(label.size))
+            return roots.size, np.searchsorted(roots, label)
         label = hooked
 
 

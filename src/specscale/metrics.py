@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from .data import sorted_classes
 from .errors import DegenerateEntropyWarning
 
 
@@ -19,7 +20,7 @@ def _encode_binary(labels, name):
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError(f"{name} is empty")
-    classes = np.unique(labels)
+    classes = sorted_classes(labels)
     if classes.size > 2:
         raise ValueError(f"{name} has {classes.size} distinct values; need binary labels")
     return np.searchsorted(classes, labels), classes

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import sorted_classes
 from .eigensolvers import pencil_residual, rect_pencil_eig
 from .errors import (
     DegenerateSupervisionError,
@@ -69,7 +70,7 @@ def estimate_fiedler(labels, negative_value=-0.2, degrees=None) -> np.ndarray:
     smaller label value.
     """
     labels = np.asarray(labels)
-    classes = np.unique(labels)
+    classes = sorted_classes(labels)
     if classes.size != 2:
         raise DegenerateSupervisionError(
             f"need exactly two classes in the training labels, got {classes.size}"

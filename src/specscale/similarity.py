@@ -4,7 +4,8 @@ Weights follow w_ij = exp(-delta_t(i, j)), where delta_t is the squared
 Euclidean distance weighted per feature by the unit-width factors t; the
 kernel of factors s at width sigma is that of t = s / (2 sigma^2), so the
 graph takes no width. Negative factors make delta_t indefinite (weights can
-then exceed 1). It is made in row blocks, one GEMM of lifted rows each, whose
+then exceed 1). It is made in row blocks of about 1 MB, at least 40 rows
+(``row_blocks``), one GEMM of lifted rows each, whose
 entry for a row's own sample is rounding noise that each caller drops; it is
 not clamped at 0. Each row keeps its k nearest other samples: only the groups
 of columns whose minimum is at or below the row's k-th smallest group minimum
@@ -55,12 +56,15 @@ def pairwise_sqdiff(X) -> PairwiseDifferences:
     return PairwiseDifferences(centered, sqdiff)
 
 
-# float64 entries (4 MB) per row block of an n x n pairwise array, so that no
-# layer holds O(n^2) memory. Unscaled toy graphs, one BLAS thread, three runs:
-# no size of 1 to 16 MB was fastest at every n. At n = 800 all are within 10%;
-# at 3200, 1 to 8 MB are within 11% (38 to 45 ms) and 16 MB is slowest; at
-# 12.8k, 4 and 8 MB are fastest (0.57 to 0.64 s) and 1 MB takes 0.70 to 0.80 s.
-_BLOCK_ENTRIES = 1 << 19
+# float64 entries (1 MB) per row block of an n x n pairwise array, so that no
+# layer holds O(n^2) memory and a block stays in the 2 MB per-core L2: 163 rows
+# at n = 800, 40 at 3200. With 4 MB blocks (655 rows at n = 800) the toy
+# graph raised the peak RSS of a toy-cluster run by 4.3 MB; with 1 MB, 0.75.
+_BLOCK_ENTRIES = 1 << 17
+# Rows per block at least, as a block's cost is mostly per numpy call: 1 MB
+# blocks of 10 rows took the n = 12.8k ladder rung 0.58-0.78 s, against
+# 0.53-0.58 s with this floor's 40 (three runs each). 51.2k gets 40 rows too.
+_BLOCK_MIN_ROWS = 40
 # Columns per group of the bound in ``_nearest``: 16 was within 3% of the
 # fastest of 8, 16 and 32 at n = 800, 3200 and 12.8k in two runs (same graphs).
 _GROUP_SIZE = 16
@@ -68,8 +72,9 @@ _GROUP_SIZE = 16
 
 def row_blocks(n_rows, n_cols):
     """Consecutive slices covering range(n_rows), each a row block of an
-    (n_rows, n_cols) array with about 4 MB of float64 entries (at least one row)."""
-    step = max(1, _BLOCK_ENTRIES // n_cols)
+    (n_rows, n_cols) array with about 1 MB of float64 entries, or 40 rows
+    where such a block would have fewer."""
+    step = max(_BLOCK_MIN_ROWS, _BLOCK_ENTRIES // n_cols)
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 
@@ -172,7 +177,7 @@ def build_similarity(Y, factors, k_neighbors) -> SimilarityGraph:
 
     Each row keeps its ``k_neighbors`` nearest other samples in delta_t (ties
     go to the smaller sample index), selected below a bound (``_nearest``), not
-    by sort, in row blocks of about 4 MB, one alive at a time: memory stays
+    by sort, in row blocks of about 1 MB, one alive at a time: memory stays
     O(n (k + m)) plus one block. For nonnegative factors, delta_t is clamped at
     0 (rounding can take it below), as the selection's floor. The weights
     exp(-delta_t) are evaluated on the n*k kept pairs only, and the kept matrix

@@ -194,7 +194,8 @@ class TestNN1Classify:
             # sweep rounds of 1, 2, 4, ... training rows per side; the first runs
             # on blocks of n_rows test rows and each wider one on fewer
             patch.setattr(clustering, "_FIRST_WIDTH", 1)
-            patch.setattr(similarity, "_BLOCK_ENTRIES", 8 * n_rows)
+            patch.setattr(similarity, "_BLOCK_ENTRIES", 2 * n_rows)
+            patch.setattr(similarity, "_BLOCK_MIN_ROWS", 1)
             np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
 
     @settings(max_examples=300)
@@ -211,7 +212,8 @@ class TestNN1Classify:
         expected = labels[order][d2.argmin(axis=1)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(clustering, "_FIRST_WIDTH", first_width)
-            patch.setattr(similarity, "_BLOCK_ENTRIES", 8 * first_width * block_rows)
+            patch.setattr(similarity, "_BLOCK_ENTRIES", 2 * first_width * block_rows)
+            patch.setattr(similarity, "_BLOCK_MIN_ROWS", 1)
             np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

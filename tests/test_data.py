@@ -14,6 +14,7 @@ from specscale import (
     split,
     standardize,
 )
+from specscale.data import sorted_classes
 from specscale.errors import MatrixParseError, ZeroVarianceError
 
 
@@ -146,6 +147,23 @@ class TestStandardize:
         )
 
 
+class TestSortedClasses:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(-3, 3), max_size=40),
+        st.sampled_from([np.int8, np.int64, np.uint16, np.float64]),
+        st.sampled_from([(-1,), (2, -1)]),
+    )
+    def test_is_numpys_unique(self, values, dtype, shape):
+        # labels of any integer or float dtype, empty too, and 2-D arrays,
+        # which both flatten
+        labels = np.array(values[: len(values) // 2 * 2]).astype(dtype).reshape(shape)
+        expected = np.unique(labels)
+        got = sorted_classes(labels)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestLoadSave:
     def test_csv_with_header(self, tmp_path):
         path = tmp_path / "small.csv"
@@ -154,6 +172,25 @@ class TestLoadSave:
         assert dm.feature_names == ["a", "b"]
         np.testing.assert_array_equal(dm.labels, [1, 2, 1])
         np.testing.assert_array_equal(dm.values[0], [1.5, 2.5])
+
+    def test_byte_order_mark_before_the_label_header(self, tmp_path):
+        # the mark is not part of the first name, so 'label' is the label column
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufefflabel,a,b\n1,1.5,2.5\n2,3.5,4.5\n1,0.5,0.25\n", encoding="utf-8")
+        dm = load_matrix(path)
+        assert dm.feature_names == ["a", "b"]
+        np.testing.assert_array_equal(dm.labels, [1, 2, 1])
+        np.testing.assert_array_equal(dm.values[1], [3.5, 4.5])
+
+    def test_byte_order_mark_before_headerless_numbers(self, tmp_path):
+        # the first cell still reads as a number: every row is data
+        values = np.random.default_rng(0).uniform(size=(60, 3))
+        path = tmp_path / "bom.csv"
+        rows = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in values)
+        path.write_text("\ufeff" + rows, encoding="utf-8")
+        dm = load_matrix(path)
+        assert dm.feature_names == ["f001", "f002", "f003"]
+        np.testing.assert_array_equal(dm.values, values)
 
     def test_headerless_numeric(self, tmp_path):
         path = tmp_path / "plain.csv"

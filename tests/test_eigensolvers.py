@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -168,6 +170,30 @@ def knn_blocks(c):
     d = np.concatenate([g.degrees for g in graphs])
     vals, vecs = whitened_spectrum(L, d)
     return SymmetricCSR.from_dense(L), d, vals, vecs
+
+
+class TestComponents:
+    @settings(max_examples=200)
+    @given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
+                                       max_size=40))
+    def test_numbered_as_numpys_unique_of_the_smallest_vertices(self, n, edges):
+        # random graphs, isolated vertices too; csgraph is the oracle of which
+        # vertices share a component, and np.unique numbers each component's
+        # smallest vertex
+        A = np.zeros((n, n))
+        for i, j in edges:
+            if i < n and j < n and i != j:
+                A[i, j] = A[j, i] = -1.0
+        L = A - np.diag(A.sum(axis=1))
+        _, oracle = scipy.sparse.csgraph.connected_components(
+            scipy.sparse.csr_matrix(A), directed=False
+        )
+        smallest = np.array([np.flatnonzero(oracle == c)[0] for c in oracle])
+        roots, inverse = np.unique(smallest, return_inverse=True)
+        count, component = eigensolvers._components(SymmetricCSR.from_dense(L))
+        assert count == roots.size
+        assert component.dtype == inverse.dtype
+        np.testing.assert_array_equal(component, inverse)
 
 
 class TestLanczosPath:

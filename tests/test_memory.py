@@ -1,19 +1,23 @@
 """Peak memory of the pairwise layers: none may hold an n x n array.
 
 The k-NN graph and the linearization share touch all n^2 pairs but keep only
-O(n k) results, so they work in row blocks of 2^19 float64 entries (4 MB),
-freeing each block before the next one is made. Their traced peak must stay
-below 1.5 blocks plus 2 n (k + m) floats. Measured at n = 3000 (k = 7,
-m = 10): 1.28 blocks for the graph and 1.32 for the share, against 2.15 and
-2.14 while a block was still alive when the next one was made.
+O(n k) results, so they work in row blocks of 2^17 float64 entries (1 MB),
+freeing each block before the next one is made. The share's traced peak must
+stay below 1.5 blocks plus 2 n (k + m) floats. The graph then symmetrizes its
+n k kept pairs, so its limit takes the larger of 1.5 blocks and 24 floats per
+kept pair, plus the same 2 n (k + m) floats. Measured at n = 3000 (k = 7,
+m = 10): the share peaked at 1.53 MB. The graph peaked at 1.76 MB while it
+made blocks and at 3.26 MB overall, the symmetrization's 19.8 floats per kept
+pair. With 4 MB blocks both took 1.28 and 1.32 blocks (5.1 and 5.3 MB), and
+2.15 and 2.14 while a block was still alive when the next one was made.
 
 The 1-NN sweep scans, per test row, a window of training rows that starts at
 16 (8 per side) and doubles while a nearer row can remain. Its peak must stay
 below 8 n floats per row of that first window on a random ell = 2 embedding,
-where few rows widen much, and below 1.5 blocks plus 16 n floats when every
-point is equal and each row scans all n_train. Measured at n = 3000: 1.9 MB
-(80 floats per sample) and 5.6 MB; the dense blocks of 2 n_train columns
-before the sweep took 8.4 MB on both.
+where few rows widen much, and below 1.5 times 4 MB plus 16 n floats when
+every point is equal and each row scans all n_train. Measured at n = 3000:
+1.8 MB (80 floats per sample) and 5.3 MB; the dense blocks of 2 n_train
+columns before the sweep took 8.4 MB on both.
 
 Pencil assembly sums over all n_train^2 training pairs in closed form, from
 per-sample moments, so its peak must stay below 32 float64 arrays of the
@@ -53,7 +57,8 @@ from specscale import (
 )
 
 N = 3000
-BLOCK_BYTES = 2**19 * 8
+BLOCK_BYTES = 2**17 * 8  # a row block of the graph and the share
+NN1_BYTES = 2**19 * 8  # the base of the 1-NN sweep's limit
 K, M = 7, 10  # neighbors, features of the toy
 FIRST_WINDOW = 16  # training rows in the first round of the 1-NN sweep
 
@@ -77,7 +82,7 @@ def traced_peak(func, *args):
 def test_graph_holds_no_dense_distance_matrix(toy):
     data, factors = toy
     peak = traced_peak(build_similarity, data.values, factors, K)
-    assert peak < 1.5 * BLOCK_BYTES + 2 * N * (K + M) * 8
+    assert peak < max(1.5 * BLOCK_BYTES, 24 * N * K * 8) + 2 * N * (K + M) * 8
 
 
 def test_linearization_share_holds_no_dense_distance_matrix(toy):
@@ -98,7 +103,7 @@ def test_nn1_scanning_everything_stays_in_blocks(toy):
     data, _ = toy
     train, test = np.arange(0, N, 2), np.arange(1, N, 2)
     peak = traced_peak(nn1_classify, np.zeros((N, 2)), train, data.labels[train], test)
-    assert peak < 1.5 * BLOCK_BYTES + 16 * N * 8
+    assert peak < 1.5 * NN1_BYTES + 16 * N * 8
 
 
 def test_pencil_assembly_holds_no_pair_tensor(toy):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specscale import nmi, rand_index
 from specscale.errors import DegenerateEntropyWarning
-from specscale.metrics import _contingency
+from specscale.metrics import _contingency, _encode_binary
 
 
 def nmi_oracle(truth, predicted):
@@ -50,6 +52,16 @@ def ri_oracle(truth, predicted, align):
                 hits += 1
         best = max(best, hits / len(truth))
     return best
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-2, 5), min_size=1, max_size=40).filter(lambda v: len(set(v)) <= 2))
+def test_encoding_is_numpys_unique_with_inverse(values):
+    labels = np.array(values)
+    codes, classes = _encode_binary(labels, "labels")
+    expected, inverse = np.unique(labels, return_inverse=True)
+    np.testing.assert_array_equal(classes, expected)
+    np.testing.assert_array_equal(codes, inverse)
 
 
 class TestRandIndex:

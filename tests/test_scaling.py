@@ -426,6 +426,7 @@ class TestDiagnostics:
         expected = float(np.mean((delta <= 0.0) | (delta >= 1.0)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", n_rows * n)
+            patch.setattr(similarity, "_BLOCK_MIN_ROWS", 1)
             assert linearization_violation_fraction(X, t) == expected
 
     def test_scaling_table_format(self):

@@ -319,6 +319,7 @@ class TestBuildSimilarity:
         assume(expected is not None and np.all(expected.sum(axis=1) > 0.0))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", block_rows * Y.shape[0])
+            patch.setattr(similarity, "_BLOCK_MIN_ROWS", 1)
             g = build_similarity(Y, factors, k)
         np.testing.assert_array_equal(g.weights.toarray(), expected)
 
@@ -429,10 +430,14 @@ class TestScaledSqdist:
     def test_blocks_cover_rows_in_order(self):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(similarity, "_BLOCK_ENTRIES", 20)
+            patch.setattr(similarity, "_BLOCK_MIN_ROWS", 1)
             blocks = list(similarity.row_blocks(7, 10))
             assert blocks == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
             # a row wider than a block still makes a block of one row
             assert list(similarity.row_blocks(2, 50)) == [slice(0, 1), slice(1, 2)]
+        # rows wider than 1/40 of a block make blocks of 40 rows
+        blocks = list(similarity.row_blocks(100, 10**6))
+        assert blocks == [slice(0, 40), slice(40, 80), slice(80, 100)]
 
     def test_matches_pair_tensor(self, pair_tensor):
         rng = np.random.default_rng(7)

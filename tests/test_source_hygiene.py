@@ -1,9 +1,11 @@
 """Static checks of the package source: no unused imports, no unused private
 names, no public function that no other module reads, no unread config
-fields, a consistent public surface, and no scipy on the import path."""
+fields, a consistent public surface, and neither scipy nor numpy.ma loaded by
+a run."""
 
 import ast
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -162,25 +164,44 @@ def test_no_module_imports_scipy():
     assert offenders == []
 
 
-def test_a_run_loads_no_scipy(tmp_path):
-    # 420 samples is above the dense limit, so the embedding takes Lanczos
+@pytest.fixture(scope="module")
+def loaded_after_runs(tmp_path_factory):
+    """The scipy and numpy.ma modules loaded after ``cluster`` and after
+    ``classify``, run in turn in one fresh interpreter on a ``generate`` toy.
+    420 samples is above the dense limit, so the embedding takes Lanczos."""
     script = textwrap.dedent(
         """
-        import sys
+        import json, sys
         from specscale.cli import main
         data, out = sys.argv[1], sys.argv[2]
+        loaded = {}
+        def watched():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                          or m == "numpy.ma" or m.startswith("numpy.ma."))
         assert main(["generate", "--samples", "420", "--seed", "0", "--out", data]) == 0
         for task in ("cluster", "classify"):
             argv = [task, "--data", data, "--output-dir", out, "--sigma-grid", "1",
                     "--repetitions", "1"]
             assert main(argv) == 0
-        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            loaded[task] = watched()
+        print(json.dumps(loaded))
         """
     )
+    tmp_path = tmp_path_factory.mktemp("run")
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "toy.csv"), str(tmp_path / "run")],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_a_run_loads_no_scipy(loaded_after_runs):
+    assert [m for m in loaded_after_runs["classify"] if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("task", ["cluster", "classify"])
+def test_a_run_loads_no_numpy_ma(loaded_after_runs, task):
+    # numpy's unique imports numpy.ma; the package takes classes from a sort
+    assert [m for m in loaded_after_runs[task] if m.startswith("numpy.ma")] == []
