@@ -183,13 +183,14 @@ def _is_float(cell):
 def load_matrix(path) -> DataMatrix:
     """Read a delimited text table as a DataMatrix.
 
-    Blank lines are skipped. The first other line sets the delimiter (a tab
-    if it holds one, else a comma) and may be a header of feature names; a
-    column named 'label' holds integer class labels. Every data row is parsed
-    by one ``np.loadtxt`` call, so no cell becomes a Python string. When that
-    parse fails, or the table is ragged against the header or holds a
-    non-finite value, a second pass reads the file again row by row only to
-    name the 1-based line and the column of the first problem.
+    A UTF-8 byte-order mark is skipped, and so are blank lines. The first
+    other line sets the delimiter (a tab if it holds one, else a comma) and
+    may be a header of feature names; a column named 'label' holds integer
+    class labels. Every data row is parsed by one ``np.loadtxt`` call, so no
+    cell becomes a Python string. When that parse fails, or the table is
+    ragged against the header or holds a non-finite value, a second pass
+    reads the file again row by row only to name the 1-based line and the
+    column of the first problem.
 
     Cells that Python's ``float`` takes but numpy's parser does not, such as
     digit-group underscores ('1_0') or non-ASCII digits, are rejected.

@@ -4,13 +4,13 @@ Weights follow w_ij = exp(-delta_t(i, j)), where delta_t is the squared
 Euclidean distance weighted per feature by the unit-width factors t; the
 kernel of factors s at width sigma is that of t = s / (2 sigma^2), so the
 graph takes no width. Negative factors make delta_t indefinite (weights can
-then exceed 1). It is made in row blocks of about 1 MB, at least 40 rows
-(``row_blocks``), one GEMM of lifted rows each, whose
-entry for a row's own sample is rounding noise that each caller drops; it is
-not clamped at 0. Each row keeps its k nearest other samples: only the groups
-of columns whose minimum is at or below the row's k-th smallest group minimum
-are compared, and only their entries up to it are sorted. The result is
-symmetrized as (W + W^T) / 2 in a ``SymmetricCSR``.
+then exceed 1). It is made in row blocks of about 1 MB and at least 40 rows
+(``row_blocks``), one GEMM of lifted rows each, whose entry for a row's own
+sample is rounding noise that each caller drops; it is not clamped at 0.
+Each row keeps its k nearest other samples: only the groups of columns whose
+minimum is at or below the row's k-th smallest group minimum are compared,
+and only their entries up to it are sorted. The result is symmetrized as
+(W + W^T) / 2 in a ``SymmetricCSR``.
 """
 
 from __future__ import annotations

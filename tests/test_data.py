@@ -155,8 +155,8 @@ class TestSortedClasses:
         st.sampled_from([(-1,), (2, -1)]),
     )
     def test_is_numpys_unique(self, values, dtype, shape):
-        # labels of any integer or float dtype, empty too, and 2-D arrays,
-        # which both flatten
+        # labels of integer and float dtypes, empty arrays too; both flatten a
+        # 2-D array
         labels = np.array(values[: len(values) // 2 * 2]).astype(dtype).reshape(shape)
         expected = np.unique(labels)
         got = sorted_classes(labels)
