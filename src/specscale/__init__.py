@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 import numpy.random as _random  # noqa: F401
 
 from . import errors
-from .clustering import ClusterAssignment, kmeans, nn1_classify
+from .clustering import kmeans, nn1_classify
 from .data import (
     DataMatrix,
     SplitSpec,
@@ -56,7 +56,6 @@ from .similarity import (
 )
 
 __all__ = [
-    "ClusterAssignment",
     "DataMatrix",
     "DEFAULT_SIGMA_GRID",
     "EigenPair",

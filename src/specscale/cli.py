@@ -7,9 +7,10 @@ its entries override command-line flags. A key is one of the subcommand's own
 long option names, with '-' or '_' (``k-neighbors=3``, ``no_standardize=yes``).
 A value parses as the flag's would and is checked against the flag's choices;
 a flag that takes no value takes true/false/1/0/yes/no. A key the subcommand
-does not declare is an error. Outputs are a human-readable table on stdout
-plus report.csv and manifest.json in the output directory. Exit code 0 on
-success, 1 on a toolkit error, 2 on usage errors.
+does not declare is an error. A required option (--data, or generate's --out)
+may be given either way. Outputs are a human-readable table on stdout plus
+report.csv and manifest.json in the output directory. Exit code 0 on success,
+1 on a toolkit error, 2 on usage errors, a missing required option among them.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _parse_bool(text):
 
 # every option that more than one subcommand reads, declared once
 _SHARED = {
-    "--data": {"required": True, "help": "delimited text file with a 'label' column"},
+    "--data": {"help": "delimited text file with a 'label' column (required)"},
     "--output-dir": {"default": ".", "help": "where report.csv and manifest.json go"},
     "--sigma-grid": {"type": _parse_float_list, "default": DEFAULT_SIGMA_GRID,
                      "help": "comma-separated kernel widths (default 0.01,0.1,1,10,100)"},
@@ -102,15 +103,18 @@ _PIPELINE = ("--data", "--output-dir", "--sigma-grid", "--k-neighbors", "--fiedl
              "--no-standardize", "--no-feature-scaling", "--config")
 
 
-def _add_command(sub, name, summary, func, shared, own=None):
+def _add_command(sub, name, summary, func, shared, own=None, required=("data",)):
     """Add subcommand ``name`` taking the ``shared`` options named and its
     ``own`` ones (flag -> add_argument keywords). Its options go into the
     namespace as ``options``, by config key, for _apply_config_file. A flag
-    is taken only in full, as a key is: sweep's --fractions is not --fraction."""
+    is taken only in full, as a key is: sweep's --fractions is not --fraction.
+    The options keyed ``required`` may be given by flag or by config file, so
+    _check_required, not argparse, asks for them once the file is applied."""
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     actions = [p.add_argument(flag, **_SHARED[flag]) for flag in shared]
     actions += [p.add_argument(flag, **kwargs) for flag, kwargs in (own or {}).items()]
-    p.set_defaults(func=func, options={a.dest: a for a in actions if a.dest != "config"})
+    p.set_defaults(func=func, options={a.dest: a for a in actions if a.dest != "config"},
+                   required=required)
 
 
 def _parse_entry(action, text):
@@ -144,6 +148,15 @@ def _apply_config_file(args):
                 setattr(args, key, _parse_entry(args.options[key], value.strip(" ")))
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise argparse.ArgumentTypeError(f"{where}: {key}: {exc}") from exc
+
+
+def _check_required(args):
+    for key in args.required:
+        if getattr(args, key) is None:
+            raise argparse.ArgumentTypeError(
+                f"{args.options[key].option_strings[0]} is required, as a flag or as "
+                f"'{key}=' in the --config file"
+            )
 
 
 def _load_data(args):
@@ -253,9 +266,10 @@ def _build_parser():
     _add_command(sub, "generate", "write a synthetic benchmark dataset", _cmd_generate,
                  ("--seed", "--config"),
                  {"--samples": {"type": int, "default": 800},
-                  "--out": {"required": True},
+                  "--out": {"help": "file to write (required)"},
                   "--delimiter": {"type": _parse_delimiter, "default": ",",
-                                  "help": "',' (default) or a tab"}})
+                                  "help": "',' (default) or a tab"}},
+                 required=("out",))
     _add_command(sub, "cluster", "spectral clustering with learned scaling", _cmd_pipeline,
                  _PIPELINE + ("--fraction", "--repetitions", "--seed"))
     _add_command(sub, "classify", "transductive 1-NN classification", _cmd_pipeline,
@@ -282,8 +296,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
+        _check_required(args)
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:  # a bad option value: exit code 2
+    except argparse.ArgumentTypeError as exc:  # a bad or missing option: exit code 2
         parser.error(str(exc))
     except (SpecScaleError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

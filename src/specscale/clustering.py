@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .similarity import row_blocks
@@ -14,14 +12,9 @@ from .similarity import row_blocks
 _FIRST_WIDTH = 8
 
 
-@dataclass
-class ClusterAssignment:
-    labels: np.ndarray
-    inertia: float
-
-
-def kmeans(values) -> ClusterAssignment:
-    """Exact two-means of the 1-D array ``values``.
+def kmeans(values) -> np.ndarray:
+    """Exact two-means of the 1-D array ``values``: the cluster label, 0 or 1,
+    of each value.
 
     The optimal two clusters of points on a line are split by one cut of the
     sorted values (Gronlund et al., "Fast exact k-means, k-medians and Bregman
@@ -29,16 +22,16 @@ def kmeans(values) -> ClusterAssignment:
     it. The cut taken has the least within-cluster sum of squares, that is the
     largest n_L n_R (mean_L - mean_R)^2, among the cuts between distinct
     values; a tie goes to the lower cut. The cluster holding the smallest value
-    is labelled 0. Values that are all equal admit no cut: every label is 0 and
-    the inertia is 0. Everything is computed from the sorted, centered values,
-    so the result does not depend on the order of the input.
+    is labelled 0. Values that are all equal admit no cut: every label is 0.
+    Everything is computed from the sorted, centered values, so the result
+    does not depend on the order of the input.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("two-means needs a 1-D array of at least two values")
     xs = np.sort(x)
     if xs[0] == xs[-1]:
-        return ClusterAssignment(labels=np.zeros(x.size, dtype=np.intp), inertia=0.0)
+        return np.zeros(x.size, dtype=np.intp)
     c = xs - xs.mean()
     n = c.size
     left = np.arange(1, n)
@@ -46,8 +39,7 @@ def kmeans(values) -> ClusterAssignment:
     between = left * (n - left) * (sums / left - (c.sum() - sums) / (n - left)) ** 2
     between[xs[1:] == xs[:-1]] = -np.inf
     cut = int(np.argmax(between)) + 1
-    inertia = sum(float(np.square(part - part.mean()).sum()) for part in (c[:cut], c[cut:]))
-    return ClusterAssignment(labels=(x > xs[cut - 1]).astype(np.intp), inertia=inertia)
+    return (x > xs[cut - 1]).astype(np.intp)
 
 
 def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndarray:

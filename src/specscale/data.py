@@ -41,8 +41,8 @@ class DataMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("values must be 2-D")
+        if self.values.ndim != 2 or self.values.shape[1] == 0:
+            raise ValueError("values must be 2-D, with at least one feature column")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain non-finite entries")
         if len(self.feature_names) != self.values.shape[1]:
@@ -186,11 +186,11 @@ def load_matrix(path) -> DataMatrix:
     A UTF-8 byte-order mark is skipped, and so are blank lines. The first
     other line sets the delimiter (a tab if it holds one, else a comma) and
     may be a header of feature names; a column named 'label' holds integer
-    class labels. Every data row is parsed by one ``np.loadtxt`` call, so no
-    cell becomes a Python string. When that parse fails, or the table is
-    ragged against the header or holds a non-finite value, a second pass
-    reads the file again row by row only to name the 1-based line and the
-    column of the first problem.
+    class labels, and a table with no other column is rejected. Every data
+    row is parsed by one ``np.loadtxt`` call, so no cell becomes a Python
+    string. When that parse fails, or the table is ragged against the header
+    or holds a non-finite value, a second pass reads the file again row by
+    row only to name the 1-based line and the column of the first problem.
 
     Cells that Python's ``float`` takes but numpy's parser does not, such as
     digit-group underscores ('1_0') or non-ASCII digits, are rejected.
@@ -224,6 +224,8 @@ def load_matrix(path) -> DataMatrix:
     if not np.all(np.isfinite(table)):
         raise _first_problem(path, "non-finite value")
     if header is not None and LABEL_COLUMN in header:
+        if len(header) == 1:
+            raise MatrixParseError(f"{path}: no feature columns")
         label_idx = header.index(LABEL_COLUMN)
         labels = table[:, label_idx].astype(int)
         if np.any(table[:, label_idx] != labels):

@@ -1,11 +1,12 @@
 """Eigensolvers: graph Laplacian pairs and rectangular pencils, in numpy.
 
-Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a
-symmetric L, dense or ``SymmetricCSR``, and positive diagonal D, deflating
-exactly one trivial eigenvalue per connected component of the graph of L's
-off-diagonal entries. Graphs of at most ``_DENSE_MAX_N`` vertices take a dense
-``eigh``; larger ones take Lanczos with full reorthogonalization on the sparse
-normalized adjacency, with the trivial eigenvectors shifted out of the way.
+Two problems are covered. ``sym_gen_eig`` solves L x = lambda D x for a graph
+Laplacian L in ``SymmetricCSR`` form, whose diagonal is the degree matrix D,
+deflating exactly one trivial eigenvalue per connected component of the graph
+of L's off-diagonal entries. Graphs of at most ``_DENSE_MAX_N`` vertices take a
+dense ``eigh``; larger ones take Lanczos with full reorthogonalization on the
+sparse normalized adjacency, with the trivial eigenvectors shifted out of the
+way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
 pencil F - mu G determines, nearest a target eigenvalue first. A wide pencil
 (fewer rows than columns) has an exact pair at every mu; it yields one pair in
@@ -44,26 +45,15 @@ _LANCZOS_MAX_STEPS = 500  # the benchmark's graphs converge in 30 to 45 steps
 
 @dataclass(frozen=True)
 class SymmetricCSR:
-    """A symmetric n x n matrix in compressed sparse rows (symmetry is not
-    checked). Row i holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    """A symmetric n x n matrix in compressed sparse rows, such as a graph's
+    weights W or its Laplacian D - W (symmetry is not checked). Row i holds
+    ``data[indptr[i]:indptr[i + 1]]`` at the columns
     ``indices[indptr[i]:indptr[i + 1]]``: its diagonal entry first, stored even
     when zero, so that no row is empty, then its nonzero off-diagonal entries."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-
-    @classmethod
-    def from_dense(cls, A):
-        """The nonzero entries, and the whole diagonal, of a dense symmetric array."""
-        A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        if A.shape != (n, n) or np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
-            raise ValueError("the matrix is not square, or not symmetric to 1e-12 relative")
-        order = np.argsort(~np.eye(n, dtype=bool), axis=1, kind="stable")  # diagonal first
-        rows, slots = np.nonzero(np.take_along_axis((A != 0.0) | np.eye(n, dtype=bool), order, 1))
-        cols = order[rows, slots]
-        return cls(np.searchsorted(rows, np.arange(n + 1)), cols, A[rows, cols])
 
     @property
     def shape(self):
@@ -91,10 +81,11 @@ class SymmetricCSR:
 class EigenPair:
     """One eigenpair, with the relative residual certificate of ``sym_gen_eig``.
 
-    ``residual`` is ||(L - lambda D) x||_2 / (||L||_F + |lambda| ||D||_F) at a
-    unit 2-norm copy of ``vector``; ``rect_pencil_eig`` leaves it None. ``value``
-    and ``vector`` are real unless the pair is genuinely complex; a complex
-    pencil pair then comes with its conjugate pair.
+    ``residual`` is ||(L - lambda D) x||_2 / (||L||_F + |lambda| ||D||_F), with
+    D = diag(L), at a unit 2-norm copy of ``vector``; ``rect_pencil_eig``
+    leaves it None. ``value`` and ``vector`` are real unless the pair is
+    genuinely complex; a complex pencil pair then comes with its conjugate
+    pair.
     """
 
     value: complex
@@ -127,16 +118,6 @@ def _sign_normalize(w, tol=1e-12):
     if np.iscomplexobj(w):
         return w * (np.conj(lead) / abs(lead))
     return -w if lead < 0 else w
-
-
-def _as_degree_vector(D, n):
-    d = np.asarray(D, dtype=float)
-    if d.shape != (n,):
-        raise ValueError(f"degree input has shape {d.shape}, expected ({n},)")
-    if np.any(d <= 0.0):
-        bad = int(np.argmin(d))
-        raise DegenerateDegreeError(f"non-positive degree {d[bad]} at index {bad}")
-    return d
 
 
 def _components(L: SymmetricCSR):
@@ -202,34 +183,35 @@ def _deflated_lanczos(whitened, root, component, c, k):
     )
 
 
-def sym_gen_eig(L, D, k):
-    """Smallest nontrivial eigenpairs of the graph Laplacian pair L x = lambda D x.
+def sym_gen_eig(L, k):
+    """Smallest nontrivial eigenpairs of the normalized cut L x = lambda D x.
 
     Parameters
     ----------
-    L : (n, n) symmetric graph Laplacian, a dense array or a ``SymmetricCSR``;
-        its nonzero off-diagonal entries are the graph's edges.
-    D : (n,) positive degree vector, the diagonal of the degree matrix.
+    L : ``SymmetricCSR`` graph Laplacian D - W of an n-vertex graph: its
+        nonzero off-diagonal entries are the graph's edges, minus their
+        weights, and its diagonal is the degree vector d, so each row sums to
+        zero. Both solver paths rely on this; it is not checked.
     k : number of eigenpairs to return.
 
-    A graph Laplacian has one zero eigenvalue per connected component, whose
+    D = diag(L) is read off L's diagonal slots and must be positive. A graph
+    Laplacian has one zero eigenvalue per connected component, whose
     eigenvectors are the component indicators. With c components, only pairs
-    c .. c+k-1 of the whitened matrix D^-1/2 L D^-1/2 are computed and mapped
-    back as x = y / sqrt(d), so on a connected graph every returned vector
-    satisfies the zero-mean constraint e^T D x = 0.
+    c .. c+k-1 of the whitened matrix N = D^-1/2 L D^-1/2 are computed and
+    mapped back as x = y / sqrt(d), so on a connected graph every returned
+    vector satisfies the zero-mean constraint e^T D x = 0.
 
-    Up to ``_DENSE_MAX_N`` vertices the whitened matrix N is densified and
-    solved by ``eigh``. Above it, Lanczos (from a fixed start vector) finds the
-    k largest eigenvalues mu of M = I - N - 3 Y Y^T. For L = D - W, I - N is
-    the normalized adjacency D^-1/2 W D^-1/2, with spectrum in [-1, 1]. The
-    columns of Y are the c component indicators times sqrt(d), normalized;
-    they are orthonormal and N Y = 0, so M Y = -2 Y exactly while M acts as
-    I - N on the complement of Y. The shift thus sends the c trivial
-    eigenvalues from 1 to -2, below the spectrum, and leaves the rest in
-    place: lambda = 1 - mu are the same pairs c .. c+k-1. Both paths are
-    deterministic and pass the same residual certificate. Like any
-    single-vector Krylov method, Lanczos can miss further copies of a multiple
-    eigenvalue.
+    Up to ``_DENSE_MAX_N`` vertices N is densified and solved by ``eigh``.
+    Above it, Lanczos (from a fixed start vector) finds the k largest
+    eigenvalues mu of M = I - N - 3 Y Y^T. I - N is the normalized adjacency
+    D^-1/2 W D^-1/2, with spectrum in [-1, 1]. The columns of Y are the c
+    component indicators times sqrt(d), normalized; they are orthonormal and
+    N Y = 0, so M Y = -2 Y exactly while M acts as I - N on the complement of
+    Y. The shift thus sends the c trivial eigenvalues from 1 to -2, below the
+    spectrum, and leaves the rest in place: lambda = 1 - mu are the same pairs
+    c .. c+k-1. Both paths are deterministic and pass the same residual
+    certificate. Like any single-vector Krylov method, Lanczos can miss
+    further copies of a multiple eigenvalue.
 
     Returns
     -------
@@ -237,15 +219,18 @@ def sym_gen_eig(L, D, k):
 
     Raises
     ------
+    DegenerateDegreeError
+        If a degree, a diagonal entry of L, is not positive.
     InsufficientSpectrumError
         If c + k > n: fewer than k nontrivial pairs exist.
     EigenConvergenceError
         If Lanczos does not converge (sparse path only).
     """
-    if not isinstance(L, SymmetricCSR):
-        L = SymmetricCSR.from_dense(L)
     n = L.shape[0]
-    d = _as_degree_vector(D, n)
+    d = L.data[L.indptr[:-1]]
+    if np.any(d <= 0.0):
+        bad = int(np.argmin(d))
+        raise DegenerateDegreeError(f"non-positive degree {d[bad]} at index {bad}")
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     c, component = _components(L)
@@ -264,11 +249,11 @@ def sym_gen_eig(L, D, k):
         vals, vecs = _deflated_lanczos(whitened, root, component, c, k)
     vecs = inv_root[:, None] * vecs
 
-    # the certificate is homogeneous in (L, d): evaluate it on L and d divided
-    # by the largest |L| entry, so that its norms cannot overflow
+    # the certificate is homogeneous in L: evaluate it on L divided by its
+    # largest |entry|, so that its norms cannot overflow; d_unit is d / scale
     scale = np.max(np.abs(L.data))
     L_unit = SymmetricCSR(L.indptr, L.indices, L.data / scale)
-    d_unit = d / scale
+    d_unit = L_unit.data[L.indptr[:-1]]
     norm_l = np.linalg.norm(L_unit.data)
     norm_d = np.linalg.norm(d_unit)
     pairs = []

@@ -27,7 +27,8 @@ def embed(graph: SimilarityGraph, ell) -> Embedding:
     vector satisfies the constraint e^T D u = 0. Eigenvector signs are fixed so
     that the first significant component of each column is positive.
 
-    ``sym_gen_eig`` does the solve: a dense ``eigh`` for graphs of up to
+    ``sym_gen_eig`` does the solve on the graph's Laplacian alone, reading
+    D off its diagonal: a dense ``eigh`` for graphs of up to
     ``eigensolvers._DENSE_MAX_N`` vertices, Lanczos on the sparse normalized
     adjacency above that. There the trivial eigenvectors sqrt(d) * indicator
     are exact eigenvectors of the adjacency, so subtracting 3 Y Y^T moves them
@@ -36,7 +37,7 @@ def embed(graph: SimilarityGraph, ell) -> Embedding:
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
-    pairs = sym_gen_eig(graph.laplacian, graph.degrees, ell)
+    pairs = sym_gen_eig(graph.laplacian, ell)
     vectors = np.column_stack([p.vector for p in pairs])
     eigenvalues = np.array([p.value for p in pairs], dtype=float)
     return Embedding(vectors=vectors, eigenvalues=eigenvalues)

@@ -269,7 +269,7 @@ def _kernel(config, data, factors):
     vectors = embed(graph, config.ell).vectors
     if config.task == "classify":
         return vectors
-    labels = kmeans(vectors[:, 0]).labels
+    labels = kmeans(vectors[:, 0])
     return rand_index(data.labels, labels, align=True), nmi_score(data.labels, labels)
 
 

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from specscale import SymmetricCSR
+
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
@@ -34,3 +36,21 @@ def pair_tensor():
     """Brute-force oracle: the n x n x m tensor of squared pair differences
     (x_ik - x_jk)^2, whose sums the package forms in closed form."""
     return _pair_tensor
+
+
+def _csr_from_dense(A):
+    A = np.asarray(A, dtype=float)
+    indptr, indices = [0], []
+    for i, row in enumerate(A):
+        indices += [i] + [j for j in np.flatnonzero(row) if j != i]
+        indptr.append(len(indices))
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(indptr))
+    return SymmetricCSR(np.array(indptr), np.array(indices, dtype=int), A[rows, indices])
+
+
+@pytest.fixture(scope="session")
+def csr_from_dense():
+    """Oracle builder: the ``SymmetricCSR`` of a dense symmetric array, each
+    row its diagonal entry first, then its nonzero off-diagonal entries in
+    column order. Session-scoped, so that hypothesis tests may take it."""
+    return _csr_from_dense

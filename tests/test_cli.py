@@ -327,6 +327,49 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_config_file_supplies_data_and_output_dir(toy_file, tmp_path):
+    outdir = tmp_path / "cfg"
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"data={toy_file}\noutput-dir={outdir}\n")
+    argv = ["cluster", "--sigma-grid", "1", "--repetitions", "1", "--config", str(conf)]
+    assert main(argv) == 0
+    assert "cluster" in (outdir / "report.csv").read_text()
+
+
+def test_config_file_supplies_generate_out(tmp_path):
+    out = tmp_path / "toy.csv"
+    conf = tmp_path / "gen.conf"
+    conf.write_text(f"out={out}\nsamples=64\n")
+    assert main(["generate", "--config", str(conf)]) == 0
+    assert load_matrix(out).values.shape == (64, 10)
+
+
+@pytest.mark.parametrize("command, key", [(c, "out" if c == "generate" else "data")
+                                          for c in REQUIRED])
+def test_required_option_missing_from_flags_and_config(tmp_path, capsys, command, key):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"# no {key}= entry\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(conf)])
+    assert exc.value.code == 2
+    assert f"--{key} is required, as a flag or as '{key}=' in the --config file" in (
+        capsys.readouterr().err
+    )
+    assert list(tmp_path.iterdir()) == [conf]
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-standardize"]])
+def test_table_without_feature_columns_fails_cleanly(tmp_path, capsys, flags):
+    data = tmp_path / "labels.csv"
+    data.write_text("label\n" + "".join(f"{1 + i % 2}\n" for i in range(12)))
+    argv = ["cluster", "--data", str(data), "--output-dir", str(tmp_path / "run"),
+            "--k-neighbors", "3", "--sigma-grid", "1", "--repetitions", "1", *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: MatrixParseError: {data}: no feature columns\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, flags, config",
     [

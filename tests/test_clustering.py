@@ -22,6 +22,12 @@ def exhaustive_two_means(points):
     return best
 
 
+def labelled_inertia(values, labels):
+    """Within-cluster sum of squares of the partition ``labels`` of ``values``."""
+    return sum(((part - part.mean()) ** 2).sum()
+               for part in (values[labels == c] for c in np.unique(labels)))
+
+
 def cut_inertias(values):
     """Within-cluster sum of squares of every cut between distinct sorted values."""
     xs = np.sort(values)
@@ -65,24 +71,26 @@ class TestKmeans:
         pts = np.concatenate([rng.normal(10.0, 0.1, 4), rng.normal(-10.0, 0.1, 4)])
         got = kmeans(pts)
         # the cluster holding the smallest value is labelled 0
-        np.testing.assert_array_equal(got.labels, [1, 1, 1, 1, 0, 0, 0, 0])
-        assert got.inertia == pytest.approx(exhaustive_two_means(pts[:, None]), rel=1e-12)
+        np.testing.assert_array_equal(got, [1, 1, 1, 1, 0, 0, 0, 0])
+        best = exhaustive_two_means(pts[:, None])
+        assert labelled_inertia(pts, got) == pytest.approx(best, rel=1e-12)
 
     def test_identical_points(self):
         # no cut lies between distinct values: one cluster, stated as all 0
         got = kmeans(np.ones(6))
-        assert got.inertia == 0.0
-        np.testing.assert_array_equal(got.labels, np.zeros(6))
+        np.testing.assert_array_equal(got, np.zeros(6))
+        assert labelled_inertia(np.ones(6), got) == 0.0
 
     def test_one_dimensional_input(self):
         got = kmeans(np.array([5.1, 0.0, 5.0, 0.1]))
-        np.testing.assert_array_equal(got.labels, [1, 0, 1, 0])
+        np.testing.assert_array_equal(got, [1, 0, 1, 0])
 
     def test_tie_goes_to_the_lower_cut(self):
         # {0} | {1, 1, 2} and {0, 1, 1} | {2} both leave 2/3
-        got = kmeans(np.array([2.0, 1.0, 0.0, 1.0]))
-        np.testing.assert_array_equal(got.labels, [1, 1, 0, 1])
-        assert got.inertia == pytest.approx(2 / 3, rel=1e-15)
+        x = np.array([2.0, 1.0, 0.0, 1.0])
+        got = kmeans(x)
+        np.testing.assert_array_equal(got, [1, 1, 0, 1])
+        assert labelled_inertia(x, got) == pytest.approx(2 / 3, rel=1e-15)
 
     def test_validation(self):
         for bad in (np.zeros((3, 2)), np.zeros((3, 1)), np.array([1.0]), np.array([])):
@@ -99,11 +107,7 @@ class TestKmeans:
         scatter = ((x - x.mean()) ** 2).sum()
         got = kmeans(x)
         # the floor absorbs rounding when the optimum is 0
-        assert got.inertia == pytest.approx(best, rel=1e-9, abs=1e-12 * scatter)
-        # the inertia is that of the labels returned
-        parts = [x[got.labels == c] for c in np.unique(got.labels)]
-        labelled = sum(((part - part.mean()) ** 2).sum() for part in parts)
-        assert got.inertia == pytest.approx(labelled, rel=1e-9, abs=1e-12 * scatter)
+        assert labelled_inertia(x, got) == pytest.approx(best, rel=1e-9, abs=1e-12 * scatter)
 
     @settings(max_examples=100)
     @given(values=st.lists(st.one_of(st.integers(-5, 5).map(float), finite),
@@ -114,8 +118,7 @@ class TestKmeans:
         perm = np.random.default_rng(perm_seed).permutation(x.size)
         got = kmeans(x)
         moved = kmeans(x[perm])
-        np.testing.assert_array_equal(moved.labels, got.labels[perm])
-        assert moved.inertia == got.inertia
+        np.testing.assert_array_equal(moved, got[perm])
 
     @settings(max_examples=100)
     @given(
@@ -137,7 +140,7 @@ class TestKmeans:
         assume(spread > 0)
         assume(len(inertias) == 1 or inertias[1] - inertias[0] > 1e-9 * inertias[1])
         got = kmeans(x + shift * spread)
-        np.testing.assert_array_equal(got.labels, kmeans(x).labels)
+        np.testing.assert_array_equal(got, kmeans(x))
 
 
 class TestNN1Classify:

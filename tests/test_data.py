@@ -43,6 +43,10 @@ class TestDataMatrix:
         assert data.labels.dtype.kind == "i"
         np.testing.assert_array_equal(data.labels, [1, 2, 2])
 
+    def test_no_feature_column_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one feature column"):
+            DataMatrix(values=np.empty((3, 0)), feature_names=[], labels=[1, 2, 2])
+
 
 class TestGenerateToy:
     def test_shape_and_labels(self):
@@ -332,6 +336,12 @@ class TestLoadSave:
                 load_matrix(path)
         path.write_text("1_0,2\n3,4\n")  # the same rules tell a header line apart
         assert load_matrix(path).feature_names == ["1_0", "2"]
+
+    def test_label_column_alone_has_no_feature_columns(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n1\n2\n2\n")
+        with pytest.raises(MatrixParseError, match=r"labels\.csv: no feature columns$"):
+            load_matrix(path)
 
     @pytest.mark.parametrize("labels, classes", [((1, 1, 1), 1), ((1, 2, 3), 3)],
                              ids=["one-class", "three-classes"])

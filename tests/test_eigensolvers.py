@@ -68,10 +68,18 @@ def charpoly_roots(F, G):
     return np.roots(coeffs)
 
 
+def graph_laplacian(rng, n):
+    """The dense Laplacian diag(W 1) - W of a complete graph on n vertices
+    with random weights in [0.1, 1)."""
+    W = np.triu(rng.uniform(0.1, 1.0, size=(n, n)), 1)
+    W += W.T
+    return np.diag(W.sum(axis=1)) - W
+
+
 class TestSymGenEig:
-    def test_path_graph(self):
+    def test_path_graph(self, csr_from_dense):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        pairs = sym_gen_eig(L, np.ones(2), k=1)
+        pairs = sym_gen_eig(csr_from_dense(L), k=1)
         assert len(pairs) == 1
         np.testing.assert_allclose(pairs[0].value, 2.0, atol=1e-12)
         np.testing.assert_allclose(
@@ -79,12 +87,14 @@ class TestSymGenEig:
         )
         assert pairs[0].vector[0] > 0  # sign convention
 
-    def test_zero_matrix_has_no_spectrum(self):
+    def test_two_disjoint_edges_have_no_third_pair(self, csr_from_dense):
+        # two components leave 4 - 2 nontrivial eigenvalues
+        edge = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(InsufficientSpectrumError):
-            sym_gen_eig(np.zeros((3, 3)), np.ones(3), k=1)
+            sym_gen_eig(csr_from_dense(scipy.linalg.block_diag(edge, edge)), k=3)
 
     @pytest.mark.parametrize("blocks", [1, 2, 3])
-    def test_matches_whitened_oracle(self, blocks):
+    def test_matches_whitened_oracle(self, csr_from_dense, blocks):
         # Laplacians of random graphs with `blocks` connected components
         rng = np.random.default_rng(7)
         component = np.arange(6) * blocks // 6
@@ -100,7 +110,7 @@ class TestSymGenEig:
             keep = vals_oracle[vals_oracle > 1e-9 * lam_max]
             assert keep.size == 6 - blocks
             k = min(3, keep.size)
-            pairs = sym_gen_eig(L, d, k=k)
+            pairs = sym_gen_eig(csr_from_dense(L), k=k)
             got = np.array([p.value for p in pairs])
             np.testing.assert_allclose(got, keep[:k], atol=1e-8)
             # CSR storing all 36 entries, diagonal first: the zeros between
@@ -109,57 +119,44 @@ class TestSymGenEig:
             stored = SymmetricCSR(
                 np.arange(0, 37, 6), first.ravel(), np.take_along_axis(L, first, 1).ravel()
             )
-            sparse_pairs = sym_gen_eig(stored, d, k=k)
+            sparse_pairs = sym_gen_eig(stored, k=k)
             for a, b in zip(pairs, sparse_pairs):
                 assert a.value == b.value
                 np.testing.assert_array_equal(a.vector, b.vector)
             with pytest.raises(InsufficientSpectrumError):
-                sym_gen_eig(L, d, k=7 - blocks)  # one more than 6 - blocks
+                sym_gen_eig(stored, k=7 - blocks)  # one more than 6 - blocks
 
-    def test_vectors_are_degree_orthonormal(self):
-        rng = np.random.default_rng(3)
-        A = rng.normal(size=(8, 8))
-        L = A @ A.T
-        d = rng.uniform(0.5, 2.0, 8)
-        pairs = sym_gen_eig(L, d, k=4)
+    def test_vectors_are_degree_orthonormal(self, csr_from_dense):
+        L = graph_laplacian(np.random.default_rng(3), 8)
+        d = np.diag(L)
+        pairs = sym_gen_eig(csr_from_dense(L), k=4)
         V = np.column_stack([p.vector for p in pairs])
         gram = V.T @ (d[:, None] * V)
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
 
-    def test_residual_is_reassertable(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(7, 7))
-        L = (A + A.T) / 2
-        d = rng.uniform(0.5, 2.0, 7)
-        for p in sym_gen_eig(L, d, k=3):
+    def test_residual_is_reassertable(self, csr_from_dense):
+        L = graph_laplacian(np.random.default_rng(5), 7)
+        d = np.diag(L)
+        for p in sym_gen_eig(csr_from_dense(L), k=3):
             unit = p.vector / np.linalg.norm(p.vector)
             num = np.linalg.norm(L @ unit - p.value * d * unit)
             res = num / (np.linalg.norm(L) + abs(p.value) * np.linalg.norm(d))
             assert res == pytest.approx(p.residual, abs=1e-14)
             assert p.residual <= 1e-8
 
-    def test_nonpositive_degree_rejected(self):
-        L = np.eye(3)
+    def test_nonpositive_degree_rejected(self, csr_from_dense):
+        # an edge and an isolated vertex, whose degree is 0
+        L = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(DegenerateDegreeError):
-            sym_gen_eig(L, np.array([1.0, 0.0, 1.0]), k=1)
+            sym_gen_eig(csr_from_dense(L), k=1)
 
-    def test_asymmetric_rejected(self):
-        L = np.array([[0.0, 1.0], [0.5, 0.0]])
+    def test_k_out_of_range(self, csr_from_dense):
         with pytest.raises(ValueError):
-            sym_gen_eig(L, np.ones(2), k=1)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            sym_gen_eig(np.eye(2), np.ones(2), k=3)
-
-    def test_rejects_degree_matrix(self):
-        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        with pytest.raises(ValueError):
-            sym_gen_eig(L, np.diag([1.0, 1.0]), k=1)
+            sym_gen_eig(csr_from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]])), k=3)
 
 
 @functools.lru_cache(maxsize=None)
-def knn_blocks(c):
+def knn_blocks(c, csr_from_dense):
     """Laplacian and degrees of c disjoint toy k-NN graphs, 420 vertices in all,
     with the full-spectrum dense oracle of the whitened matrix."""
     graphs = [
@@ -169,14 +166,14 @@ def knn_blocks(c):
     L = scipy.linalg.block_diag(*[g.laplacian.toarray() for g in graphs])
     d = np.concatenate([g.degrees for g in graphs])
     vals, vecs = whitened_spectrum(L, d)
-    return SymmetricCSR.from_dense(L), d, vals, vecs
+    return csr_from_dense(L), d, vals, vecs
 
 
 class TestComponents:
     @settings(max_examples=200)
     @given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
                                        max_size=40))
-    def test_numbered_as_numpys_unique_of_the_smallest_vertices(self, n, edges):
+    def test_numbered_as_numpys_unique_of_the_smallest_vertices(self, csr_from_dense, n, edges):
         # random graphs, isolated vertices too; csgraph is the oracle of which
         # vertices share a component, and np.unique numbers each component's
         # smallest vertex
@@ -190,7 +187,7 @@ class TestComponents:
         )
         smallest = np.array([np.flatnonzero(oracle == c)[0] for c in oracle])
         roots, inverse = np.unique(smallest, return_inverse=True)
-        count, component = eigensolvers._components(SymmetricCSR.from_dense(L))
+        count, component = eigensolvers._components(csr_from_dense(L))
         assert count == roots.size
         assert component.dtype == inverse.dtype
         np.testing.assert_array_equal(component, inverse)
@@ -201,13 +198,13 @@ class TestLanczosPath:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("c", [1, 2, 3])
-    def test_agrees_with_dense_oracle(self, c, k):
-        L, d, vals, vecs = knn_blocks(c)
+    def test_agrees_with_dense_oracle(self, csr_from_dense, c, k):
+        L, d, vals, vecs = knn_blocks(c, csr_from_dense)
         n = L.shape[0]
         assert n > eigensolvers._DENSE_MAX_N
         oracle = scipy.sparse.csr_matrix(L.toarray())
         assert scipy.sparse.csgraph.connected_components(oracle, directed=False)[0] == c
-        pairs = sym_gen_eig(L, d, k)
+        pairs = sym_gen_eig(L, k)
         got = np.array([p.value for p in pairs])
         np.testing.assert_allclose(got, vals[c : c + k], rtol=0, atol=1e-12)
         V = np.column_stack([p.vector for p in pairs])
@@ -216,35 +213,36 @@ class TestLanczosPath:
         assert np.max(angles) <= 1e-8
         assert max(p.residual for p in pairs) <= 1e-8
         np.testing.assert_allclose(V.T @ (d[:, None] * V), np.eye(k), atol=1e-10)
-        again = sym_gen_eig(L, d, k)
+        again = sym_gen_eig(L, k)
         for a, b in zip(pairs, again):
             assert a.value == b.value and a.residual == b.residual
             np.testing.assert_array_equal(a.vector, b.vector)
 
-    def test_no_convergence_is_typed(self, monkeypatch):
+    def test_no_convergence_is_typed(self, monkeypatch, csr_from_dense):
         # three basis vectors leave both wanted Ritz pairs far from converged
         monkeypatch.setattr(eigensolvers, "_LANCZOS_MAX_STEPS", 3)
-        L, d, _, _ = knn_blocks(1)
+        L, _, _, _ = knn_blocks(1, csr_from_dense)
         with pytest.raises(EigenConvergenceError, match="0 of 2 eigenpairs") as info:
-            sym_gen_eig(L, d, 2)
+            sym_gen_eig(L, 2)
         assert not isinstance(info.value, InternalConsistencyError)
 
 
 class TestSymCertificateScale:
-    """The residual certificate is homogeneous in (L, d) and must not overflow."""
+    """The residual certificate is homogeneous in L, whose diagonal is d, and
+    must not overflow."""
 
     @pytest.mark.parametrize("n", [60, 500])  # dense eigh and Lanczos
     def test_scaled_pair_gives_same_pairs(self, n):
         graph = build_similarity(standardize(generate_toy(n, seed=0)).values, np.full(10, 0.5), 7)
-        L, d = graph.laplacian, graph.degrees
-        ref = sym_gen_eig(L, d, k=2)
+        L = graph.laplacian
+        ref = sym_gen_eig(L, k=2)
         # powers of two scale every entry exactly, so the whole solve repeats
         # bit for bit; decimal factors perturb the whitened matrix by rounding,
         # which moves residuals of ~1e-16 by O(1) relative
         for c in (2.0**-664, 2.0**664, 1e-200, 1e200):  # 2^+-664 ~ 1e+-200
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                pairs = sym_gen_eig(SymmetricCSR(L.indptr, L.indices, c * L.data), c * d, k=2)
+                pairs = sym_gen_eig(SymmetricCSR(L.indptr, L.indices, c * L.data), k=2)
             for a, b in zip(ref, pairs):
                 assert b.value == pytest.approx(a.value, rel=1e-12)
                 if c in (2.0**-664, 2.0**664):
@@ -262,7 +260,7 @@ class TestSymCertificateScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             graph = build_similarity(values, factors, 7)
-            pairs = sym_gen_eig(graph.laplacian, graph.degrees, k=2)
+            pairs = sym_gen_eig(graph.laplacian, k=2)
         assert np.max(np.abs(graph.laplacian.data)) > 1e200
         for pair in pairs:
             assert np.isfinite(pair.value)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from specscale import (
-    SymmetricCSR,
     build_similarity,
     eigensolvers,
     generate_toy,
@@ -91,7 +90,7 @@ class TestLanczosOracle:
         density=st.floats(0.05, 0.6),
         k=st.integers(1, 3),
     )
-    def test_multi_component_graphs(self, sizes, seed, density, k):
+    def test_multi_component_graphs(self, csr_from_dense, sizes, seed, density, k):
         W = random_graph(sizes, seed, density)
         d = W.sum(axis=1)
         L = np.diag(d) - W
@@ -100,7 +99,7 @@ class TestLanczosOracle:
         c, (dense_vals, dense_vecs), (arpack_vals, arpack_vecs) = oracle_pairs(L, d, k)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eigensolvers, "_DENSE_MAX_N", 0)  # Lanczos at every size
-            pairs = sym_gen_eig(SymmetricCSR.from_dense(L), d, k)
+            pairs = sym_gen_eig(csr_from_dense(L), k)
         # eigenvalues to 1e-10 of the spectral radius; vectors only where the
         # wanted eigenvalues stand apart, as the angle bound is residual / gap
         root = np.sqrt(d)
@@ -123,7 +122,7 @@ class TestLanczosOracle:
         L, d = graph.laplacian.toarray(), graph.degrees
         assert d.size > eigensolvers._DENSE_MAX_N
         c, (dense_vals, dense_vecs), (arpack_vals, arpack_vecs) = oracle_pairs(L, d, 2)
-        pairs = sym_gen_eig(graph.laplacian, d, 2)
+        pairs = sym_gen_eig(graph.laplacian, 2)
         assert_agree(pairs, d, dense_vals, dense_vecs, 1e-12, 1e-12)
         assert_agree(pairs, d, arpack_vals, arpack_vecs, 1e-12, 1e-12)
 
@@ -133,12 +132,12 @@ class TestLanczosOracle:
     seed=st.integers(0, 2**32 - 1),
     density=st.floats(0.0, 0.5),
 )
-def test_component_labels_match_csgraph(sizes, seed, density):
+def test_component_labels_match_csgraph(csr_from_dense, sizes, seed, density):
     # sizes of 1 are isolated vertices; shuffling mixes the components' vertices
     W = random_graph(sizes, seed, density)
     perm = np.random.default_rng(seed).permutation(W.shape[0])
     W = W[np.ix_(perm, perm)]
-    count, labels = eigensolvers._components(SymmetricCSR.from_dense(W))
+    count, labels = eigensolvers._components(csr_from_dense(W))
     oracle_count, oracle_labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(W), directed=False
     )

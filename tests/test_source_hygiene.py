@@ -1,7 +1,7 @@
 """Static checks of the package source: no unused imports, no unused private
-names, no public function that no other module reads, no unread config
-fields, a consistent public surface, and neither scipy nor numpy.ma loaded by
-a run."""
+names, no public function that no other module reads, no public method or
+property that nothing reads, no unread config fields, a consistent public
+surface, and neither scipy nor numpy.ma loaded by a run."""
 
 import ast
 import dataclasses
@@ -17,6 +17,7 @@ import pytest
 import specscale
 
 PACKAGE = Path(specscale.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -110,6 +111,36 @@ def test_every_public_function_is_read_by_another_module():
             and not node.name.startswith("_")
             and node.name not in read | {"main"}
         )
+    assert orphans == []
+
+
+def test_every_public_method_and_property_is_read():
+    # a public method, classmethod or property of a package class must be read
+    # by attribute name in the package outside its own definition, or by the
+    # benchmark, whose tracer is the one reader of ``SymmetricCSR.nnz``
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    members = [
+        (cls.name, node)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    benchmarks = [ast.parse(path.read_text(encoding="utf-8"))
+                  for path in sorted((REPO / "benchmarks").glob("*.py"))]
+    orphans = []
+    for cls, member in members:
+        own = {id(node) for node in ast.walk(member)}
+        read = any(
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr == member.name and id(node) not in own
+            for tree in trees + benchmarks
+            for node in ast.walk(tree)
+        )
+        if not read:
+            orphans.append(f"{cls}.{member.name}")
     assert orphans == []
 
 
