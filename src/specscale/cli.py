@@ -106,15 +106,17 @@ _PIPELINE = ("--data", "--output-dir", "--sigma-grid", "--k-neighbors", "--fiedl
 def _add_command(sub, name, summary, func, shared, own=None, required=("data",)):
     """Add subcommand ``name`` taking the ``shared`` options named and its
     ``own`` ones (flag -> add_argument keywords). Its options go into the
-    namespace as ``options``, by config key, for _apply_config_file. A flag
-    is taken only in full, as a key is: sweep's --fractions is not --fraction.
-    The options keyed ``required`` may be given by flag or by config file, so
-    _check_required, not argparse, asks for them once the file is applied."""
+    namespace as ``options``, by config key, for _apply_config_file, and the
+    subcommand's parser as ``parser``, whose usage a later usage error prints.
+    A flag is taken only in full, as a key is: sweep's --fractions is not
+    --fraction. The options keyed ``required`` may be given by flag or by
+    config file, so _check_required, not argparse, asks for them once the
+    file is applied."""
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     actions = [p.add_argument(flag, **_SHARED[flag]) for flag in shared]
     actions += [p.add_argument(flag, **kwargs) for flag, kwargs in (own or {}).items()]
     p.set_defaults(func=func, options={a.dest: a for a in actions if a.dest != "config"},
-                   required=required)
+                   required=required, parser=p)
 
 
 def _parse_entry(action, text):
@@ -292,14 +294,13 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _apply_config_file(args)
         _check_required(args)
         return args.func(args)
     except argparse.ArgumentTypeError as exc:  # a bad or missing option: exit code 2
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     except (SpecScaleError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

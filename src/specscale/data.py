@@ -1,15 +1,27 @@
 """Synthetic data generation, delimited-text ingestion, standardization, splits.
 
-``load_matrix`` parses every data row with one ``np.loadtxt`` call. Its error
-messages come from a second pass that runs only when that parse fails or its
-table is bad, and reads the file again row by row to name the line and
-column. numpy's parser is stricter than Python's ``float``: it rejects cells
-such as digit-group underscores ('1_0') that ``float`` would take, and the
-header test and the second pass apply its rules too.
+``load_matrix`` reads a table of long decimal cells, such as the ``repr`` of
+random doubles, with the vectorized reader of ``decimals``, and every other
+table with one ``np.loadtxt`` call. Both give the same bits: numpy rounds
+each cell to the nearest double, and so does the reader, which reads each
+cell's digits and power of ten as integers, rounds their product once in
+long-double precision, where both factors are exact, and hands the cells
+whose double that does not settle to Python's correctly rounded ``float``.
+The reader declines every table it cannot read so: one with a cell that is
+not a plain decimal, a blank line, a carriage return or a ragged row, one
+whose cells mostly hold at most 16 digits (numpy's parser reads those as
+fast), and every table where the long double is not x87 extended precision.
+
+Error messages come from a second pass that runs only when the parse fails
+or its table is bad, and reads the file again row by row to name the line
+and column. numpy's parser is stricter than Python's ``float``: it rejects
+cells such as digit-group underscores ('1_0') that ``float`` would take, and
+the header test and the second pass apply its rules too.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import itertools
 from dataclasses import dataclass
@@ -17,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import decimals
 from .errors import MatrixParseError, ZeroVarianceError
 
 LABEL_COLUMN = "label"
@@ -180,43 +193,33 @@ def _is_float(cell):
         return False
 
 
+def _header(line, delimiter):
+    """The stripped cells of ``line`` if it is a header, with a cell that is
+    not a number, else None."""
+    cells = next(csv.reader([line], delimiter=delimiter))
+    return None if all(_is_float(c) for c in cells) else [c.strip() for c in cells]
+
+
 def load_matrix(path) -> DataMatrix:
     """Read a delimited text table as a DataMatrix.
 
     A UTF-8 byte-order mark is skipped, and so are blank lines. The first
     other line sets the delimiter (a tab if it holds one, else a comma) and
     may be a header of feature names; a column named 'label' holds integer
-    class labels, and a table with no other column is rejected. Every data
-    row is parsed by one ``np.loadtxt`` call, so no cell becomes a Python
-    string. When that parse fails, or the table is ragged against the header
-    or holds a non-finite value, a second pass reads the file again row by
-    row only to name the 1-based line and the column of the first problem.
+    class labels, and a table with no other column is rejected. A table of
+    plain decimal cells, most of them longer than 16 digits as a ``repr``
+    writes them, goes through the decimal reader, which reads the bits
+    numpy's parser would at about half its cost; every other table goes
+    through one ``np.loadtxt`` call. Neither makes a Python string of each
+    cell. When the parse fails, or the table is ragged against the header or
+    holds a non-finite value, a second pass reads the file again row by row
+    only to name the 1-based line and the column of the first problem.
 
     Cells that Python's ``float`` takes but numpy's parser does not, such as
     digit-group underscores ('1_0') or non-ASCII digits, are rejected.
     """
-    header = None
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            lines = (line for line in handle if not line.isspace())
-            first = next(lines, None)
-            if first is None:
-                raise MatrixParseError(f"{path}: empty file")
-            delimiter = _sniff_delimiter(first)
-            cells = next(csv.reader([first], delimiter=delimiter))
-            if any(not _is_float(c) for c in cells):
-                header = [c.strip() for c in cells]
-                first = next(lines, None)
-                if first is None:  # np.loadtxt would only warn
-                    raise MatrixParseError(f"{path}: no data rows")
-            table = np.loadtxt(
-                itertools.chain([first], lines),
-                delimiter=delimiter,
-                comments=None,
-                quotechar='"',
-                ndmin=2,
-                dtype=float,
-            )
+        header, table = _read_decimal(path) or _read_text(path)
     except ValueError as exc:  # numpy's parse error, or a byte that is not UTF-8
         raise _first_problem(path, str(exc)) from None
     if header is not None and table.shape[1] != len(header):
@@ -240,6 +243,54 @@ def load_matrix(path) -> DataMatrix:
         values = table
         names = header if header is not None else _default_names(values.shape[1])
     return DataMatrix(values=values, feature_names=names, labels=labels)
+
+
+def _read_text(path):
+    """``(header, table)``, the data lines parsed by one ``np.loadtxt`` call."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        lines = (line for line in handle if not line.isspace())
+        first = next(lines, None)
+        if first is None:
+            raise MatrixParseError(f"{path}: empty file")
+        delimiter = _sniff_delimiter(first)
+        header = _header(first, delimiter)
+        if header is not None:
+            first = next(lines, None)
+            if first is None:  # np.loadtxt would only warn
+                raise MatrixParseError(f"{path}: no data rows")
+        table = np.loadtxt(
+            itertools.chain([first], lines),
+            delimiter=delimiter,
+            comments=None,
+            quotechar='"',
+            ndmin=2,
+            dtype=float,
+        )
+    return header, table
+
+
+def _read_decimal(path):
+    """``(header, table)`` by the decimal reader, or None where it declines:
+    also when the first line is blank or holds a carriage return, or the
+    table does not suit the reader."""
+    with open(path, "rb") as handle:
+        first = handle.readline().removeprefix(codecs.BOM_UTF8)
+        try:
+            text = first.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if not text.strip() or "\r" in text:
+            return None
+        delimiter = _sniff_delimiter(text)
+        sample = handle.read(decimals.SAMPLE_BYTES)
+        if not decimals.suits(sample, delimiter):
+            return None
+        header = _header(text, delimiter)
+        if header is None:
+            sample = first + sample
+        width = text.count(delimiter) + 1 if header is None else len(header)
+        table = decimals.read_lines(handle, sample, delimiter, width)
+    return None if table is None else (header, table)
 
 
 def _first_problem(path, message) -> MatrixParseError:

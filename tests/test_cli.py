@@ -358,6 +358,25 @@ def test_required_option_missing_from_flags_and_config(tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == [conf]
 
 
+@pytest.mark.parametrize(
+    "command, entry",
+    [(c, f"# no {'out' if c == 'generate' else 'data'}= entry") for c in REQUIRED]
+    + [("cluster", "k_neighbors=x"), ("sweep", "fractions=0,0.5")],
+)
+def test_usage_error_after_parsing_prints_the_subcommand_usage(tmp_path, capsys, command,
+                                                                entry):
+    # a missing required option, a bad config value and a rejected value all
+    # name the subcommand's usage, as argparse's own errors do
+    conf = tmp_path / "run.conf"
+    conf.write_text(entry + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(conf)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: specscale {command} [-h]")
+    assert f"specscale {command}: error: " in err
+
+
 @pytest.mark.parametrize("flags", [[], ["--no-standardize"]])
 def test_table_without_feature_columns_fails_cleanly(tmp_path, capsys, flags):
     data = tmp_path / "labels.csv"
@@ -427,11 +446,11 @@ def test_bad_option_value_is_a_usage_error(
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error:" in line] == [
-        line for line in err.splitlines() if line.startswith("specscale: error:")
+        line for line in err.splitlines() if line.startswith(f"specscale {command}: error:")
     ]
     assert err.count("error:") == 1
     if config is not None:
-        assert f"specscale: error: {conf}:1: " in err
+        assert f"specscale {command}: error: {conf}:1: " in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "out.csv").exists()
 

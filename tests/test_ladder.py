@@ -32,5 +32,5 @@ def test_a_failing_rung_stops_the_ladder():
     assert done.returncode == 1
     assert done.stdout.splitlines()[1:] == [
         "   0    201 failed: generate exited 2: "
-        "specscale: error: n_samples must be even and at least 8"
+        "specscale generate: error: n_samples must be even and at least 8"
     ]

@@ -30,11 +30,13 @@ It measured 6.09 copies while the pencil kept its six blocks and learning
 rebuilt F and G and stacked [A; B], and 5.21 with F and G allocated once and
 the blocks read as views into them.
 
-The loader parses every data row with numpy's C reader, which makes no Python
-string per cell, so its peak must stay below 6 float64 copies of the table.
-Measured on a 144 x 2000 file with a label column: 5.1 MB, against a limit of
-13.8 MB. A csv reader with one float parse per chunk of 2^13 cell strings
-peaked at 7.5 MB, and one parse of every cell string at once at 29.2 MB.
+The loader parses every data row with the decimal reader (long cells, as
+here) or numpy's C reader, neither of which makes a Python string per cell,
+so its peak must stay below 6 float64 copies of the table. Measured on a
+144 x 2000 file with a label column: 5.1 MB with either reader (the decimal
+reader's 64 KB blocks of lines peak below 1 MB), against a limit of 13.8 MB.
+A csv reader with one float parse per chunk of 2^13 cell strings peaked at
+7.5 MB, and one parse of every cell string at once at 29.2 MB.
 """
 
 import tracemalloc

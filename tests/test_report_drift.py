@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,9 +35,34 @@ def test_configs_against_the_same_tree_are_identical(drift, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     heads = [line for line in lines if line.startswith("== ")]
-    assert heads == [f"== {name} seed 0: exit 0 (base), 0 (change)" for name in drift.CONFIGS]
-    assert lines.count("  manifest.json: identical") == len(drift.CONFIGS)
+    names = [*drift.CONFIGS, *(f"{drift.REFORMATTED_CONFIG}-{fmt}" for fmt in drift.REFORMATS)]
+    assert heads == [f"== {name} seed 0: exit 0 (base), 0 (change)" for name in names]
+    assert lines.count("  manifest.json: identical") == len(names)
     assert all(line.endswith(": identical") for line in lines if not line.startswith("== "))
+
+
+def test_reformatted_inputs_take_both_loader_paths(drift, tmp_path):
+    # the tab-delimited copy is read by the decimal reader, as the generated
+    # CSV is, and the CRLF and six-digit copies by np.loadtxt; each holds the
+    # generated table, the last rounded to six digits
+    from specscale import data, generate_toy, load_matrix, save_matrix
+
+    path = tmp_path / "toy.csv"
+    save_matrix(generate_toy(120, seed=0), path)
+    original = load_matrix(path)
+    read_by_reader = {}
+    for fmt, rewrite in drift.REFORMATS.items():
+        copy = tmp_path / f"toy.{fmt}.txt"
+        copy.write_bytes(rewrite(path.read_text(encoding="utf-8")).encode("utf-8"))
+        read_by_reader[fmt] = data._read_decimal(copy) is not None
+        loaded = load_matrix(copy)
+        expected = original.values
+        if fmt == "6g":
+            expected = np.array([[float("%.6g" % x) for x in row] for row in expected])
+        assert loaded.values.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(loaded.labels, original.labels)
+    assert read_by_reader == {"tab": data._read_decimal(path) is not None, "crlf": False,
+                              "6g": False}
 
 
 def test_residual_difference_is_reported(drift):

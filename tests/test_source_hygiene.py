@@ -196,23 +196,38 @@ def test_no_module_imports_scipy():
 
 
 @pytest.fixture(scope="module")
-def loaded_after_runs(tmp_path_factory):
+def exponent_table(tmp_path_factory):
+    """A 420-sample toy written with an exponent in every feature cell, which
+    the decimal reader reads."""
+    toy = specscale.generate_toy(420, seed=0)
+    path = tmp_path_factory.mktemp("exponents") / "toy.csv"
+    rows = ["f01,f02,f03,f04,f05,f06,f07,f08,f09,f10,label"] + [
+        ",".join("%.17e" % x for x in row) + f",{label}"
+        for row, label in zip(toy.values, toy.labels)
+    ]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def loaded_after_runs(tmp_path_factory, exponent_table):
     """The scipy and numpy.ma modules loaded after ``cluster`` and after
-    ``classify``, run in turn in one fresh interpreter on a ``generate`` toy.
-    420 samples is above the dense limit, so the embedding takes Lanczos."""
+    ``classify``, run in turn in one fresh interpreter on a ``generate`` toy,
+    and after a ``classify`` of the toy with exponent cells. 420 samples is
+    above the dense limit, so the embedding takes Lanczos."""
     script = textwrap.dedent(
         """
         import json, sys
         from specscale.cli import main
-        data, out = sys.argv[1], sys.argv[2]
+        data, out, exponents = sys.argv[1], sys.argv[2], sys.argv[3]
         loaded = {}
         def watched():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                           or m == "numpy.ma" or m.startswith("numpy.ma."))
         assert main(["generate", "--samples", "420", "--seed", "0", "--out", data]) == 0
-        for task in ("cluster", "classify"):
-            argv = [task, "--data", data, "--output-dir", out, "--sigma-grid", "1",
-                    "--repetitions", "1"]
+        for task, path in (("cluster", data), ("classify", data), ("exponents", exponents)):
+            argv = ["classify" if task == "exponents" else task, "--data", path,
+                    "--output-dir", out, "--sigma-grid", "1", "--repetitions", "1"]
             assert main(argv) == 0
             loaded[task] = watched()
         print(json.dumps(loaded))
@@ -222,7 +237,8 @@ def loaded_after_runs(tmp_path_factory):
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "toy.csv"), str(tmp_path / "run")],
+        [sys.executable, "-c", script, str(tmp_path / "toy.csv"), str(tmp_path / "run"),
+         str(exponent_table)],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
@@ -232,7 +248,13 @@ def test_a_run_loads_no_scipy(loaded_after_runs):
     assert [m for m in loaded_after_runs["classify"] if m.split(".")[0] == "scipy"] == []
 
 
-@pytest.mark.parametrize("task", ["cluster", "classify"])
+@pytest.mark.parametrize("task", ["cluster", "classify", "exponents"])
 def test_a_run_loads_no_numpy_ma(loaded_after_runs, task):
     # numpy's unique imports numpy.ma; the package takes classes from a sort
     assert [m for m in loaded_after_runs[task] if m.startswith("numpy.ma")] == []
+
+
+def test_the_exponent_table_takes_the_decimal_reader(exponent_table):
+    from specscale.data import _read_decimal
+
+    assert _read_decimal(exponent_table) is not None

@@ -6,10 +6,12 @@
 ``all`` runs the three benchmark workloads, or NAME one of them; each input is
 written by BASE_TREE's ``benchmarks/workloads.py``. ``configs`` runs the fixed
 CLI configurations of ``CONFIGS``, paths the benchmark does not take, each on
-the input that BASE_TREE's ``generate --samples N --seed SEED`` writes. Every
-input is written once per seed, and both trees then run the same argv on that
-same file, each in a fresh interpreter with BASE_TREE/src or CHANGE_TREE/src
-on the path and BLAS/OpenMP pinned to one thread. For every report.csv column
+the input that BASE_TREE's ``generate --samples N --seed SEED`` writes, and
+then ``REFORMATTED_CONFIG`` on that input rewritten in each of the
+``REFORMATS``, so that both of the loader's parsers run. Every input is
+written once per seed, and both trees then run the same argv on that same
+file, each in a fresh interpreter with BASE_TREE/src or CHANGE_TREE/src on
+the path and BLAS/OpenMP pinned to one thread. For every report.csv column
 the comparison prints "identical" or the largest absolute and relative
 difference, and it lists the keys whose values differ between the two
 manifest.json files. The exit code is 1 when a CLI exit code differs between
@@ -76,6 +78,23 @@ CONFIGS = {
 }
 
 
+def _six_digits(text):
+    header, *rows = text.splitlines()
+    cells = (",".join("%.6g" % float(c) for c in row.split(",")) for row in rows)
+    return "".join(line + "\n" for line in [header, *cells])
+
+
+# name -> rewrite of a generated CSV's text. The decimal reader reads the
+# tab-delimited copy, as it reads the CSV itself; CRLF line ends and cells of
+# six digits go to np.loadtxt.
+REFORMATS = {
+    "tab": lambda text: text.replace(",", "\t"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "6g": _six_digits,
+}
+REFORMATTED_CONFIG = "classify-auto"
+
+
 def _env(*paths):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(p) for p in paths))
     env.update({var: "1" for var in THREAD_VARS})
@@ -95,7 +114,7 @@ def write_inputs(base, names, seeds, size, work):
 
 def write_config_inputs(base, seeds, size, work):
     """Write each configuration's inputs with BASE_TREE's ``generate``, once per
-    (samples, seed); returns the jobs to run."""
+    (samples, seed), and the reformatted copies; returns the jobs to run."""
     jobs = []
     for name, (samples, argv) in CONFIGS.items():
         n = samples[size == "tiny"]
@@ -108,6 +127,14 @@ def write_config_inputs(base, seeds, size, work):
                     env=_env(base / "src"), cwd=work, capture_output=True, check=True,
                 )
             jobs.append([name, seed, str(path), [*argv, "--data", str(path), "--output-dir", OUT]])
+    samples, argv = CONFIGS[REFORMATTED_CONFIG]
+    for fmt, rewrite in REFORMATS.items():
+        for seed in seeds:
+            path = work / f"generate-{samples[size == 'tiny']}-seed{seed}.csv"
+            copy = path.with_suffix(f".{fmt}.txt")
+            copy.write_bytes(rewrite(path.read_text(encoding="utf-8")).encode("utf-8"))
+            jobs.append([f"{REFORMATTED_CONFIG}-{fmt}", seed, str(copy),
+                         [*argv, "--data", str(copy), "--output-dir", OUT]])
     return jobs
 
 
