@@ -4,10 +4,11 @@ numpy's text parser rounds every cell to the nearest double through
 ``strtod``. A cell of at most 15 significant digits takes strtod's fast path,
 but a longer one, such as the 17 of a ``repr``, does not (Clinger, PLDI 1990)
 and costs ~250-450 ns. This reader gets the same bits at ~150 ns a cell. It
-reads the digits of each cell as one int64 M and its power of ten k with
-integer parses, rounds M * 10^k once in the x87 long double, where both
-factors are exact, and hands the few cells whose double that does not settle
-to Python's ``float``, which rounds correctly too (see ``_nearest``).
+reads the digits of each cell as one uint64 M and its power of ten k with
+integer parses, takes the signs from the byte classes, rounds M * 10^k once in
+the x87 long double, where both factors are exact, and hands the few cells
+whose double that does not settle to Python's ``float``, which rounds
+correctly too (see ``_nearest``).
 
 A table it cannot read that way is declined, and the caller parses it as it
 would without the reader: a table most of whose first cells hold at most 16
@@ -66,16 +67,21 @@ _GRAMMAR = np.array([
                                  range(_CLASSES), (False, True))
 ])
 _BYTE_CLASS = {d: _byte_classes(d) for d in (",", "\t")}
-# deletes the point; the delimiter, line end and exponent letter end an integer
+# the delimiter, line end and exponent letter end an integer (the point and
+# the signs are deleted)
 _TO_INTEGERS = {d: bytes.maketrans(d.encode() + b"\neE", b",,,,") for d in (",", "\t")}
 # 10^27 = 5^27 2^27 with 5^27 < 2^63, so 10^0 .. 10^27 are exact in a 64-bit
-# significand, as is every int64 mantissa
+# significand, as is every uint64 mantissa
 _MAX_POWER = 27
-_POWERS = np.array([10**i for i in range(_MAX_POWER + 1)], dtype=np.longdouble)
+# 10^0 .. 10^27, then their negatives for a cell after a minus sign
+_SCALES = np.array([sign * 10**i for sign in (1, -1) for i in range(_MAX_POWER + 1)],
+                   dtype=np.longdouble)
 # x87 extended precision, stored in 16 bytes with the 64-bit significand first
 _X87 = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 _TIE_BYTE = np.arange(256) % 8 == 4  # a significand's second byte, in a tie
-_INT64_MAX = np.iinfo(np.int64).max  # where numpy's int parse saturates
+_UINT64_MAX = np.iinfo(np.uint64).max  # where numpy's int parse saturates
+# exponents are clipped here, far outside the exact range, before they are signed
+_EXPONENT_CAP = 1 << 32
 
 
 def suits(sample, delimiter):
@@ -144,43 +150,52 @@ def _well_formed(at, kinds):
 
 
 def _digits_and_powers(block, delimiter, at, kinds):
-    """Each cell's digits M, read as one int64 without the point, and its
-    power of ten k, its exponent less its number of digits after the point."""
-    ints = np.fromstring(block.translate(_TO_INTEGERS[delimiter], b"."), np.int64, sep=",")
+    """Each cell's digits M, read as one uint64 without the point and sign,
+    its power of ten k, its exponent less its number of digits after the
+    point, and whether it has a minus sign."""
+    ints = np.fromstring(block.translate(_TO_INTEGERS[delimiter], b".+-"), np.uint64, sep=",")
     # an integer ends at each delimiter, line end and exponent letter; the one
-    # after a letter is an exponent, every other one a cell's digits
+    # after a letter is an exponent, every other one a cell's digits. A sign
+    # comes right after such an end, so an integer's is the first non-digit
+    # byte after the end of the one before it.
     stops = np.flatnonzero(kinds <= _EXPONENT)
+    signs = at.take(np.concatenate(([0], stops[:-1] + 1)))
+    minus = np.frombuffer(block, np.uint8).take(signs) == ord("-")
     mantissa = np.ones(stops.size, bool)
     mantissa[1:] = kinds.take(stops[:-1]) != _EXPONENT
     stops = stops[mantissa]
     before = stops - 1  # the point if the cell has one (cell 0: the last line end)
     powers = np.where(kinds.take(before) == _POINT, at.take(before) + 1 - at.take(stops), 0)
-    powers[kinds.take(stops) == _EXPONENT] += ints[~mantissa]
-    return ints[mantissa], powers
+    exponents = np.minimum(ints[~mantissa], _EXPONENT_CAP).astype(np.int64)
+    powers[kinds.take(stops) == _EXPONENT] += np.where(minus[~mantissa], -exponents, exponents)
+    return ints[mantissa], powers, minus[mantissa]
 
 
-def _nearest(digits, powers):
-    """The doubles nearest digits * 10^powers, and the cells whose double
-    this does not settle.
+def _nearest(digits, powers, minus):
+    """The doubles nearest digits * 10^powers, negated where ``minus``,
+    and the cells whose double this does not settle.
 
     For |k| <= 27 both M and 10^|k| are exact in the 64-bit significand, so
     one long-double product or quotient rounds M * 10^k once, to a value
     between 1e-27 and 1e47, well inside the normal doubles. Rounding that to
     the double's 53 bits drops 11 more and gives the double nearest the cell,
     unless the 11 bits are exactly a half: then the cell may lie on either
-    side of that midpoint. Those cells, the ones with |k| > 27, with M past the
-    int64 range, or with M = 0 (whose sign the int lost) are left to redo.
+    side of that midpoint. Those cells, and the ones with |k| > 27 or with M
+    past the uint64 range, are left to redo. Rounding to nearest is symmetric,
+    so a minus sign negates the scale 10^|k|, and M = 0 gives -0.0 after one.
     """
     exact = (powers >= -_MAX_POWER) & (powers <= _MAX_POWER)
     powers[~exact] = 0
     rounded = digits.astype(np.longdouble)
     negative = powers < 0
-    scale = _POWERS.take(np.where(negative, -powers, powers))
+    index = np.where(negative, -powers, powers)
+    index += minus * (_MAX_POWER + 1)  # the negated half of the table
+    scale = _SCALES.take(index)
     np.divide(rounded, scale, out=rounded, where=negative)
-    np.multiply(rounded, scale, out=rounded, where=powers > 0)
+    np.multiply(rounded, scale, out=rounded, where=~negative)
     # the significand's low 11 bits are a half, 0x400, when its first byte is
     # 0 and its second 4 mod 8 (by bytes: no other step loads a bitwise loop)
     low = rounded.view(np.uint8).reshape(-1, rounded.itemsize)
     tie = (low[:, 0] == 0) & _TIE_BYTE.take(low[:, 1])
-    redo = tie | ~exact | (digits == 0) | (digits == _INT64_MAX)
+    redo = tie | ~exact | (digits == _UINT64_MAX)
     return rounded.astype(float), np.flatnonzero(redo)

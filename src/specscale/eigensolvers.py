@@ -325,7 +325,8 @@ def rect_pencil_eig(F, G, target):
         raise DegeneratePencilError("G = 0: the pencil has no finite eigenvalue")
 
     if F.shape[0] < F.shape[1]:
-        K = F - target * G
+        K = np.multiply(G, target)
+        np.subtract(F, K, out=K)  # F - target G in one buffer
         s = np.linalg.lstsq(K[:, :-1], K[:, -1], rcond=None)[0]
         w = np.append(s, -1.0)
         return [EigenPair(float(target), _sign_normalize(w / np.linalg.norm(w)))]

@@ -12,7 +12,12 @@ unit-width factors t and the scores of their scaled kernel, or else the
 unscaled kernel at its width, one per run. A kernel is one graph, one
 embedding and, for cluster, one exact two-means; 1-NN runs per split. A memo
 keeps a typed error as it keeps a result, so every row the failed part would
-serve records it. A row is its fit's record at its own sigma, with factors
+serve records it. A fit holds its training-sized arrays only while it reads
+them: ``fit_unit_scaling`` makes the pair moments of the training rows, drops
+its copy of the rows once the moments are made and the moments once the
+pencil is assembled, so neither lives through the solve; the linearization
+share takes a fresh copy of the rows, gone before the kernel over all samples
+is built. A row is its fit's record at its own sigma, with factors
 s = 2 sigma^2 t, and the report aggregates per-sigma statistics. Reports
 serialize to a tidy CSV plus a JSON manifest and are byte-identical across
 reruns with the same configuration and data.
@@ -232,7 +237,7 @@ def reports_to_manifest(reports) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None):
+def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7):
     """Learn the unit-width factors t of the rows at width ``sigma``.
 
     Builds the label target of the training rows X, assembles the pencil of
@@ -240,13 +245,19 @@ def fit_unit_scaling(X, labels, negative_value, sigma, k_neighbors=7, diffs=None
     records s = 2 sigma^2 t, and the scaled kernel is exp(-delta_t) at every
     width. Only ``negative_value="auto"`` reads sigma: it takes its degrees
     from the unscaled k-NN graph of the training rows at that width.
-    ``diffs`` may carry ``pairwise_sqdiff(X)``.
+    The pencil is assembled from the pair moments of X, made here and dropped
+    as soon as it is; X is not read past them, and its pencil is that of its
+    centered rows, so a caller that keeps no name for X frees it for assembly.
     """
     degrees = None
     if negative_value == "auto":  # the unscaled kernel at sigma: t = e / (2 sigma^2)
         degrees = build_similarity(X, np.full(X.shape[1], 0.5 / sigma**2), k_neighbors).degrees
     v = estimate_fiedler(labels, negative_value, degrees)
-    return learn_scaling(assemble_pencil(X, v, diffs=diffs))
+    diffs = pairwise_sqdiff(X)
+    del X  # the moments carry all that assembly reads of it
+    pencil = assemble_pencil(diffs.centered, v, diffs=diffs)
+    del diffs  # two n_train x m arrays the solve does not read
+    return learn_scaling(pencil)
 
 
 def _kept(cache, key, build):
@@ -284,19 +295,22 @@ def _scores(config, data, kernel, train, test):
     return rand_index(data.labels[test], predicted, align=False), None
 
 
-def _fit(config, data, train, test, diffs, sigma, repetition):
+def _fit(config, data, train, test, sigma, repetition):
     """The record of the fit for the rows at width ``sigma``: its pencil
     diagnostics, unit-width factors t and the scores of their kernel
     exp(-delta_t), or ``scaled=False`` when feature scaling is off, the pencil
     yields no factors or the factors overflow the kernel (the diagnostics then
-    stay)."""
+    stay). No copy of the training rows is kept across the solve: the fit
+    gets one that it drops once the pair moments are made, and the
+    linearization share another that is gone before the kernel over all
+    samples is built."""
     record = RunRecord(sigma=float(sigma), repetition=repetition)
     if not config.feature_scaling:
         return record
-    X = data.values[train]
     try:
         scaling = fit_unit_scaling(
-            X, data.labels[train], config.fiedler_negative, sigma, config.k_neighbors, diffs
+            data.values[train], data.labels[train], config.fiedler_negative, sigma,
+            config.k_neighbors,
         )
     except (NoScalingError, NonNormalizableError):
         return record
@@ -305,7 +319,9 @@ def _fit(config, data, train, test, diffs, sigma, repetition):
     record.constraint_violation = float(scaling.constraint_violation)
     record.certified = bool(scaling.certified)
     record.factors = scaling.factors
-    record.linearization_violations = linearization_violation_fraction(X, record.factors)
+    record.linearization_violations = linearization_violation_fraction(
+        data.values[train], record.factors
+    )
     try:
         kernel = _kernel(config, data, record.factors)
     except NumericalOverflowError:  # only negative learned factors can overflow
@@ -318,16 +334,14 @@ def _fit(config, data, train, test, diffs, sigma, repetition):
 def _split_rows(config, data, train, test, repetition, unscaled):
     """The rows of one split, one per grid width; ``unscaled`` keeps the run's
     unscaled kernels by width."""
-    # only a fit reads the pair moments; they hold no width, so one serves every fit
-    diffs = pairwise_sqdiff(data.values[train]) if config.feature_scaling else None
     fits, rows = {}, []
     for sigma in config.sigma_grid:
-        # a fixed target's fit and scaled kernel hold no width: one serves every row
+        # a fixed target's fit and scaled kernel hold no width: one serves every
+        # row. Each fit makes the pair moments of its split and drops them once
+        # its pencil is assembled, so an "auto" split makes them once per sigma.
         key = sigma if config.fiedler_negative == "auto" else None
         try:
-            fit = _kept(
-                fits, key, lambda: _fit(config, data, train, test, diffs, sigma, repetition)
-            )
+            fit = _kept(fits, key, lambda: _fit(config, data, train, test, sigma, repetition))
             factors = None if fit.factors is None else 2.0 * sigma**2 * fit.factors
             row = dataclasses.replace(fit, sigma=float(sigma), factors=factors)
             if not row.scaled:

@@ -124,7 +124,8 @@ def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSys
     Expanding the square on the column-centered x~ gives
     A = x~^2 (e^T v) - x~ o (2 v^T x~) + v^T x~^2 and x^ = ``diffs.sqdiff``,
     in O(n m) memory. F and G are allocated once and every block is written in
-    place, B's block serving as scratch for the middle term of A.
+    place: G's storage holds x~^2 until A is started, and B's block then
+    serves as scratch for the middle term of A, so no n x m temporary is made.
     ``diffs`` may carry ``pairwise_sqdiff(X)``.
     """
     values = np.asarray(X, dtype=float)
@@ -140,12 +141,14 @@ def assemble_pencil(X, v, diffs: PairwiseDifferences | None = None) -> PencilSys
     centered, xhat = diffs.centered, diffs.sqdiff
     F, G = np.empty((n + 1, m + 1)), np.zeros((n + 1, m + 1))
     A, B = F[:n, :m], G[:n, :m]
-    # contiguous, as a product with the strided block rounds differently at m <= 3
-    squares = np.square(centered)
+    # x~^2 in G's first n m entries, contiguous, as a product with the strided
+    # block rounds differently at m <= 3; G's last row stays zero
+    squares = G.reshape(-1)[: n * m].reshape(n, m)
+    np.square(centered, out=squares)
+    weighted = v @ squares
     np.multiply(squares, v.sum(), out=A)
     A -= np.multiply(centered, 2.0 * (v @ centered), out=B)  # B's block as scratch
-    A += v @ squares
-    del squares
+    A += weighted
     np.multiply(v[:, None], xhat, out=B)
     F[:n, m] = v.sum() - v
     F[n, :m] = xhat.T @ v
@@ -249,17 +252,17 @@ def linearization_violation_fraction(X, factors) -> float:
     for each pair, which is 0 < s^T x_ij / (2 sigma^2) < 1 at width sigma; this
     reports how often that fails (over pairs i < j). Each row block of delta_t
     covers the columns at and past its first row (about half the matrix in all,
-    never n x n, one block alive at a time) and is counted whole, less its
-    leading square's j <= i. delta_t is not clamped; t <= 0 counts the same.
+    never n x n, one block alive at a time) and is counted whole, its leading
+    square's j <= i first set to 0.5, inside, so that the two comparisons
+    make one boolean block at a time. delta_t is not clamped; t <= 0 counts
+    the same.
     """
     n = np.shape(X)[0]
     sqdist = sqdist_blocks(X, factors)
     violations = 0
     for rows in row_blocks(n, n):
         t = sqdist(rows, slice(rows.start, n))
-        outside = t <= 0.0
-        outside |= t >= 1.0
+        t[:, : len(t)][np.tri(len(t), dtype=bool)] = 0.5
+        violations += np.count_nonzero(t <= 0.0) + np.count_nonzero(t >= 1.0)
         del t  # freed before the next block's GEMM: one block lives at a time
-        leading = np.tril(outside[:, : len(outside)])
-        violations += np.count_nonzero(outside) - np.count_nonzero(leading)
     return float(violations / (n * (n - 1) // 2))

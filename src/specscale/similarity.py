@@ -51,8 +51,10 @@ def pairwise_sqdiff(X) -> PairwiseDifferences:
     if not np.all(np.isfinite(values)):
         raise ValueError("X contains non-finite entries")
     centered = values - values.mean(axis=0)
-    squares = np.square(centered)
-    sqdiff = values.shape[0] * squares + squares.sum(axis=0)
+    sqdiff = np.square(centered)
+    total = sqdiff.sum(axis=0)
+    sqdiff *= values.shape[0]  # n x~^2 + sum_j x~_j^2, in the buffer of x~^2
+    sqdiff += total
     return PairwiseDifferences(centered, sqdiff)
 
 
@@ -73,7 +75,15 @@ _GROUP_SIZE = 16
 def row_blocks(n_rows, n_cols):
     """Consecutive slices covering range(n_rows), each a row block of an
     (n_rows, n_cols) array with about 1 MB of float64 entries, or 40 rows
-    where such a block would have fewer."""
+    where such a block would have fewer.
+
+    A block of ``sqdist_blocks`` over n samples of m features is the product of
+    a block of lifted rows, m + 2 wide, with up to n columns. The graph passes
+    n_cols = max(n, m + 2), so that neither the block nor its left operand
+    passes 1 MB (beyond the 40-row floor) when the features outnumber the
+    samples. The linearization share passes n: its n_train rows, half the
+    samples, did not set the peak of a wide fit with the smaller blocks or
+    without them."""
     step = max(_BLOCK_MIN_ROWS, _BLOCK_ENTRIES // n_cols)
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
@@ -178,8 +188,11 @@ def build_similarity(Y, factors, k_neighbors) -> SimilarityGraph:
     Each row keeps its ``k_neighbors`` nearest other samples in delta_t (ties
     go to the smaller sample index), selected below a bound (``_nearest``), not
     by sort, in row blocks of about 1 MB, one alive at a time: memory stays
-    O(n (k + m)) plus one block. For nonnegative factors, delta_t is clamped at
-    0 (rounding can take it below), as the selection's floor. The weights
+    O(n (k + m)) plus one block. A block's rows are counted by the wider of
+    its n columns and its left operand's m + 2 lifted ones, so wide data
+    (m > n) get smaller blocks rather than an n x (m + 2) left operand. For
+    nonnegative factors, delta_t is clamped at 0 (rounding can take it below),
+    as the selection's floor. The weights
     exp(-delta_t) are evaluated on the n*k kept pairs only, and the kept matrix
     M is symmetrized as (M + M^T) / 2 by one sort of it.
 
@@ -214,7 +227,7 @@ def build_similarity(Y, factors, k_neighbors) -> SimilarityGraph:
     # delta_t of nonnegative factors is clamped at 0, in the kept values only
     floor = 0.0 if np.all(factors >= 0.0) else -np.inf
     cols, near = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-    for rows in row_blocks(n, n):
+    for rows in row_blocks(n, max(n, values.shape[1] + 2)):
         d2 = sqdist(rows)
         np.fill_diagonal(d2[:, rows], np.inf)  # a view: each row's own sample
         cols[rows], near[rows] = _nearest(d2, k, floor)

@@ -175,8 +175,19 @@ class TestRunPipeline:
             assert r.scaled and np.linalg.norm(r.factors) > 1e-3
             assert r.ri >= 0.95
 
-    @pytest.mark.parametrize("feature_scaling, expected", [(True, 2), (False, 0)])
-    def test_pair_tensor_built_only_for_a_fit(self, monkeypatch, feature_scaling, expected):
+    # one set of pair moments per fit: per split for a fixed target, per split
+    # and width (two here) for "auto", none without feature scaling
+    @pytest.mark.parametrize(
+        "feature_scaling, fiedler_negative, expected",
+        [
+            pytest.param(True, -0.2, 2, id="True-2"),
+            pytest.param(True, "auto", 4, id="auto-4"),
+            pytest.param(False, -0.2, 0, id="False-0"),
+        ],
+    )
+    def test_pair_tensor_built_only_for_a_fit(
+        self, monkeypatch, feature_scaling, fiedler_negative, expected
+    ):
         calls = []
         build = experiments.pairwise_sqdiff
 
@@ -186,7 +197,11 @@ class TestRunPipeline:
 
         monkeypatch.setattr(experiments, "pairwise_sqdiff", counting)
         data = standardize(generate_toy(120, seed=0))
-        report = run_pipeline(toy_config("cluster", feature_scaling=feature_scaling), data)
+        config = toy_config(  # at 0.1 the "auto" target of these splits collapses
+            "cluster", sigma_grid=(1.0, 10.0), feature_scaling=feature_scaling,
+            fiedler_negative=fiedler_negative,
+        )
+        report = run_pipeline(config, data)
         assert all(r.ok for r in report.records)
         assert len(calls) == expected
 
