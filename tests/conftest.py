@@ -54,3 +54,30 @@ def csr_from_dense():
     row its diagonal entry first, then its nonzero off-diagonal entries in
     column order. Session-scoped, so that hypothesis tests may take it."""
     return _csr_from_dense
+
+
+def _symmetrized(cols, weights):
+    n, k = cols.shape
+    own = np.arange(n)
+    rows = np.concatenate([np.repeat(own, k), cols.ravel(), own])
+    columns = np.concatenate([cols.ravel(), np.repeat(own, k), own])
+    values = np.concatenate([weights.ravel(), weights.ravel(), np.zeros(n)])
+    key = rows * (n + 1) + np.where(rows == columns, 0, columns + 1)
+    order = np.argsort(key)
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    rows, columns = rows[order[first]], columns[order[first]]
+    data = np.add.reduceat(values[order], first) / 2.0
+    keep = (data != 0.0) | (rows == columns)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=n))])
+    return SymmetricCSR(indptr, columns[keep], data[keep])
+
+
+@pytest.fixture(scope="session")
+def symmetrized_oracle():
+    """Oracle: (M + M^T) / 2 as a ``SymmetricCSR`` for the n x n matrix M whose
+    row i holds ``weights[i]`` at the columns ``cols[i]``, from the rows,
+    columns and values of all its stored entries side by side, sorted by one
+    key (row, then the diagonal, then column) and summed per key; zeros off
+    the diagonal dropped. The package builds the same arrays with fewer
+    alive. Session-scoped, so that hypothesis tests may take it."""
+    return _symmetrized

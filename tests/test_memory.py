@@ -4,12 +4,15 @@ The k-NN graph and the linearization share touch all n^2 pairs but keep only
 O(n k) results, so they work in row blocks of 2^17 float64 entries (1 MB),
 freeing each block before the next one is made. The share's traced peak must
 stay below 1.5 blocks plus 2 n (k + m) floats. The graph then symmetrizes its
-n k kept pairs, so its limit takes the larger of 1.5 blocks and 24 floats per
-kept pair, plus the same 2 n (k + m) floats. Measured at n = 3000 (k = 7,
-m = 10): the share peaked at 1.53 MB. The graph peaked at 1.76 MB while it
-made blocks and at 3.26 MB overall, the symmetrization's 19.8 floats per kept
-pair. With 4 MB blocks both took 1.28 and 1.32 blocks (5.1 and 5.3 MB), and
-2.15 and 2.14 while a block was still alive when the next one was made.
+n k kept pairs, so its limit takes the larger of 1.5 blocks and 12 floats per
+kept pair, plus the same 2 n (k + m) floats: 2.83 MB. Measured at n = 3000
+(k = 7, m = 10): the share peaked at 1.53 MB. The graph peaked at 1.76 MB
+while it made blocks. Overall it peaked at 3.41 MB while the symmetrization
+held the rows, columns and values of its 2nk + n stored entries side by side
+(17.3 floats per kept pair in the symmetrization alone), and at 1.84 MB with
+one int64 key per entry and at most three such arrays alive (6.6). With 4 MB
+blocks both took 1.28 and 1.32 blocks (5.1 and 5.3 MB), and 2.15 and 2.14
+while a block was still alive when the next one was made.
 
 The 1-NN sweep scans, per test row, a window of training rows that starts at
 16 (8 per side) and doubles while a nearer row can remain. Its peak must stay
@@ -99,7 +102,7 @@ def traced_peak(func, *args):
 def test_graph_holds_no_dense_distance_matrix(toy):
     data, factors = toy
     peak = traced_peak(build_similarity, data.values, factors, K)
-    assert peak < max(1.5 * BLOCK_BYTES, 24 * N * K * 8) + 2 * N * (K + M) * 8
+    assert peak < max(1.5 * BLOCK_BYTES, 12 * N * K * 8) + 2 * N * (K + M) * 8
 
 
 def test_linearization_share_holds_no_dense_distance_matrix(toy):
