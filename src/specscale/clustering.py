@@ -62,7 +62,7 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     rows stop within 48 rows. If most rows tie in that coordinate (at worst,
     all points are equal), every row scans all n_train, up to twice over.
     Rounds work on blocks of test rows, ``row_blocks`` of the 2 ``width``
-    candidates per row: about 1 MB per array, and at least 40 rows, so no
+    candidates per row: about 512 KB per array, and at least 40 rows, so no
     n_test x n_train array is held.
 
     Raises ValueError for a non-finite embedding, which the sweep cannot order.

@@ -33,14 +33,23 @@ from .errors import (
 )
 
 _SYM_RESIDUAL_BOUND = 1e-8
-# Largest graph solved by dense eigh. On k-NN graphs of the toy data, with one
-# BLAS thread, it breaks even with Lanczos between n = 200 and 300 for one pair
-# and between 300 and 400 for three.
+# Largest graph solved by dense eigh. Where it breaks even with Lanczos depends
+# on the steps a graph takes (one pair, one BLAS thread): on unscaled toy
+# graphs between n = 250 and 300 (dense 5.8 against 6.1-6.7 ms at 250, 8.0-8.8
+# against 5.5-8.0 ms at 300), on toy graphs with a fit's signed factors between
+# n = 100 and 200 (2.3 against 1.2 ms at 200), and wide-pencil's n = 144 graphs
+# take 1.7 ms dense against 3.9-4.5 ms by Lanczos. No workload's graph lies
+# between 150 and 300 vertices.
 _DENSE_MAX_N = 300
 # Fixed Lanczos start vector seed, so that repeated solves are bit-identical.
 _LANCZOS_SEED = 1805
 _LANCZOS_TOL = 1e-12
-_LANCZOS_MAX_STEPS = 500  # the benchmark's graphs converge in 30 to 45 steps
+_LANCZOS_MAX_STEPS = 500  # the benchmark's graphs converge in 32 to 48 steps
+# Rows of the Lanczos basis at first; it doubles when a solve needs more. numpy
+# marks an allocation of 4 MB or more for transparent huge pages, so a 500-row
+# basis could back the ~1.2 MB a large-classify solve writes by 2 MB pages, and
+# such runs' peak RSS read up to 1.7 MB higher.
+_LANCZOS_FIRST_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,8 @@ def _deflated_lanczos(whitened, root, component, c, k):
     Y[np.arange(n), component] = root
     Y /= np.linalg.norm(Y, axis=0)
     steps = min(n, _LANCZOS_MAX_STEPS)
-    basis, alpha, beta = np.empty((steps, n)), np.empty(steps), np.empty(steps)
+    basis = np.empty((min(steps, _LANCZOS_FIRST_ROWS), n))
+    alpha, beta = np.empty(steps), np.empty(steps)
     v0 = np.random.default_rng(np.random.SeedSequence(_LANCZOS_SEED)).uniform(-1.0, 1.0, n)
     basis[0] = v0 / np.linalg.norm(v0)
     converged = 0
@@ -177,6 +187,10 @@ def _deflated_lanczos(whitened, root, component, c, k):
             if converged == k:
                 return 1.0 - mu, basis[: j + 1].T @ s
         if j + 1 < steps:
+            if j + 1 == basis.shape[0]:  # full: double it, copying the rows written
+                grown = np.empty((min(2 * (j + 1), steps), n))
+                grown[: j + 1] = basis
+                basis = grown
             basis[j + 1] = w / beta[j]
     raise EigenConvergenceError(
         f"Lanczos converged on {converged} of {k} eigenpairs of a {n}-vertex graph"

@@ -4,7 +4,7 @@ Weights follow w_ij = exp(-delta_t(i, j)), where delta_t is the squared
 Euclidean distance weighted per feature by the unit-width factors t; the
 kernel of factors s at width sigma is that of t = s / (2 sigma^2), so the
 graph takes no width. Negative factors make delta_t indefinite (weights can
-then exceed 1). It is made in row blocks of about 1 MB and at least 40 rows
+then exceed 1). It is made in row blocks of about 512 KB and at least 40 rows
 (``row_blocks``), one GEMM of lifted rows each, whose entry for a row's own
 sample is rounding noise that each caller drops; it is not clamped at 0.
 Each row keeps its k nearest other samples: only the groups of columns whose
@@ -59,11 +59,13 @@ def pairwise_sqdiff(X) -> PairwiseDifferences:
     return PairwiseDifferences(centered, sqdiff)
 
 
-# float64 entries (1 MB) per row block of an n x n pairwise array, so that no
-# layer holds O(n^2) memory and a block stays in the 2 MB per-core L2: 163 rows
-# at n = 800, 40 at 3200. With 4 MB blocks (655 rows at n = 800) the toy
-# graph raised the peak RSS of a toy-cluster run by 4.3 MB; with 1 MB, 0.75.
-_BLOCK_ENTRIES = 1 << 17
+# float64 entries (512 KB) per row block of an n x n pairwise array, so that
+# no layer holds O(n^2) memory: 81 rows at n = 800, the floor's 40 from 1600.
+# On the toy these blocks set the heap top: 4 MB blocks (655 rows at n = 800)
+# grew a toy-cluster run's peak RSS by 4.3 MB in the graph, and 1 MB blocks
+# left its peak 0.5 MB above this size's. The graph at n = 800 took 4.4 ms with
+# these, 4.2 ms with 1 MB and 5.1 ms with 256 KB blocks (one BLAS thread).
+_BLOCK_ENTRIES = 1 << 16
 # Rows per block at least, as a block's cost is mostly per numpy call: 1 MB
 # blocks of 10 rows took the n = 12.8k ladder rung 0.58-0.78 s, against
 # 0.53-0.58 s with this floor's 40 (three runs each). 51.2k gets 40 rows too.
@@ -75,13 +77,13 @@ _GROUP_SIZE = 16
 
 def row_blocks(n_rows, n_cols):
     """Consecutive slices covering range(n_rows), each a row block of an
-    (n_rows, n_cols) array with about 1 MB of float64 entries, or 40 rows
+    (n_rows, n_cols) array with about 512 KB of float64 entries, or 40 rows
     where such a block would have fewer.
 
     A block of ``sqdist_blocks`` over n samples of m features is the product of
     a block of lifted rows, m + 2 wide, with up to n columns. The graph passes
     n_cols = max(n, m + 2), so that neither the block nor its left operand
-    passes 1 MB (beyond the 40-row floor) when the features outnumber the
+    passes 512 KB (beyond the 40-row floor) when the features outnumber the
     samples. The linearization share passes n: its n_train rows, half the
     samples, did not set the peak of a wide fit with the smaller blocks or
     without them."""
@@ -211,7 +213,7 @@ def build_similarity(Y, factors, k_neighbors) -> SimilarityGraph:
 
     Each row keeps its ``k_neighbors`` nearest other samples in delta_t (ties
     go to the smaller sample index), selected below a bound (``_nearest``), not
-    by sort, in row blocks of about 1 MB, one alive at a time: memory stays
+    by sort, in row blocks of about 512 KB, one alive at a time: memory stays
     O(n (k + m)) plus one block. A block's rows are counted by the wider of
     its n columns and its left operand's m + 2 lifted ones, so wide data
     (m > n) get smaller blocks rather than an n x (m + 2) left operand. For

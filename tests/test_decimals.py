@@ -140,18 +140,29 @@ def test_every_power_of_ten_reads_as_numpy_reads_it(tmp_path):
     assert got.tobytes() == loadtxt(path, ",").tobytes()
 
 
-def test_mantissas_past_int64_read_vectorized(tmp_path, monkeypatch):
-    # %.18e writes 19 digits, and a mantissa at or above 9.223372036854775808
-    # (2^63) passes int64: 4.6% of a standard normal table's cells. Read as
-    # uint64 with the sign taken from the bytes, they and -0.0 need no float()
-    redone, original = [], decimals._nearest
+@pytest.fixture
+def redone(monkeypatch):
+    """The number of cells each call of ``decimals._nearest`` sends to float()."""
+    sizes, original = [], decimals._nearest
 
     def nearest(*args):
         values, redo = original(*args)
-        redone.append(redo.size)
+        sizes.append(redo.size)
         return values, redo
 
     monkeypatch.setattr(decimals, "_nearest", nearest)
+    return sizes
+
+
+def mantissas(rows):
+    return [int(cell.lstrip("-").replace(".", "").partition("e")[0])
+            for row in rows for cell in row]
+
+
+def test_mantissas_past_int64_read_vectorized(tmp_path, redone):
+    # %.18e writes 19 digits, and a mantissa at or above 9.223372036854775808
+    # (2^63) passes int64: 4.6% of a standard normal table's cells. Read as
+    # uint64 with the sign taken from the bytes, they and -0.0 need no float()
     rng = np.random.default_rng(0)
     big = rng.uniform(9.2233720368547759, 10.0, 600) * 10.0 ** rng.integers(-9, 10, 600)
     values = np.concatenate([big, -big, [0.0, -0.0], rng.standard_normal(598)])
@@ -162,9 +173,22 @@ def test_mantissas_past_int64_read_vectorized(tmp_path, monkeypatch):
     assert got is not None
     assert got.tobytes() == loadtxt(path, ",").tobytes()
     assert np.signbit(got[-1]).all()
-    digits = [cell.lstrip("-").replace(".", "").partition("e")[0] for row in rows for cell in row]
-    assert sum(int(d) >= 2**63 for d in digits) >= 1200
+    digits = mantissas(rows)
+    assert sum(d >= 2**63 for d in digits) >= 1200
     assert sum(redone) <= len(digits) // 100  # the midpoints alone (~1 in 2048)
+
+
+def test_savetxt_table_takes_no_float(tmp_path, redone):
+    # np.savetxt's default %.18e: 450 of this table's 10,000 mantissas lie in
+    # [2^63, 2^64), and none of its cells is a midpoint
+    path = tmp_path / "normal.csv"
+    np.savetxt(path, np.random.default_rng(0).standard_normal((200, 50)), delimiter=",")
+    got = read(path, ",", 50)
+    assert got is not None
+    assert got.tobytes() == loadtxt(path, ",").tobytes()
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert sum(d >= 2**63 for d in mantissas(rows)) == 450
+    assert sum(redone) == 0
 
 
 @pytest.mark.parametrize("cell", [

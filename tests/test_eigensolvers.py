@@ -218,6 +218,18 @@ class TestLanczosPath:
             assert a.value == b.value and a.residual == b.residual
             np.testing.assert_array_equal(a.vector, b.vector)
 
+    @pytest.mark.parametrize("first_rows", [1, 3])
+    def test_growing_basis_repeats_the_solve(self, monkeypatch, csr_from_dense, first_rows):
+        # a basis that starts small and doubles holds the same rows as one
+        # allocated for every step at once, so the solve repeats bit for bit
+        L, _, _, _ = knn_blocks(2, csr_from_dense)
+        monkeypatch.setattr(eigensolvers, "_LANCZOS_FIRST_ROWS", eigensolvers._LANCZOS_MAX_STEPS)
+        whole = sym_gen_eig(L, 2)
+        monkeypatch.setattr(eigensolvers, "_LANCZOS_FIRST_ROWS", first_rows)
+        for a, b in zip(whole, sym_gen_eig(L, 2)):
+            assert a.value == b.value and a.residual == b.residual
+            np.testing.assert_array_equal(a.vector, b.vector)
+
     def test_no_convergence_is_typed(self, monkeypatch, csr_from_dense):
         # three basis vectors leave both wanted Ritz pairs far from converged
         monkeypatch.setattr(eigensolvers, "_LANCZOS_MAX_STEPS", 3)

@@ -1,18 +1,32 @@
 """Peak memory of the pairwise layers: none may hold an n x n array.
 
 The k-NN graph and the linearization share touch all n^2 pairs but keep only
-O(n k) results, so they work in row blocks of 2^17 float64 entries (1 MB),
-freeing each block before the next one is made. The share's traced peak must
-stay below 1.5 blocks plus 2 n (k + m) floats. The graph then symmetrizes its
-n k kept pairs, so its limit takes the larger of 1.5 blocks and 12 floats per
-kept pair, plus the same 2 n (k + m) floats: 2.83 MB. Measured at n = 3000
-(k = 7, m = 10): the share peaked at 1.53 MB. The graph peaked at 1.76 MB
-while it made blocks. Overall it peaked at 3.41 MB while the symmetrization
-held the rows, columns and values of its 2nk + n stored entries side by side
-(17.3 floats per kept pair in the symmetrization alone), and at 1.84 MB with
-one int64 key per entry and at most three such arrays alive (6.6). With 4 MB
-blocks both took 1.28 and 1.32 blocks (5.1 and 5.3 MB), and 2.15 and 2.14
-while a block was still alive when the next one was made.
+O(n k) results, so they work in row blocks of 2^16 float64 entries (512 KB)
+and at least 40 rows, freeing each block before the next one is made. At
+n = 3000 a block is the floor's 40 rows (0.96 MB). The share's traced peak
+must stay below 1.5 such blocks plus 2 n (k + m) floats. The graph then
+symmetrizes its n k kept pairs, so its limit takes the larger of 1.5 blocks
+and 12 floats per kept pair, plus the same 2 n (k + m) floats: 2.83 MB.
+Measured at n = 3000 (k = 7, m = 10), with 1 MB blocks (43 rows): the share
+peaked at 1.53 MB. The graph peaked at 1.76 MB while it made blocks. Overall
+it peaked at 3.41 MB while the symmetrization held the rows, columns and
+values of its 2nk + n stored entries side by side (17.3 floats per kept pair
+in the symmetrization alone), and at 1.84 MB with one int64 key per entry and
+at most three such arrays alive (6.6). With 4 MB blocks both took 1.28 and
+1.32 blocks (5.1 and 5.3 MB), and 2.15 and 2.14 while a block was still alive
+when the next one was made. With 512 KB blocks the share peaked at 1.39 MB and
+the graph at 1.76 MB.
+
+At n = 800 the blocks are sized by their entries, above the floor, and they
+set both peaks. The graph must stay below 2^20 bytes and the share of 400
+rows below 0.75 times that:
+with 1 MB blocks (163 and 327 rows) they peaked at 1.55 and 1.23 MB, with
+512 KB blocks (81 and 163 rows) at 0.89 and 0.63 MB.
+
+The Lanczos basis of ``sym_gen_eig`` starts at 64 rows and doubles when a
+solve needs more, so a graph that converges within 64 steps must solve below
+4 MB: at n = 3000, with factors like a fit's, two pairs take 40 steps and
+peaked at 2.48 MB. A basis of the 500-step limit peaked at 12.94 MB.
 
 The 1-NN sweep scans, per test row, a window of training rows that starts at
 16 (8 per side) and doubles while a nearer row can remain. Its peak must stay
@@ -74,10 +88,12 @@ from specscale import (
     run_pipeline,
     save_matrix,
     standardize,
+    sym_gen_eig,
 )
+from specscale import eigensolvers
 
 N = 3000
-BLOCK_BYTES = 2**17 * 8  # a row block of the graph and the share
+BLOCK_BYTES = 40 * N * 8  # a row block of the graph and the share at N: the floor
 NN1_BYTES = 2**19 * 8  # the base of the 1-NN sweep's limit
 K, M = 7, 10  # neighbors, features of the toy
 FIRST_WINDOW = 16  # training rows in the first round of the 1-NN sweep
@@ -109,6 +125,32 @@ def test_linearization_share_holds_no_dense_distance_matrix(toy):
     data, factors = toy
     peak = traced_peak(linearization_violation_fraction, data.values, factors)
     assert peak < 1.5 * BLOCK_BYTES + 2 * N * (K + M) * 8
+
+
+@pytest.fixture(scope="module")
+def small_toy():
+    data = standardize(generate_toy(800, seed=0))
+    factors = np.random.default_rng(0).uniform(0.0, 1.0, size=data.n_features)
+    return data, factors
+
+
+def test_small_graph_peak_is_set_by_half_megabyte_blocks(small_toy):
+    data, factors = small_toy
+    assert traced_peak(build_similarity, data.values, factors, K) < 2**20
+
+
+def test_small_share_peak_is_set_by_half_megabyte_blocks(small_toy):
+    data, factors = small_toy
+    rows = data.values[:400]  # a training half
+    assert traced_peak(linearization_violation_fraction, rows, factors) < 0.75 * 2**20
+
+
+def test_lanczos_basis_grows_with_the_steps_a_solve_takes(toy):
+    data, _ = toy
+    factors = np.array([0.15, 0.15, -0.2] + [0.0] * 7)  # like a fit's factors
+    laplacian = build_similarity(data.values, factors, K).laplacian
+    assert laplacian.shape[0] > eigensolvers._DENSE_MAX_N
+    assert traced_peak(sym_gen_eig, laplacian, 2) < 4 * 2**20
 
 
 def test_nn1_holds_no_dense_distance_matrix(toy):
