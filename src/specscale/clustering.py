@@ -7,8 +7,8 @@ import numpy as np
 from .similarity import row_blocks
 
 
-# Training rows per side in the first round of ``nn1_classify``'s sweep: 1 to
-# 32 were within 20% on large-classify's embedding, and 8 and 16 the fastest.
+# Half the training rows in ``nn1_classify``'s first window: 1 to 32 were within
+# 20% on large-classify's embedding, and 8 and 16 the fastest.
 _FIRST_WIDTH = 8
 
 
@@ -53,17 +53,18 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
 
     A projection sweep finds it (Friedman, Baskett & Shustek, "An algorithm for
     finding nearest neighbors", IEEE Trans. Computers, 1975). The training rows
-    are sorted by the coordinate of widest spread, and each test row scans
-    outward from its place in that order, 8 rows per side in the first round
-    and twice as many in each after, all on one side once the other closes. A
-    side closes once its next gap in that coordinate, squared, exceeds the best
-    squared distance, of which it is a term; equal distances are still scanned.
-    On large-classify (n_train = 1600, ell = 2, seeds 0 and 1) 85-87% of the
-    rows stop within 48 rows. If most rows tie in that coordinate (at worst,
-    all points are equal), every row scans all n_train, up to twice over.
-    Rounds work on blocks of test rows, ``row_blocks`` of the 2 ``width``
-    candidates per row: about 512 KB per array, and at least 40 rows, so no
-    n_test x n_train array is held.
+    are sorted by the coordinate of widest spread. Each round scans, for every
+    test row still open, the 2 ``width`` rows of that order around its place in
+    it (all rows if fewer), ``width`` being 8 and then doubling. A row closes
+    once the next unscanned row on each side is farther in that coordinate,
+    squared, than the best squared distance in the window, of which it is a
+    term; an equal distance keeps the side open. On large-classify (n_train =
+    1600, ell = 2, seeds 0 and 1) 76-78% of the rows close in the first two
+    rounds, which scan 48 rows. If most rows tie in that coordinate (at
+    worst, all points are equal), every row scans all n_train, up to three
+    times over. Rounds work on blocks of test rows, ``row_blocks`` of the 2
+    ``width`` candidates per row: about 512 KB per array, and at least 40 rows,
+    so no n_test x n_train array is held.
 
     Raises ValueError for a non-finite embedding, which the sweep cannot order.
     """
@@ -88,57 +89,31 @@ def nn1_classify(embedded, train_indices, train_labels, test_indices) -> np.ndar
     axis = int(np.argmax(np.ptp(train_points, axis=0)))
     rank = np.argsort(train_points[:, axis], kind="stable")
     coords = train_points[rank].T.copy()  # one row per dimension, in sweep order
+    key, n = coords[axis], rank.size
     nearest = np.empty(test_indices.size, dtype=np.intp)
-    # the rows still scanning: their test row and point, the range lo .. hi - 1
-    # of the sweep order scanned so far, which of its sides are still open, and
-    # the best squared distance and its tie rank
-    live = np.arange(test_indices.size)
-    block = points[test_indices]
-    lo = np.searchsorted(coords[axis], block[:, axis])
-    hi = lo.copy()
-    left, right = lo > 0, hi < rank.size
-    best = np.full(live.size, np.inf)
-    near = np.full(live.size, rank.size)
+    queries = points[test_indices]
+    place = np.searchsorted(key, queries[:, axis])
+    live = np.arange(test_indices.size)  # the test rows still open
     width = _FIRST_WIDTH
     while live.size:
+        span = min(2 * width, n)
+        still = np.empty(live.size, dtype=bool)
         for part in row_blocks(live.size, 2 * width):
-            _scan_round(block[part], coords, rank, axis, width, lo[part], hi[part],
-                        left[part], right[part], best[part], near[part])
-        still = left | right
-        nearest[live[~still]] = near[~still]
-        live, block, lo, hi, left, right, best, near = (
-            a[still] for a in (live, block, lo, hi, left, right, best, near)
-        )
+            rows = live[part]
+            x = queries[rows]
+            hi = np.minimum(np.maximum(place[rows] + width, span), n)
+            lo = hi - span
+            cand = lo[:, None] + np.arange(span)
+            d2 = np.square(x[:, :1] - coords[0][cand])
+            for t, r in zip(x.T[1:], coords[1:]):
+                sq = t[:, None] - r[cand]
+                d2 += np.square(sq, out=sq)
+            best = d2.min(axis=1)
+            nearest[rows] = np.where(d2 == best[:, None], rank[cand], n).min(axis=1)
+            gap = x[:, axis] - key[np.maximum(lo - 1, 0)]
+            still[part] = (lo > 0) & ~(gap * gap > best)
+            gap = key[np.minimum(hi, n - 1)] - x[:, axis]
+            still[part] |= (hi < n) & ~(gap * gap > best)
+        live = live[still]
         width *= 2
     return train_labels[order][nearest]
-
-
-def _scan_round(block, coords, rank, axis, width, lo, hi, left, right, best, near):
-    """One sweep round of ``nn1_classify`` for the test points ``block``: scan
-    2 ``width`` more training rows next to lo .. hi - 1 and update, in place,
-    the range, which sides are open, the best squared distance and its tie
-    rank ``near``."""
-    n = rank.size
-    # rows taken on the left; if fewer than 2 width rows are left in all, the
-    # right ones run past the end and repeat its last row, which is harmless
-    take = np.where(left, np.where(right, width, 2 * width), 0)
-    take = np.minimum(np.maximum(take, 2 * width - (n - hi)), lo)
-    lo -= take
-    cand = lo[:, None] + np.arange(2 * width)
-    cand += (hi - lo - take)[:, None] * (cand >= (lo + take)[:, None])
-    np.minimum(cand, n - 1, out=cand)
-    hi += np.minimum(n - hi, 2 * width - take)
-    d2 = np.square(block[:, :1] - coords[0][cand])
-    for t, r in zip(block.T[1:], coords[1:]):
-        sq = t[:, None] - r[cand]
-        d2 += np.square(sq, out=sq)
-    low = d2.min(axis=1)
-    tie = np.where(d2 == low[:, None], rank[cand], n).min(axis=1)
-    better = (low < best) | ((low == best) & (tie < near))
-    np.copyto(best, low, where=better)
-    np.copyto(near, tie, where=better)
-    x, key = block[:, axis], coords[axis]
-    gap = x - key[np.maximum(lo - 1, 0)]
-    np.logical_and(lo > 0, ~(gap * gap > best), out=left)
-    gap = key[np.minimum(hi, n - 1)] - x
-    np.logical_and(hi < n, ~(gap * gap > best), out=right)

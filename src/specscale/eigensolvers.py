@@ -8,9 +8,9 @@ dense ``eigh``; larger ones take Lanczos with full reorthogonalization on the
 sparse normalized adjacency, with the trivial eigenvectors shifted out of the
 way.
 ``rect_pencil_eig`` returns the eigenpairs (mu, w) that a possibly rectangular
-pencil F - mu G determines, nearest a target eigenvalue first. A wide pencil
-(fewer rows than columns) has an exact pair at every mu; it yields one pair in
-closed form, at mu = target, by a minimum-norm least-squares solve. Any other
+pencil F - mu G determines, nearest mu = 1 first. A wide pencil (fewer rows
+than columns) has an exact pair at every mu; it yields one pair in closed
+form, at mu = 1, by a minimum-norm least-squares solve. Any other
 pencil is reduced onto the row space of [F; G] and whitened by the SVD of G,
 which turns its least-squares (Galerkin) pencil (G^T F, G^T G) into one
 standard eigenproblem. The caller certifies the pair it keeps with
@@ -115,12 +115,12 @@ def pencil_residual(F, G, value, vector):
     return float(num / den)
 
 
-def _sign_normalize(w, tol=1e-12):
+def _sign_normalize(w):
     """Flip (or phase-rotate) w so its first significant component is positive real."""
     scale = np.max(np.abs(w))
     if scale == 0.0:
         return w
-    idx = np.flatnonzero(np.abs(w) > tol * scale)
+    idx = np.flatnonzero(np.abs(w) > 1e-12 * scale)
     if idx.size == 0:
         return w
     lead = w[idx[0]]
@@ -284,21 +284,21 @@ def sym_gen_eig(L, k):
     return pairs
 
 
-def _realify(z, tol=1e-12):
+def _realify(z):
     if np.iscomplexobj(z):
         scale = np.max(np.abs(z)) if np.ndim(z) else abs(z)
-        if np.max(np.abs(np.imag(z))) <= tol * max(1.0, scale):
+        if np.max(np.abs(np.imag(z))) <= 1e-12 * max(1.0, scale):
             return np.real(z) if np.ndim(z) else float(np.real(z))
     return z
 
 
-def rect_pencil_eig(F, G, target):
+def rect_pencil_eig(F, G):
     """Eigenpairs that the (possibly rectangular) pencil F - mu G determines,
-    nearest ``target`` first.
+    nearest mu = 1 first.
 
     A wide pencil (fewer rows than columns) has an exact pair at every mu, and
-    at mu = target an affine family of them with last component -1. Its one
-    returned pair is the member of least norm: with K = F - target G, the
+    at mu = 1 an affine family of them with last component -1. Its one
+    returned pair is the member of least norm: with K = F - G, the
     minimum-norm least-squares solution s of K[:, :-1] s = K[:, -1] (``lstsq``
     with ``rcond=None``, the cutoff eps * max(shape) of the rank rule below),
     as w = [s; -1]. The solve is stable under rounding-level changes of F and
@@ -320,7 +320,7 @@ def rect_pencil_eig(F, G, target):
     No pair is certified here (``residual`` is None) and nothing is filtered.
     Complex eigenvalues appear together with their conjugates. Vectors have
     unit 2-norm and a deterministic sign. Pairs are ordered by
-    (|Re mu - target|, Re mu, Im mu); equal keys keep ``eig``'s order.
+    (|Re mu - 1|, Re mu, Im mu); equal keys keep ``eig``'s order.
 
     Raises
     ------
@@ -339,11 +339,10 @@ def rect_pencil_eig(F, G, target):
         raise DegeneratePencilError("G = 0: the pencil has no finite eigenvalue")
 
     if F.shape[0] < F.shape[1]:
-        K = np.multiply(G, target)
-        np.subtract(F, K, out=K)  # F - target G in one buffer
+        K = F - G
         s = np.linalg.lstsq(K[:, :-1], K[:, -1], rcond=None)[0]
         w = np.append(s, -1.0)
-        return [EigenPair(float(target), _sign_normalize(w / np.linalg.norm(w)))]
+        return [EigenPair(1.0, _sign_normalize(w / np.linalg.norm(w)))]
 
     eps = np.finfo(float).eps
     stacked = np.vstack([F, G])
@@ -372,6 +371,5 @@ def rect_pencil_eig(F, G, target):
     ]
     # stable sort: equal keys keep eig's deterministic order
     return sorted(
-        pairs,
-        key=lambda p: (abs(np.real(p.value) - target), np.real(p.value), np.imag(p.value)),
+        pairs, key=lambda p: (abs(np.real(p.value) - 1), np.real(p.value), np.imag(p.value))
     )

@@ -185,7 +185,7 @@ class ScalingVector:
 def learn_scaling(ps: PencilSystem) -> ScalingVector:
     """Solve the assembled pencil for scaling factors.
 
-    The pencil is solved once by ``rect_pencil_eig`` with target mu = 1: a
+    The pencil is solved once by ``rect_pencil_eig``, centred on mu = 1: a
     wide pencil gives its one least-norm pair at mu = 1 (see the module
     docstring), any other the pairs of its Galerkin reduction, nearest mu = 1
     first. Each candidate vector is rescaled so its last component is -1, and
@@ -204,7 +204,7 @@ def learn_scaling(ps: PencilSystem) -> ScalingVector:
     block views; no block is copied here.
     """
     try:
-        pairs = rect_pencil_eig(ps.F, ps.G, 1.0)
+        pairs = rect_pencil_eig(ps.F, ps.G)
     except NoEigenpairError as exc:
         raise NoScalingError("the pencil produced no usable candidates") from exc
     candidates = [

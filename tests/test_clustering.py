@@ -219,6 +219,14 @@ class TestNN1Classify:
             patch.setattr(similarity, "_BLOCK_MIN_ROWS", 1)
             np.testing.assert_array_equal(nn1_classify(emb, train, labels, test), expected)
 
+    def test_all_ties_take_training_index_zero(self):
+        # every point equal: each test row scans all 1500 training rows, and
+        # every distance ties, so every row takes the label of index 0
+        even, odd = np.arange(0, 3000, 2), np.arange(1, 3000, 2)
+        labels = np.arange(even.size)[::-1]  # index 0 holds the largest label
+        pred = nn1_classify(np.zeros((3000, 2)), even, labels, odd)
+        np.testing.assert_array_equal(pred, np.full(odd.size, labels[0]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_embedding_rejected(self, bad):
         # the sweep orders rows by a coordinate, which a NaN has not

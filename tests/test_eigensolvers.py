@@ -281,7 +281,7 @@ class TestSymCertificateScale:
 
 class TestRectPencilEig:
     def test_diagonal_square_pencil(self):
-        pairs = rect_pencil_eig(np.diag([2.0, 3.0]), np.eye(2), 1.0)
+        pairs = rect_pencil_eig(np.diag([2.0, 3.0]), np.eye(2))
         values = sorted(np.real(p.value) for p in pairs)
         np.testing.assert_allclose(values, [2.0, 3.0], atol=1e-10)
         for p in pairs:
@@ -300,15 +300,15 @@ class TestRectPencilEig:
             w = np.array([mu - 1.0, 1.0 + mu])
             assert np.linalg.norm(F @ w - mu * (G @ w)) <= 1e-15
         with pytest.raises(NoEigenpairError, match="singular"):
-            rect_pencil_eig(F, G, 1.0)
+            rect_pencil_eig(F, G)
 
     def test_zero_G_is_degenerate(self):
         with pytest.raises(DegeneratePencilError):
-            rect_pencil_eig(np.eye(2), np.zeros((2, 2)), 1.0)
+            rect_pencil_eig(np.eye(2), np.zeros((2, 2)))
 
     def test_both_zero_invalid(self):
         with pytest.raises(ValueError):
-            rect_pencil_eig(np.zeros((2, 2)), np.zeros((2, 2)), 1.0)
+            rect_pencil_eig(np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_matches_characteristic_polynomial(self):
         rng = np.random.default_rng(11)
@@ -317,7 +317,7 @@ class TestRectPencilEig:
             F = rng.normal(size=(q, q))
             G = rng.normal(size=(q, q))
             roots = charpoly_roots(F, G)
-            pairs = rect_pencil_eig(F, G, 1.0)
+            pairs = rect_pencil_eig(F, G)
             got = np.array([p.value for p in pairs])
             for mu in got:
                 assert np.min(np.abs(roots - mu)) < 1e-6
@@ -327,7 +327,7 @@ class TestRectPencilEig:
     def test_complex_pairs_come_with_conjugates(self):
         theta = 0.7
         F = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        pairs = rect_pencil_eig(F, np.eye(2), 1.0)
+        pairs = rect_pencil_eig(F, np.eye(2))
         values = np.array([p.value for p in pairs])
         assert np.iscomplexobj(values)
         np.testing.assert_allclose(sorted(values.imag), [-np.sin(theta), np.sin(theta)], atol=1e-10)
@@ -336,26 +336,25 @@ class TestRectPencilEig:
         rng = np.random.default_rng(2)
         F = rng.normal(size=(3, 8))
         G = rng.normal(size=(3, 8))
-        for target in (1.0, -0.3):
-            pairs = rect_pencil_eig(F, G, target)
-            assert [p.value for p in pairs] == [target]
-            for p in pairs:
-                assert p.residual is None
-                assert dense_residual(F, G, p.value, p.vector) <= 1e-6
-                np.testing.assert_allclose(np.linalg.norm(p.vector), 1.0, atol=1e-12)
+        pairs = rect_pencil_eig(F, G)
+        assert [p.value for p in pairs] == [1.0]
+        for p in pairs:
+            assert p.residual is None
+            assert dense_residual(F, G, p.value, p.vector) <= 1e-6
+            np.testing.assert_allclose(np.linalg.norm(p.vector), 1.0, atol=1e-12)
 
     def test_pairs_come_nearest_target_first(self):
-        # key (|Re mu - target|, Re mu, Im mu): 2 and 4 tie at distance 1 from 3
-        F = np.diag([5.0, 4.0, 2.0, 3.0, -1.0])
-        pairs = rect_pencil_eig(F, np.eye(5), 3.0)
-        np.testing.assert_allclose([p.value for p in pairs], [3.0, 2.0, 4.0, 5.0, -1.0])
+        # key (|Re mu - 1|, Re mu, Im mu): 0 and 2 tie at distance 1 from 1
+        F = np.diag([3.0, 2.0, 0.0, 1.0, -3.0])
+        pairs = rect_pencil_eig(F, np.eye(5))
+        np.testing.assert_allclose([p.value for p in pairs], [1.0, 0.0, 2.0, 3.0, -3.0])
 
     def test_mildly_wide_pencil_certificates(self):
         # more columns than rows but no joint nullspace
         rng = np.random.default_rng(4)
         F = rng.normal(size=(5, 7))
         G = rng.normal(size=(5, 7))
-        pairs = rect_pencil_eig(F, G, 1.0)
+        pairs = rect_pencil_eig(F, G)
         assert pairs
         assert all(dense_residual(F, G, p.value, p.vector) <= 1e-6 for p in pairs)
 
@@ -367,7 +366,7 @@ class TestRectPencilEig:
         G = rng.normal(size=(4, 3))
         F = np.column_stack([F, F[:, 0]])
         G = np.column_stack([G, G[:, 0]])
-        pairs = rect_pencil_eig(F, G, 1.0)
+        pairs = rect_pencil_eig(F, G)
         assert pairs
         for p in pairs:
             assert abs(p.vector[0] - p.vector[3]) <= 1e-10
@@ -385,19 +384,18 @@ class TestRectPencilEig:
             rank = int(np.count_nonzero(sv > 1e-10 * sv[0]))
             N = vt[rank:].T
             assert N.shape[1] == 1
-            pairs = rect_pencil_eig(F, G, 1.0)
+            pairs = rect_pencil_eig(F, G)
             assert pairs
             for p in pairs:
                 assert np.linalg.norm(N.T @ p.vector) <= 1e-10
         else:
-            # one pair at mu = target: w = [s; -1] with K[:, :-1] s = K[:, -1]
-            # for K = F - target G, and s free of the nullspace of K[:, :-1]
+            # one pair at mu = 1: w = [s; -1] with K[:, :-1] s = K[:, -1]
+            # for K = F - G, and s free of the nullspace of K[:, :-1]
             F = rng.normal(size=(3, 8))
             G = rng.normal(size=(3, 8))
-            target = 0.7
-            (pair,) = rect_pencil_eig(F, G, target)
-            assert pair.value == target
-            K = F - target * G
+            (pair,) = rect_pencil_eig(F, G)
+            assert pair.value == 1.0
+            K = F - G
             s = -pair.vector[:-1] / pair.vector[-1]
             lhs = K[:, :-1] @ s
             assert np.linalg.norm(lhs - K[:, -1]) <= 1e-12 * np.linalg.norm(K[:, -1])
@@ -410,8 +408,8 @@ class TestRectPencilEig:
         rng = np.random.default_rng(13)
         F = rng.normal(size=(6, 4))
         G = rng.normal(size=(6, 4))
-        a = rect_pencil_eig(F, G, 1.0)
-        b = rect_pencil_eig(F, G, 1.0)
+        a = rect_pencil_eig(F, G)
+        b = rect_pencil_eig(F, G)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.value == y.value
@@ -421,9 +419,7 @@ class TestRectPencilEig:
         # F - mu G = [[1, -mu], [0, 0]]: G annihilates e_0, which F maps into
         # G's range, so the Galerkin reduction is singular
         with pytest.raises(NoEigenpairError):
-            rect_pencil_eig(
-                np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0
-            )
+            rect_pencil_eig(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def dense_residual(F, G, mu, w):
@@ -441,7 +437,7 @@ class TestPencilCertificates:
         rng = np.random.default_rng(23)
         F = rng.normal(size=shape)
         G = rng.normal(size=shape)
-        pairs = rect_pencil_eig(F, G, 1.0)
+        pairs = rect_pencil_eig(F, G)
         complex_pairs = [p for p in pairs if np.iscomplexobj(p.value)]
         assert complex_pairs and len(complex_pairs) < len(pairs)
         for p in pairs:
@@ -482,7 +478,7 @@ class TestPencilCertificates:
             v[:2] = [1.0, -0.2]
             ps = assemble_pencil(X, v)
             seen.clear()
-            pairs = rect_pencil_eig(ps.F, ps.G, 1.0)
+            pairs = rect_pencil_eig(ps.F, ps.G)
             assert seen == []
             sv = learn_scaling(ps)
             assert len(seen) == 1 and seen[0] == (sv.eigenvalue, sv.residual)

@@ -56,6 +56,62 @@ def toy_config(task, **kw):
     return ExperimentConfig(**defaults)
 
 
+def feature_permuted_runs(config):
+    """Record pairs of ``config`` run on the standardized 800-sample toy at
+    seeds 0-3 and on the same data with its 10 feature columns in a seeded
+    random order."""
+    pairs = []
+    for seed in range(4):
+        data = standardize(generate_toy(800, seed=seed))
+        perm = np.random.default_rng(seed).permutation(data.values.shape[1])
+        permuted = DataMatrix(
+            values=data.values[:, perm],
+            feature_names=[data.feature_names[j] for j in perm],
+            labels=data.labels,
+        )
+        pairs += zip(run_pipeline(config, data).records, run_pipeline(config, permuted).records)
+    for a, b in pairs:
+        assert (a.sigma, a.repetition) == (b.sigma, b.repetition)
+    return pairs
+
+
+THREE_SPLITS = SplitSpec(0.5, repetitions=3)
+
+
+class TestFeaturePermutation:
+    """Permuting the feature columns permutes the factors, so every row whose
+    embedding the data determine keeps its scores."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(task="cluster", split=THREE_SPLITS),
+            ExperimentConfig(task="classify", ell=2, split=THREE_SPLITS),
+        ],
+        ids=["cluster", "classify-ell2"],
+    )
+    def test_scaled_rows_keep_their_scores(self, config):
+        scaled = [(a, b) for a, b in feature_permuted_runs(config) if a.scaled]
+        assert scaled
+        for a, b in scaled:
+            assert b.scaled and (a.ri, a.nmi) == (b.ri, b.nmi)
+            assert abs(a.mu - b.mu) <= 1e-12 * abs(a.mu)
+
+    def test_unscaled_rows_keep_their_scores(self):
+        config = ExperimentConfig(task="classify", ell=2, sigma_grid=(1.0, 10.0, 100.0),
+                                  feature_scaling=False, split=THREE_SPLITS)
+        for a, b in feature_permuted_runs(config):
+            assert (a.ri, a.nmi) == (b.ri, b.nmi)
+
+    @pytest.mark.xfail(strict=True, reason="the unscaled sigma = 0.1 graph is near-degenerate "
+                       "(minimum degree 7e-196 on seed 0), so rounding picks its embedding")
+    def test_unscaled_rows_at_sigma_0_1_keep_their_scores(self):
+        config = ExperimentConfig(task="classify", ell=2, sigma_grid=(0.1,),
+                                  feature_scaling=False, split=THREE_SPLITS)
+        moved = [a.ri != b.ri for a, b in feature_permuted_runs(config)]
+        assert not any(moved), f"{sum(moved)} of {len(moved)} rows moved"
+
+
 class TestRunPipeline:
     def test_separated_clusters_reach_perfect_scores(self):
         data = separated_clusters()

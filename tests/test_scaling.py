@@ -224,7 +224,7 @@ class TestLearnScaling:
         ps = tall_pencil()
         dims = ps.A.shape[1] + 1
         pairs = [EigenPair(mu, -np.eye(dims)[-1]) for mu in (0.5, 1.0)]
-        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, target: pairs)
+        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G: pairs)
         with pytest.raises(NoScalingError):
             learn_scaling(ps)
 
@@ -270,16 +270,16 @@ class TestLearnScaling:
         solve = scaling.rect_pencil_eig
         calls = []
 
-        def counting(F, G, target):
+        def counting(F, G):
             calls.append(F.shape)
-            return solve(F, G, target)
+            return solve(F, G)
 
         monkeypatch.setattr(scaling, "rect_pencil_eig", counting)
         learn_scaling(make_pencil())
         assert len(calls) == 1
 
     def test_no_finite_candidate_raises_no_scaling(self, monkeypatch):
-        def no_pairs(F, G, target):
+        def no_pairs(F, G):
             raise NoEigenpairError("no finite candidate")
 
         monkeypatch.setattr(scaling, "rect_pencil_eig", no_pairs)
@@ -290,7 +290,7 @@ class TestLearnScaling:
         ps = tall_pencil()
         dims = ps.A.shape[1] + 1
         pairs = [EigenPair(mu, np.eye(dims)[i]) for i, mu in enumerate([1.0, 0.5])]
-        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G, target: pairs)
+        monkeypatch.setattr(scaling, "rect_pencil_eig", lambda F, G: pairs)
         with pytest.raises(NonNormalizableError):
             learn_scaling(ps)
 

@@ -55,8 +55,8 @@ print(json.dumps(jobs))
 _RUN_CLI = "import sys; from specscale.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # name -> (samples at size full and tiny, CLI argv without --data/--output-dir):
-# the unscaled kernels, the "auto" target, a sweep through the near-square 5%
-# pencil at three widths, and leave-one-out
+# the unscaled kernels, the "auto" target, 1-NN in three dimensions, a sweep
+# through the near-square 5% pencil at three widths, and leave-one-out
 CONFIGS = {
     "cluster-unscaled": ((800, 120), ["cluster", "--no-feature-scaling", "--repetitions", "4"]),
     "classify-unscaled": (
@@ -68,6 +68,7 @@ CONFIGS = {
         (800, 120),
         ["classify", "--fiedler-negative", "auto", "--repetitions", "3"],
     ),
+    "classify-ell3": ((800, 120), ["classify", "--ell", "3", "--repetitions", "3"]),
     "sweep": (
         (200, 80),
         ["sweep", "--task", "classify", "--fractions", "0.05,0.1,0.2", "--repetitions", "5",
