@@ -10,10 +10,6 @@ classification.
 
 __version__ = "0.1.0"
 
-# numpy loads numpy.random on first use, and ``split`` always uses it; load it
-# with the package, so that its cost is part of start-up, not of the first call
-import numpy.random as _random  # noqa: F401
-
 from . import errors
 from .clustering import kmeans, nn1_classify
 from .data import (

@@ -238,12 +238,13 @@ def _cmd_inspect_scaling(args):
     spec = _usage_errors(lambda: SplitSpec(args.fraction, args.seed, repetitions=1))
     if not 0.0 < args.sigma < math.inf:
         raise argparse.ArgumentTypeError(f"sigma must be positive and finite, got {args.sigma}")
+    if args.k_neighbors < 1:
+        raise argparse.ArgumentTypeError("k_neighbors must be at least 1")
     data = _load_data(args)
     train, _ = split(data, spec, repetition=0)
     # the pipeline's fit: the pencil at unit width, factors t, s = 2 sigma^2 t
-    scaling = fit_unit_scaling(
-        data.values[train], data.labels[train], args.fiedler_negative, args.sigma
-    )
+    scaling = fit_unit_scaling(data.values[train], data.labels[train], args.fiedler_negative,
+                               args.sigma, args.k_neighbors)
     table = scaling_table(2.0 * args.sigma**2 * scaling.factors, data.feature_names)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -285,8 +286,8 @@ def _build_parser():
     _add_command(sub, "loocv", "leave-one-out classification", _cmd_pipeline,
                  _PIPELINE + ("--ell",))
     _add_command(sub, "inspect-scaling", "emit the learned factor table", _cmd_inspect_scaling,
-                 ("--data", "--fraction", "--seed", "--fiedler-negative", "--no-standardize",
-                  "--config"),
+                 ("--data", "--fraction", "--seed", "--k-neighbors", "--fiedler-negative",
+                  "--no-standardize", "--config"),
                  {"--sigma": {"type": float, "default": 1.0, "help": "kernel width: the table "
                               "reports s = 2 sigma^2 t; 'auto' uses the unscaled graph at sigma"},
                   "--out": {}})

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import decimals
+from . import decimals, pcg64
 from .errors import MatrixParseError, ZeroVarianceError
 
 LABEL_COLUMN = "label"
@@ -93,6 +93,8 @@ class SplitSpec:
             raise ValueError("train_fraction must be in (0, 1]")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # Geometry of the synthetic benchmark: two ribbon-shaped manifolds traced by a
@@ -152,12 +154,13 @@ def standardize(data: DataMatrix) -> DataMatrix:
     [2^e, 2^(e+1)), so its variance neither overflows (magnitudes above ~1e154)
     nor underflows (below ~1e-154). Dividing by a power of two is exact, so
     where neither happens the result is, bit for bit, that of the unscaled data.
+    The deviations take numpy ``std``'s steps, so its bits, on data centred in place.
     """
-    magnitudes = np.abs(data.values).max(axis=0)
+    magnitudes = np.maximum(np.abs(data.values.max(axis=0)), np.abs(data.values.min(axis=0)))
     scales = np.ldexp(1.0, np.frexp(magnitudes)[1] - 1)
     scaled = data.values / scales
-    means = scaled.mean(axis=0)
-    stds = scaled.std(axis=0)
+    scaled -= scaled.mean(axis=0)
+    stds = np.sqrt(np.square(scaled).sum(axis=0) / scaled.shape[0])
     low = stds <= _NOISE_SPREAD * np.finfo(float).eps * (magnitudes / scales)
     if np.any(low):
         idx = int(np.flatnonzero(low)[0])
@@ -166,7 +169,6 @@ def standardize(data: DataMatrix) -> DataMatrix:
             f"{stds[idx] * scales[idx]:.3e}, "
             f"within rounding of its largest magnitude {magnitudes[idx]:.3e}"
         )
-    scaled -= means
     scaled /= stds
     return DataMatrix(
         values=scaled,
@@ -359,11 +361,12 @@ def split(data: DataMatrix, spec: SplitSpec, repetition=0):
 
     Each class contributes round(train_fraction * class size) training samples
     (at least one), so both classes are always represented. Returned index
-    arrays are sorted and disjoint, covering all samples.
+    arrays are sorted and disjoint, covering all samples. ``pcg64`` shuffles as
+    numpy's ``default_rng([seed, repetition])`` does, fixed across numpy versions.
     """
     if data.labels is None:
         raise ValueError("split requires labeled data")
-    rng = np.random.default_rng([spec.seed, repetition])
+    rng = pcg64.Stream(spec.seed, repetition)
     train_parts, test_parts = [], []
     for cls in sorted_classes(data.labels):
         idx = np.flatnonzero(data.labels == cls)

@@ -212,6 +212,56 @@ def test_inspect_scaling_prints_the_pipelines_row_factors(tmp_path, capsys, targ
         assert f"mu={record.mu!r} residual={record.residual!r}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["cluster", "classify", "sweep", "inspect-scaling"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # numpy's default_rng raised "expected non-negative integer" with a
+    # traceback and exit code 1, once the first split was drawn
+    path = tmp_path / "toy.csv"
+    save_matrix(generate_toy(800, seed=0), str(path))
+    argv = [command, "--data", str(path), "--seed", "-1"]
+    if command != "inspect-scaling":
+        argv += ["--output-dir", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"specscale {command}: error: seed must be non-negative, got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def inspect_factors(capsys, argv):
+    assert main(["inspect-scaling", *argv]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    return np.array([float(line.split("\t")[1]) for line in lines])
+
+
+def test_inspect_scaling_auto_takes_the_classify_k_neighbors(tmp_path, capsys):
+    # "auto" takes its degrees from the training graph of --k-neighbors
+    # neighbours, as classify's fit does; at k = 7 the factors differ
+    path = tmp_path / "toy.csv"
+    save_matrix(generate_toy(200, seed=0), str(path))
+    config = ExperimentConfig(task="classify", sigma_grid=(1.0,), fiedler_negative="auto",
+                              k_neighbors=5, split=SplitSpec(0.5, seed=3, repetitions=1))
+    (record,) = run_pipeline(config, standardize(load_matrix(path))).records
+    assert record.ok
+    argv = ["--data", str(path), "--sigma", "1", "--seed", "3", "--fiedler-negative", "auto"]
+    factors = inspect_factors(capsys, [*argv, "--k-neighbors", "5"])
+    np.testing.assert_allclose(factors, record.factors, rtol=1e-12, atol=0)
+    assert not np.allclose(inspect_factors(capsys, argv), record.factors, rtol=1e-6, atol=0)
+
+
+def test_inspect_scaling_takes_k_neighbors_from_a_config_file(tmp_path, capsys):
+    path = tmp_path / "toy.csv"
+    save_matrix(generate_toy(200, seed=0), str(path))
+    conf = tmp_path / "c.cfg"
+    conf.write_text("k_neighbors=5\nfiedler_negative=auto\n")
+    from_file = inspect_factors(capsys, ["--data", str(path), "--config", str(conf)])
+    from_flags = inspect_factors(capsys, ["--data", str(path), "--k-neighbors", "5",
+                                          "--fiedler-negative", "auto"])
+    np.testing.assert_array_equal(from_file, from_flags)
+
+
 def test_missing_label_column_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "nolabel.csv"
     path.write_text("a,b\n1,2\n3,4\n")
@@ -413,6 +463,9 @@ def test_table_without_feature_columns_fails_cleanly(tmp_path, capsys, flags):
         ("classify", [], "fiedler_negative=0"),
         ("generate", ["--samples", "7"], None),
         ("generate", ["--samples", "6"], None),
+        ("classify", ["--seed", "-1"], None),
+        ("inspect-scaling", ["--seed", "-1"], None),
+        ("inspect-scaling", ["--k-neighbors", "0"], None),
     ],
     ids=[
         "repetitions", "fraction", "k-neighbors", "sweep-cluster-ell", "sigma-grid",
@@ -420,7 +473,7 @@ def test_table_without_feature_columns_fails_cleanly(tmp_path, capsys, flags):
         "inspect-fraction", "inspect-sigma-zero", "inspect-sigma-nan", "sigma-grid-nan",
         "sigma-grid-nan-baseline", "sigma-grid-inf", "sigma-grid-repeated", "inspect-sigma-inf",
         "config-fiedler-inf", "config-fiedler-zero", "generate-odd-samples",
-        "generate-too-few-samples",
+        "generate-too-few-samples", "seed", "inspect-seed", "inspect-k-neighbors",
     ],
 )
 def test_bad_option_value_is_a_usage_error(

@@ -18,6 +18,13 @@ from specscale.data import sorted_classes
 from specscale.errors import MatrixParseError, ZeroVarianceError
 
 
+def numpy_standardized(X):
+    """``standardize``'s values by numpy's own column maxima and deviations."""
+    magnitudes = np.abs(X).max(axis=0)
+    scaled = X / np.ldexp(1.0, np.frexp(magnitudes)[1] - 1)
+    return (scaled - scaled.mean(axis=0)) / scaled.std(axis=0)
+
+
 def balanced_matrix(n=800, m=4, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.array([1, 2] * (n // 2))
@@ -148,6 +155,44 @@ class TestStandardize:
         np.testing.assert_allclose(
             moved.values, standardize(DataMatrix(values=X, feature_names=names)).values,
             rtol=0, atol=1e-12,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 300), st.lists(st.integers(-300, 300), min_size=1, max_size=12),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_moments_are_numpys_bit_for_bit(self, n, exponents, fortran, seed):
+        # max |x| and the standard deviation per column are numpy's
+        # np.abs(x).max(axis=0) and x.std(axis=0), bit for bit, whatever the
+        # column scales, with one column or many, in either memory order
+        rng = np.random.default_rng(seed)
+        m = len(exponents)
+        X = np.ldexp(rng.normal(size=(n, m)) + rng.normal(size=m) * 4, exponents)
+        X = np.asfortranarray(X) if fortran else X
+        names = [f"c{i}" for i in range(m)]
+        np.testing.assert_array_equal(
+            standardize(DataMatrix(values=X, feature_names=names)).values.view(np.uint64),
+            numpy_standardized(X).view(np.uint64),
+        )
+
+    @pytest.mark.parametrize("shape", [(100_000, 3), (144, 2000), (3200, 10), (5000, 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_workload_shapes_are_numpys_bit_for_bit(self, shape):
+        X = np.random.default_rng(shape[1]).uniform(-3.0, 5.0, size=shape)
+        names = [f"c{i}" for i in range(shape[1])]
+        np.testing.assert_array_equal(
+            standardize(DataMatrix(values=X, feature_names=names)).values.view(np.uint64),
+            numpy_standardized(X).view(np.uint64),
+        )
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_column_names_an_unsigned_magnitude(self, zero):
+        dm = DataMatrix(values=np.array([[zero, 0.0], [zero, 1.0], [zero, 2.0]]),
+                        feature_names=["zero", "ok"])
+        with pytest.raises(ZeroVarianceError) as exc:
+            standardize(dm)
+        assert str(exc.value) == (
+            "feature 'zero' has standard deviation 0.000e+00, "
+            "within rounding of its largest magnitude 0.000e+00"
         )
 
 
@@ -478,3 +523,27 @@ class TestSplit:
             SplitSpec(0.0)
         with pytest.raises(ValueError):
             SplitSpec(0.5, repetitions=0)
+
+    def test_negative_seed_is_rejected(self):
+        # numpy's default_rng raised its own ValueError only once a split was drawn
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            split(balanced_matrix(20), SplitSpec(0.5, seed=-1))
+
+    def test_negative_repetition_is_rejected(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            split(balanced_matrix(20), SplitSpec(0.5), repetition=-1)
+
+    @pytest.mark.parametrize("seed, repetition", [(0, 0), (3, 9), (2**33 + 1, 2)])
+    def test_shuffles_are_numpys_default_rng(self, seed, repetition):
+        # each class's indices, in class order, shuffled by default_rng([seed, repetition])
+        data = generate_toy(800, seed=1)
+        rng = np.random.default_rng([seed, repetition])
+        train, test = [], []
+        for cls in (1, 2):
+            idx = rng.permutation(np.flatnonzero(data.labels == cls))
+            n_train = int(np.floor(0.3 * idx.size + 0.5))
+            train.append(idx[:n_train])
+            test.append(idx[n_train:])
+        got = split(data, SplitSpec(0.3, seed=seed), repetition=repetition)
+        np.testing.assert_array_equal(got[0], np.sort(np.concatenate(train)))
+        np.testing.assert_array_equal(got[1], np.sort(np.concatenate(test)))

@@ -1,7 +1,7 @@
 """Static checks of the package source: no unused imports, no unused private
 names, no public function that no other module reads, no public method or
 property that nothing reads, no unread config fields, a consistent public
-surface, and neither scipy nor numpy.ma loaded by a run."""
+surface, and neither scipy, numpy.ma nor numpy.random loaded by a run."""
 
 import ast
 import dataclasses
@@ -211,20 +211,23 @@ def exponent_table(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def loaded_after_runs(tmp_path_factory, exponent_table):
-    """The scipy and numpy.ma modules loaded after ``cluster`` and after
-    ``classify``, run in turn in one fresh interpreter on a ``generate`` toy,
-    and after a ``classify`` of the toy with exponent cells. 420 samples is
-    above the dense limit, so the embedding takes Lanczos."""
+    """The watched modules loaded after ``import specscale.cli``, then after
+    ``cluster`` and after ``classify``, run in turn in one fresh interpreter on
+    a ``generate`` toy, and after a ``classify`` of the toy with exponent
+    cells. 420 samples is above the dense limit, so the embedding takes
+    Lanczos. Watched are scipy, numpy.ma, and numpy.random with what it loads:
+    secrets, hashlib and OpenSSL's _hashlib. ``generate`` loads numpy.random,
+    so the toy is written by another process."""
     script = textwrap.dedent(
         """
         import json, sys
-        from specscale.cli import main
-        data, out, exponents = sys.argv[1], sys.argv[2], sys.argv[3]
-        loaded = {}
         def watched():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                          or m == "numpy.ma" or m.startswith("numpy.ma."))
-        assert main(["generate", "--samples", "420", "--seed", "0", "--out", data]) == 0
+                          or m.split(".")[:2] in (["numpy", "ma"], ["numpy", "random"])
+                          or m in ("secrets", "hashlib", "_hashlib"))
+        from specscale.cli import main
+        data, out, exponents = sys.argv[1], sys.argv[2], sys.argv[3]
+        loaded = {"import": watched()}
         for task, path in (("cluster", data), ("classify", data), ("exponents", exponents)):
             argv = ["classify" if task == "exponents" else task, "--data", path,
                     "--output-dir", out, "--sigma-grid", "1", "--repetitions", "1"]
@@ -236,9 +239,14 @@ def loaded_after_runs(tmp_path_factory, exponent_table):
     tmp_path = tmp_path_factory.mktemp("run")
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    data = str(tmp_path / "toy.csv")
+    subprocess.run(
+        [sys.executable, "-m", "specscale.cli", "generate", "--samples", "420", "--seed", "0",
+         "--out", data],
+        capture_output=True, text=True, env=env, check=True,
+    )
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "toy.csv"), str(tmp_path / "run"),
-         str(exponent_table)],
+        [sys.executable, "-c", script, data, str(tmp_path / "run"), str(exponent_table)],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
@@ -252,6 +260,14 @@ def test_a_run_loads_no_scipy(loaded_after_runs):
 def test_a_run_loads_no_numpy_ma(loaded_after_runs, task):
     # numpy's unique imports numpy.ma; the package takes classes from a sort
     assert [m for m in loaded_after_runs[task] if m.startswith("numpy.ma")] == []
+
+
+@pytest.mark.parametrize("task", ["import", "cluster", "classify", "exponents"])
+def test_a_run_loads_no_numpy_random(loaded_after_runs, task):
+    # numpy.random maps nine extension modules and, through secrets, OpenSSL's
+    # libcrypto; the package draws its splits and Lanczos start from pcg64
+    assert [m for m in loaded_after_runs[task]
+            if m.startswith("numpy.random") or m in ("secrets", "hashlib", "_hashlib")] == []
 
 
 def test_the_exponent_table_takes_the_decimal_reader(exponent_table):

@@ -1,5 +1,6 @@
 """Resident memory per stage: one workload run in a fresh process."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,17 @@ def test_an_unknown_workload_fails():
     done = stage_memory("--workload", "no-such-workload", "--size", "tiny")
     assert done.returncode == 1
     assert done.stdout == "writing the input failed: KeyError: 'no-such-workload'\n"
+
+
+def test_the_worker_holds_no_hashlib_or_numpy_random_before_its_import():
+    # the worker runs this file, so its imports precede the measured
+    # ``import specscale.cli``; hashlib maps OpenSSL's libcrypto, 3.6 MB that
+    # benchmarks/worker.py does not hold
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import stage_memory; "
+             "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe, str(ROOT / "tools")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = json.loads(done.stdout)
+    assert "stage_memory" in loaded
+    assert [m for m in loaded if m in ("hashlib", "_hashlib", "secrets")
+            or m.startswith(("numpy", "specscale", "ladder", "report_drift"))] == []

@@ -24,12 +24,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-from ladder import last_line, worker_env
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = ("VmHWM", "RssAnon", "RssFile")
@@ -103,6 +100,13 @@ def stage_worker(tree, argv):
 
 
 def main(argv=None):
+    # imported by the parent alone, so that the measured worker holds no module
+    # before its import of specscale.cli that benchmarks/worker.py would not:
+    # ladder imports report_drift and, through it, hashlib (3.6 MB of libcrypto)
+    import subprocess
+
+    from ladder import last_line, worker_env
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", type=Path, nargs="?", default=ROOT,
                         help="source tree to run (default: this one)")
